@@ -57,11 +57,6 @@ class MonomialGraph:
             adj[j].add(i)
         return adj
 
-    def has_edge(self, a: Exponent, b: Exponent) -> bool:
-        idx = {alpha: i for i, alpha in enumerate(self.nodes)}
-        i, j = idx[a], idx[b]
-        return (min(i, j), max(i, j)) in self.edges
-
     def exponent_edges(self) -> frozenset[frozenset[Exponent]]:
         return frozenset(frozenset((self.nodes[i], self.nodes[j])) for i, j in self.edges)
 

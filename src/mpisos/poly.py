@@ -477,10 +477,6 @@ class DynamicalSystem:
     def constraint_degrees(self) -> tuple[int, ...]:
         return tuple(int(p.degree) for p in self.constraints)
 
-    @property
-    def max_constraint_degree(self) -> int:
-        return max(self.constraint_degrees)
-
     def multipliers(self) -> tuple[Polynomial, ...]:
         """The constraint list prefixed with the constant 1 (index 0)."""
         return (Polynomial.constant(self.dim, 1.0), *self.constraints)

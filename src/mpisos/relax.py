@@ -135,10 +135,6 @@ class SdpProblem:
     metadata: dict = field(default_factory=dict)
 
     @property
-    def psd_blocks(self) -> tuple[tuple[tuple[str, int, int], int], ...]:
-        return tuple((b.label, b.dimension) for b in self.blocks)
-
-    @property
     def free_count(self) -> int:
         return len(self.free_labels)
 

@@ -6,6 +6,13 @@ The standard form matches what assembly produces:
     subject to  sum_k <A_ik, X_k> + (B u)_i = b_i,   i = 1..m
                 X_k PSD,  u free.
 
+The PSD constraint data is one sparse operator A with m rows and
+sum_k n_k^2 columns: block k occupies the columns offsets[k]:offsets[k+1]
+and stores the full symmetric A_ik in row-major order, so A applied to the
+stacked X_k.ravel() gives every equality's block part in one product.
+The free-variable presolve, the row/column equilibration and the trace cap
+are row and column operations on A and B.
+
 The method is a primal-dual path follower with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step.  The Schur complement is formed densely
 (problems here stay at a few thousand constraints) and free variables are
@@ -16,6 +23,7 @@ loss of nonnegative splitting on coefficient-matching equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,7 +93,15 @@ class SdpSolution:
 
 
 class BlockProblem:
-    """Standard-form data with per-block sparse constraint matrices.
+    """Standard-form data with one stacked sparse constraint operator.
+
+    ``A`` is an m x sum(n_k^2) CSR matrix.  Block k owns the columns
+    ``offsets[k]:offsets[k+1]`` and holds the full symmetric matrix A_ik in
+    row-major order, so ``A @ concat(X_k.ravel())`` gives the block part of
+    every equality.  The constructor takes one list of upper-triangle
+    entries ``(k, r, c, coef)`` per equality; duplicate entries add up and
+    off-diagonal ones are mirrored.  Presolve, equilibration and the trace
+    cap derive new problems by row and column operations on ``A``.
 
     The objective is <C, X> + c_free . u + objective_offset; C defaults to
     zero, which is what direct assembly produces.  Eliminating pinned free
@@ -102,9 +118,47 @@ class BlockProblem:
         C=None,
         objective_offset: float = 0.0,
     ) -> None:
+        self._set_data(block_sizes, B, b, c_free, C, objective_offset)
+        if len(equality_entries) != self.m:
+            raise ValueError("need one entry list per equality")
+        counts = [len(row) for row in equality_entries]
+        flat = np.array(
+            [e for row in equality_entries for e in row], dtype=float
+        ).reshape(-1, 4)
+        k, r, c = flat[:, :3].astype(np.int64).T
+        v = flat[:, 3]
+        if np.any((k < 0) | (k >= len(self.block_sizes))):
+            raise ValueError("entry references an unknown block")
+        n = np.array(self.block_sizes, dtype=np.int64)[k]
+        if np.any((r < 0) | (r > c) | (c >= n)):
+            raise ValueError("entry outside the upper triangle")
+        rows = np.repeat(np.arange(self.m), counts)
+        cols = self.offsets[k] + r * n + c
+        mirror = r != c
+        cols_t = (self.offsets[k] + c * n + r)[mirror]
+        A = sp.csr_matrix(
+            (
+                np.append(v, v[mirror]),
+                (np.append(rows, rows[mirror]), np.append(cols, cols_t)),
+            ),
+            shape=(self.m, self.offsets[-1]),
+        )
+        self._set_operator(A)
+
+    @classmethod
+    def _from_operator(
+        cls, block_sizes, A, B, b, c_free, C=None, objective_offset: float = 0.0
+    ) -> BlockProblem:
+        bp = cls.__new__(cls)
+        bp._set_data(block_sizes, B, b, c_free, C, objective_offset)
+        bp._set_operator(A)
+        return bp
+
+    def _set_data(self, block_sizes, B, b, c_free, C, objective_offset) -> None:
         self.block_sizes = tuple(int(n) for n in block_sizes)
         if any(n < 1 for n in self.block_sizes):
             raise ValueError("block sizes must be positive")
+        self.offsets = np.cumsum([0] + [n * n for n in self.block_sizes])
         self.m = len(b)
         self.b = np.asarray(b, dtype=float)
         self.B = np.asarray(B, dtype=float).reshape(self.m, -1)
@@ -130,67 +184,17 @@ class BlockProblem:
             self.cost_norm += float(
                 np.sqrt(sum(np.sum(Ck**2) for Ck in self.C))
             )
-        if len(equality_entries) != self.m:
-            raise ValueError("need one entry list per equality")
-        self.equality_entries = tuple(
-            tuple((int(k), int(r), int(c), float(v)) for k, r, c, v in row)
-            for row in equality_entries
-        )
 
-        # per-block COO accumulation in full-symmetric form
-        per_block: list[dict[tuple[int, int, int], float]] = [
-            {} for _ in self.block_sizes
-        ]
-        for i, entries in enumerate(equality_entries):
-            for k, r, c, coef in entries:
-                if not 0 <= k < len(self.block_sizes):
-                    raise ValueError("entry references an unknown block")
-                n = self.block_sizes[k]
-                if not (0 <= r <= c < n):
-                    raise ValueError("entry outside the upper triangle")
-                acc = per_block[k]
-                acc[(i, r, c)] = acc.get((i, r, c), 0.0) + float(coef)
-
-        self.P: list[sp.csr_matrix] = []
-        self.PT: list[sp.csc_matrix] = []
-        self.gather: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for k, n in enumerate(self.block_sizes):
-            items = sorted(per_block[k].items())
-            rows_eq, pos_r, pos_c, vals = [], [], [], []
-            for (i, r, c), coef in items:
-                rows_eq.append(i)
-                pos_r.append(r)
-                pos_c.append(c)
-                vals.append(coef)
-                if r != c:
-                    rows_eq.append(i)
-                    pos_r.append(c)
-                    pos_c.append(r)
-                    vals.append(coef)
-            rows_eq = np.asarray(rows_eq, dtype=np.int64)
-            pos_r = np.asarray(pos_r, dtype=np.int64)
-            pos_c = np.asarray(pos_c, dtype=np.int64)
-            vals = np.asarray(vals, dtype=float)
-            P = sp.csr_matrix(
-                (vals, (rows_eq, pos_r * n + pos_c)),
-                shape=(self.m, n * n),
-            )
-            self.P.append(P)
-            self.PT.append(P.T.tocsc())
-            # equality ids touching this block, with slices into flat arrays
-            order = np.argsort(rows_eq, kind="stable")
-            re_s, rr_s = rows_eq[order], pos_r[order]
-            rc_s, rv_s = pos_c[order], vals[order]
-            eq_ids, starts = np.unique(re_s, return_index=True)
-            ptr = np.append(starts, len(re_s))
-            self.gather.append((eq_ids, ptr, rr_s, rc_s, rv_s))
-
-        self.constraint_norms = np.zeros(self.m)
-        for P in self.P:
-            sq = P.multiply(P).sum(axis=1)
-            self.constraint_norms += np.asarray(sq).ravel()
+    def _set_operator(self, A) -> None:
+        # canonical form: sorted columns within each row and no explicit
+        # zeros, which _schur_blocks and export_sdpa rely on
+        A = sp.csr_matrix(A)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        self.A = A
         self.constraint_norms = np.sqrt(
-            self.constraint_norms + (self.B**2).sum(axis=1)
+            np.asarray(A.multiply(A).sum(axis=1)).ravel()
+            + (self.B**2).sum(axis=1)
         )
 
     @property
@@ -202,24 +206,44 @@ class BlockProblem:
             return self.C
         return tuple(np.zeros((n, n)) for n in self.block_sizes)
 
-    def apply_A(self, mats) -> np.ndarray:
-        out = np.zeros(self.m)
-        for P, mat in zip(self.P, mats):
-            out += P @ mat.ravel()
-        return out
-
-    def apply_At(self, y) -> list[np.ndarray]:
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The n_k x n_k blocks of a stacked vector, as views into it."""
+        o = self.offsets
         return [
-            (PT @ y).reshape(n, n)
-            for PT, n in zip(self.PT, self.block_sizes)
+            flat[o[k] : o[k + 1]].reshape(n, n)
+            for k, n in enumerate(self.block_sizes)
         ]
 
-    def projections_as(self, dtype) -> list[sp.csr_matrix]:
-        cached = getattr(self, "_projection_cache", None)
-        if cached is None or cached[0] != dtype:
-            cached = (dtype, [P.astype(dtype) for P in self.P])
-            self._projection_cache = cached
-        return cached[1]
+    def apply_A(self, mats) -> np.ndarray:
+        return self.A @ np.concatenate([np.ravel(mat) for mat in mats])
+
+    def apply_At(self, y) -> list[np.ndarray]:
+        return self._split(self.A.T @ y)
+
+    @cached_property
+    def _schur_blocks(self) -> list[tuple]:
+        """Per block: the equalities touching it, their entries sliced by
+        ``ptr`` into full-symmetric (rows, cols, vals), and the block's
+        columns of ``A`` restricted to those equalities.  Built once per
+        problem, the first time a Schur complement is formed."""
+        coo = self.A.tocoo()
+        blk = np.searchsorted(self.offsets, coo.col, side="right") - 1
+        # a stable sort keeps the (row, column) order within each block
+        order = np.argsort(blk, kind="stable")
+        row, blk, val = coo.row[order], blk[order], coo.data[order]
+        pos = coo.col[order] - self.offsets[blk]
+        bounds = np.searchsorted(blk, np.arange(len(self.block_sizes) + 1))
+        out = []
+        for k, n in enumerate(self.block_sizes):
+            lo, hi = bounds[k], bounds[k + 1]
+            eq_ids, starts = np.unique(row[lo:hi], return_index=True)
+            ptr = np.append(starts, hi - lo)
+            local = pos[lo:hi]
+            P = sp.csr_matrix(
+                (val[lo:hi], local, ptr), shape=(len(eq_ids), n * n)
+            )
+            out.append((eq_ids, ptr, local // n, local % n, val[lo:hi], P))
+        return out
 
 
 def standardize(problem: SdpProblem) -> BlockProblem:
@@ -228,15 +252,13 @@ def standardize(problem: SdpProblem) -> BlockProblem:
     f = problem.free_count
     B = np.zeros((m, f))
     b = np.zeros(m)
-    entries = []
     for i, eq in enumerate(problem.equalities):
         b[i] = eq.rhs
         for col, coef in eq.free_entries:
             B[i, col] = coef
-        entries.append([(k, r, c, coef) for k, r, c, coef in eq.block_entries])
     return BlockProblem(
         [blk.dimension for blk in problem.blocks],
-        entries,
+        [eq.block_entries for eq in problem.equalities],
         B,
         b,
         np.asarray(problem.objective_free, dtype=float),
@@ -252,19 +274,11 @@ def _equilibrated(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray, np.ndarra
     """
     s = np.maximum(bp.constraint_norms, 1e-12)
     B1 = bp.B / s[:, None]
-    if bp.n_free:
-        col_norms = np.sqrt((B1**2).sum(axis=0))
-        t = 1.0 / np.maximum(col_norms, 1e-12)
-    else:
-        t = np.ones(0)
-    entries = [
-        [(k, r, c, v / s[i]) for k, r, c, v in row]
-        for i, row in enumerate(bp.equality_entries)
-    ]
-    scaled = BlockProblem(
+    t = 1.0 / np.maximum(np.sqrt((B1**2).sum(axis=0)), 1e-12)
+    scaled = BlockProblem._from_operator(
         bp.block_sizes,
-        entries,
-        B1 * t[None, :] if bp.n_free else B1,
+        sp.diags(1.0 / s) @ bp.A,
+        B1 * t[None, :],
         bp.b / s,
         bp.c_free * t,
         C=bp.C,
@@ -381,22 +395,12 @@ def reduce_free_variables(
     g = red._lu_pe.solve(bp.c_free[red.elim_cols], trans="T")
 
     n_kept = len(kept_rows)
-    entries_red: list[list[tuple[int, int, int, float]]] = [
-        [] for _ in range(n_kept)
+    A_piv = bp.A[piv]
+    A_red = sp.csr_matrix(bp.A[kept_rows] - F @ A_piv)
+    A_red.eliminate_zeros()
+    cost = [
+        Ck - Gk for Ck, Gk in zip(bp.cost_blocks(), bp._split(A_piv.T @ g))
     ]
-    cost = [np.array(Ck, dtype=float) for Ck in bp.cost_blocks()]
-    for k, P in enumerate(bp.P):
-        n = bp.block_sizes[k]
-        Pr = (P[kept_rows] - F @ P[piv]).tocsr()
-        Pr.sum_duplicates()
-        Pr.eliminate_zeros()
-        for i in range(n_kept):
-            lo, hi = Pr.indptr[i], Pr.indptr[i + 1]
-            for pos, v in zip(Pr.indices[lo:hi], Pr.data[lo:hi]):
-                r, c = divmod(int(pos), n)
-                if r <= c:
-                    entries_red[i].append((k, r, c, float(v)))
-        cost[k] -= (P[piv].T @ g).reshape(n, n)
 
     b_red = bp.b[kept_rows] - F @ bp.b[piv]
     if len(rem_cols):
@@ -409,19 +413,13 @@ def reduce_free_variables(
 
     # a substituted row can cancel to nothing; with a nonzero right-hand
     # side that means the equalities were inconsistent to begin with
-    empty = np.array(
-        [
-            not entries_red[i] and not np.any(B_red[i])
-            for i in range(n_kept)
-        ],
-        dtype=bool,
-    )
+    empty = (np.diff(A_red.indptr) == 0) & ~np.any(B_red, axis=1)
     if np.any(empty):
         bad = np.abs(b_red[empty]) > 1e-9 * (1.0 + np.abs(bp.b).max())
         if np.any(bad):
             raise ValueError("free-variable elimination exposed an inconsistency")
         keep = ~empty
-        entries_red = [row for row, k_ in zip(entries_red, keep) if k_]
+        A_red = A_red[keep]
         b_red = b_red[keep]
         B_red = B_red[keep]
         red.kept_rows = red.kept_rows[keep]
@@ -429,9 +427,9 @@ def reduce_free_variables(
         # the surviving rows against the eliminated columns
         red._B_ke = bp.B[np.ix_(red.kept_rows, red.elim_cols)]
 
-    reduced = BlockProblem(
+    reduced = BlockProblem._from_operator(
         bp.block_sizes,
-        entries_red,
+        A_red,
         B_red,
         b_red,
         c_red,
@@ -453,18 +451,24 @@ def _with_trace_bound(bp: BlockProblem, bound: float) -> BlockProblem:
     """
     if bound <= 0:
         raise ValueError("trace bound must be positive")
-    sizes = list(bp.block_sizes) + [1]
-    slack = len(bp.block_sizes)
-    row = [(k, i, i, 1.0) for k, n in enumerate(bp.block_sizes) for i in range(n)]
-    row.append((slack, 0, 0, 1.0))
-    entries = [list(r) for r in bp.equality_entries] + [row]
+    width = bp.offsets[-1]
+    # the diagonal positions of every block, then the slack's 1x1 block
+    diag = np.concatenate(
+        [o + np.arange(n) * (n + 1) for o, n in zip(bp.offsets, bp.block_sizes)]
+        + [[width]]
+    )
+    cap = sp.csr_matrix(
+        (np.ones(len(diag)), (np.zeros(len(diag), dtype=np.int64), diag)),
+        shape=(1, width + 1),
+    )
+    A = sp.vstack([sp.hstack([bp.A, sp.csr_matrix((bp.m, 1))]), cap])
     B = np.vstack([bp.B, np.zeros((1, bp.n_free))])
     b = np.append(bp.b, bound)
     C = None
     if bp.C is not None:
         C = list(bp.C) + [np.zeros((1, 1))]
-    return BlockProblem(
-        sizes, entries, B, b, bp.c_free, C=C,
+    return BlockProblem._from_operator(
+        bp.block_sizes + (1,), A, B, b, bp.c_free, C=C,
         objective_offset=bp.objective_offset,
     )
 
@@ -522,16 +526,17 @@ def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float = 0.0) -> dict[st
 
 
 def _schur(bp: BlockProblem, W, M: np.ndarray, chunk_budget: int = 8_000_000):
+    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in the dtype of M."""
     M.fill(0.0)
     dtype = M.dtype
-    projections = bp.P if dtype == np.float64 else bp.projections_as(dtype)
-    for k, (Wk, P) in enumerate(zip(W, projections)):
-        eq_ids, ptr, rows, cols, vals = bp.gather[k]
+    for Wk, n, (eq_ids, ptr, rows, cols, vals, P) in zip(
+        W, bp.block_sizes, bp._schur_blocks
+    ):
         if len(eq_ids) == 0:
             continue
-        n = bp.block_sizes[k]
         Wk = np.asarray(Wk, dtype=dtype)
         vals = np.asarray(vals, dtype=dtype)
+        P = P.astype(dtype, copy=False)
         chunk = max(1, chunk_budget // (n * n))
         for start in range(0, len(eq_ids), chunk):
             ids = eq_ids[start : start + chunk]
@@ -540,7 +545,7 @@ def _schur(bp: BlockProblem, W, M: np.ndarray, chunk_budget: int = 8_000_000):
                 sl = slice(ptr[local], ptr[local + 1])
                 left = Wk[:, rows[sl]] * vals[sl]
                 U[t] = (left @ Wk[cols[sl], :]).ravel()
-            M[:, ids] += P @ U.T
+            M[np.ix_(eq_ids, ids)] += P @ U.T
 
 
 def _lu_extended(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -581,58 +586,43 @@ def _lu_extended_solve(lu: np.ndarray, piv: np.ndarray, rhs) -> np.ndarray:
 def solve_block_problem(
     bp: BlockProblem,
     tol: SolverTolerances | None = None,
-    verbose: bool = False,
-    equilibrate: bool = True,
-    initial_scale: float | None = None,
-    presolve: bool = True,
     trace_bound: float | None = None,
 ) -> SdpSolution:
     tol = tol or SolverTolerances()
     original = bp
-    reduction = None
-    if presolve and bp.n_free:
-        # coefficient-matching equalities pin most free variables; solving
-        # without them removes the indefinite part of the KKT system and
-        # roughly halves the Schur complement
-        bp, reduction = reduce_free_variables(bp)
+    # coefficient-matching equalities pin most free variables; solving
+    # without them removes the indefinite part of the KKT system and
+    # roughly halves the Schur complement
+    bp, reduction = reduce_free_variables(bp)
     bounded = trace_bound is not None
     if bounded:
         bp = _with_trace_bound(bp, float(trace_bound))
-    if equilibrate:
-        # assembled identities mix coefficients across several orders of
-        # magnitude; unit row and free-column norms keep the Schur system
-        # solvable all the way to the central-path endgame
-        bp, row_scale, col_scale = _equilibrated(bp)
-    else:
-        row_scale = np.ones(bp.m)
-        col_scale = np.ones(bp.n_free)
+    # assembled identities mix coefficients across several orders of
+    # magnitude; unit row and free-column norms keep the Schur system
+    # solvable all the way to the central-path endgame
+    bp, row_scale, col_scale = _equilibrated(bp)
     m, f = bp.m, bp.n_free
     sizes = bp.block_sizes
     N = max(bp.total_dimension, 1)
     C = bp.cost_blocks()
 
-    if initial_scale is not None:
-        if initial_scale <= 0:
-            raise ValueError("initial_scale must be positive")
-        tau_p = tau_d = float(initial_scale)
-    else:
-        # identity-scaled cold start with magnitudes taken from the data;
-        # the trace-bound row is excluded since its right-hand side is a
-        # deliberately generous cap, not a magnitude to start from
-        m_data = m - 1 if bounded else m
-        denom = 1.0 + bp.constraint_norms[:m_data]
-        tau_p = max(
-            10.0,
-            np.sqrt(N),
-            float(np.max(N * (1.0 + np.abs(bp.b[:m_data])) / denom)) if m_data else 10.0,
-        )
-        tau_d = max(
-            10.0,
-            np.sqrt(N),
-            (1.0 + bp.cost_norm + float(np.max(bp.constraint_norms[:m_data], initial=0.0))) / np.sqrt(N),
-        )
-        tau_p = min(tau_p, 1e6)
-        tau_d = min(tau_d, 1e6)
+    # identity-scaled cold start with magnitudes taken from the data;
+    # the trace-bound row is excluded since its right-hand side is a
+    # deliberately generous cap, not a magnitude to start from
+    m_data = m - 1 if bounded else m
+    denom = 1.0 + bp.constraint_norms[:m_data]
+    tau_p = max(
+        10.0,
+        np.sqrt(N),
+        float(np.max(N * (1.0 + np.abs(bp.b[:m_data])) / denom)) if m_data else 10.0,
+    )
+    tau_d = max(
+        10.0,
+        np.sqrt(N),
+        (1.0 + bp.cost_norm + float(np.max(bp.constraint_norms[:m_data], initial=0.0))) / np.sqrt(N),
+    )
+    tau_p = min(tau_p, 1e6)
+    tau_d = min(tau_d, 1e6)
     X = [tau_p * np.eye(n) for n in sizes]
     S = [tau_d * np.eye(n) for n in sizes]
     if bounded:
@@ -673,11 +663,6 @@ def solve_block_problem(
             + abs(float(u @ r_f))
         )
 
-        if verbose:
-            print(
-                f"it {it:3d} mu={mu:+.3e} pobj={pobj:+.6e} dobj={dobj:+.6e} "
-                f"pinf={pinf:.2e} dinf={dinf:.2e} gap={relgap:+.2e}"
-            )
         score = max(pinf, dinf, abs(relgap))
         if score < 0.99 * best_score:
             best_iteration = it
@@ -768,12 +753,6 @@ def solve_block_problem(
                     if float(np.linalg.norm(resid)) <= 1e-17 * scale:
                         break
                     sol += _lu_extended_solve(lu_ext, piv_ext, resid)
-                if verbose:
-                    err = float(np.linalg.norm(rhs - M_ext @ sol)) / scale
-                    print(
-                        f"    kkt solve[ext]: |dy|={float(np.linalg.norm(sol[:m])):.3e} "
-                        f"|du|={float(np.linalg.norm(sol[m:])):.3e} rel_err={err:.3e}"
-                    )
                 return (
                     np.asarray(sol[:m], dtype=float),
                     np.asarray(sol[m:], dtype=float),
@@ -820,11 +799,6 @@ def solve_block_problem(
                 err = float(np.linalg.norm(rhs - kkt @ sol)) / scale
                 if err > 1e-9:
                     kkt_strained = True
-                if verbose:
-                    print(
-                        f"    kkt solve: |dy|={np.linalg.norm(sol[:m]):.3e} "
-                        f"|du|={np.linalg.norm(sol[m:]):.3e} rel_err={err:.3e}"
-                    )
                 return sol[:m], sol[m:]
 
         WrdW = [Wk @ rdk @ Wk for Wk, rdk in zip(W, r_d)]
@@ -1036,33 +1010,35 @@ def export_sdpa(problem) -> str:
     lines.append(" ".join(str(n) for n in sizes))
     lines.append(" ".join(_fmt(v) for v in bp.b))
 
-    entries: list[tuple[int, int, int, int, float]] = []
+    # the fields (matno, block, i, j, value) of every entry, one array per
+    # field and source; a lexsort on the first four gives the file order
+    fields: list[list[np.ndarray]] = [[], [], [], [], []]
+
+    def add(matno, blk, i, j, value) -> None:
+        for col, arr in zip(fields, (matno, blk, i, j, value)):
+            col.append(np.broadcast_to(arr, len(value)))
+
     free_blk = len(bp.block_sizes) + 1
-    for j, cost in enumerate(bp.c_free):
-        if cost != 0.0:
-            entries.append((0, free_blk, j + 1, j + 1, -cost))
-            entries.append((0, free_blk, f + j + 1, f + j + 1, cost))
+    nz = np.flatnonzero(bp.c_free)
+    add(0, free_blk, nz + 1, nz + 1, -bp.c_free[nz])
+    add(0, free_blk, f + nz + 1, f + nz + 1, bp.c_free[nz])
     if bp.C is not None:
         for k, Ck in enumerate(bp.C):
-            for r in range(bp.block_sizes[k]):
-                for c in range(r, bp.block_sizes[k]):
-                    v = float(Ck[r, c])
-                    if v != 0.0:
-                        entries.append((0, k + 1, r + 1, c + 1, -v))
-    for k, P in enumerate(bp.P):
-        coo = P.tocoo()
-        for i, pos, v in zip(coo.row, coo.col, coo.data):
-            r, c = divmod(int(pos), bp.block_sizes[k])
-            if r <= c and v != 0.0:
-                entries.append((int(i) + 1, k + 1, r + 1, c + 1, float(v)))
-    rows_B, cols_B = np.nonzero(bp.B)
-    for i, j in zip(rows_B, cols_B):
-        v = float(bp.B[i, j])
-        entries.append((int(i) + 1, free_blk, int(j) + 1, int(j) + 1, v))
-        entries.append((int(i) + 1, free_blk, f + int(j) + 1, f + int(j) + 1, -v))
-    entries.sort(key=lambda e: e[:4])
-    for matno, blk, i, j, v in entries:
-        lines.append(f"{matno} {blk} {i} {j} {_fmt(v)}")
+            r, c = np.triu_indices(len(Ck))
+            keep = Ck[r, c] != 0.0
+            add(0, k + 1, r[keep] + 1, c[keep] + 1, -Ck[r, c][keep])
+    coo = bp.A.tocoo()
+    k = np.searchsorted(bp.offsets, coo.col, side="right") - 1
+    r, c = np.divmod(coo.col - bp.offsets[k], np.array(bp.block_sizes)[k])
+    keep = r <= c
+    add(coo.row[keep] + 1, k[keep] + 1, r[keep] + 1, c[keep] + 1, coo.data[keep])
+    rows, cols = np.nonzero(bp.B)
+    add(rows + 1, free_blk, cols + 1, cols + 1, bp.B[rows, cols])
+    add(rows + 1, free_blk, f + cols + 1, f + cols + 1, -bp.B[rows, cols])
+    keys = [np.concatenate(col) for col in fields]
+    order = np.lexsort(keys[3::-1])
+    entries = zip(*(arr[order].tolist() for arr in keys))
+    lines.extend(f"{a} {k} {i} {j} {_fmt(v)}" for a, k, i, j, v in entries)
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,11 @@ from mpisos.sdp import (
     SdpSolution,
     SolverBreakdown,
     SolverTolerances,
+    _equilibrated,
+    _primal_objective,
+    _with_trace_bound,
     export_sdpa,
+    reduce_free_variables,
     solution_report,
     solve,
     solve_block_problem,
@@ -241,8 +245,8 @@ class TestExport:
         assert np.array_equal(c_free, bp.c_free)
         assert C is None
         rebuilt = BlockProblem(sizes, equalities, B, b, c_free)
-        for P, Q in zip(rebuilt.P, bp.P):
-            assert (P != Q).nnz == 0
+        assert rebuilt.A.shape == bp.A.shape
+        assert (rebuilt.A != bp.A).nnz == 0
 
     def test_round_trip_assembled_objective(self):
         m = lorenz()
@@ -302,3 +306,152 @@ class TestStandardize:
             for k, r, c, coef in eq.block_entries:
                 want += coef * X[k][r, c] * (1.0 if r == c else 2.0)
             assert ax[i] == pytest.approx(want, abs=1e-10)
+
+
+def lorenz_problem(d: int, mode: str = "ts"):
+    m = lorenz()
+    return assemble(
+        m.system, Box.from_bounds(m.bounds), RelaxationConfig(d=d, mode=mode)
+    )
+
+
+def random_blocks(rng, sizes) -> list[np.ndarray]:
+    out = []
+    for n in sizes:
+        raw = rng.normal(size=(n, n))
+        out.append(0.5 * (raw + raw.T))
+    return out
+
+
+def dense_operator(sizes, entries) -> np.ndarray:
+    """Reference operator: row i holds <A_i, X> over the row-major blocks,
+    with duplicate entries summed and off-diagonal entries mirrored."""
+    offsets = np.concatenate([[0], np.cumsum([n * n for n in sizes])])
+    dense = np.zeros((len(entries), offsets[-1]))
+    for i, row in enumerate(entries):
+        for k, r, c, v in row:
+            n = sizes[k]
+            dense[i, offsets[k] + r * n + c] += v
+            if r != c:
+                dense[i, offsets[k] + c * n + r] += v
+    return dense
+
+
+def duplicate_entry_problem():
+    sizes = [2, 3]
+    entries = [
+        [(0, 0, 1, 0.5), (0, 0, 1, 0.25), (1, 2, 2, -1.0)],
+        [(1, 0, 2, 2.0), (0, 1, 1, 1.0), (1, 0, 2, -3.0), (1, 1, 1, 4.0)],
+        [(1, 1, 2, 1.5), (1, 1, 2, 1.5), (0, 0, 0, 1.0), (0, 0, 0, 1.0)],
+    ]
+    bp = BlockProblem(
+        sizes, entries, B=np.zeros((3, 0)), b=np.ones(3), c_free=np.zeros(0)
+    )
+    return bp, sizes, entries
+
+
+class TestOperator:
+    @pytest.mark.parametrize("case", ["lorenz-ts", "duplicates"])
+    def test_matches_dense_reference(self, case):
+        if case == "duplicates":
+            bp, sizes, entries = duplicate_entry_problem()
+        else:
+            p = lorenz_problem(2)
+            bp = standardize(p)
+            sizes = [blk.dimension for blk in p.blocks]
+            entries = [eq.block_entries for eq in p.equalities]
+        dense = dense_operator(sizes, entries)
+        rng = np.random.default_rng(5)
+        X = random_blocks(rng, sizes)
+        flat = np.concatenate([Xk.ravel() for Xk in X])
+        assert np.allclose(bp.apply_A(X), dense @ flat, rtol=0, atol=1e-12)
+        y = rng.normal(size=bp.m)
+        At = bp.apply_At(y)
+        want = dense.T @ y
+        assert np.allclose(
+            np.concatenate([Ak.ravel() for Ak in At]), want, rtol=0, atol=1e-12
+        )
+        # adjoint: <A X, y> = sum_k <X_k, (A^T y)_k>
+        lhs = float(bp.apply_A(X) @ y)
+        rhs = sum(float(np.sum(Xk * Ak)) for Xk, Ak in zip(X, At))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestPresolve:
+    @pytest.mark.parametrize("d, mode", [(2, "ts"), (3, "fd")])
+    def test_reduction_is_exact(self, d, mode):
+        bp = standardize(lorenz_problem(d, mode))
+        red_bp, red = reduce_free_variables(bp)
+        assert red is not None
+        rng = np.random.default_rng(7)
+        X = random_blocks(rng, bp.block_sizes)
+        u_rem = rng.normal(size=red_bp.n_free)
+        y_red = rng.normal(size=red_bp.m)
+        u, y = red.recover(X, u_rem, y_red)
+        tol = 1e-10
+
+        def worst(v):
+            return float(np.abs(v).max(initial=0.0))
+
+        r_full = bp.b - bp.apply_A(X) - bp.B @ u
+        r_red = red_bp.b - red_bp.apply_A(X) - red_bp.B @ u_rem
+        assert worst(r_full[red.pivot_rows]) <= tol
+        assert worst(r_full[red.kept_rows] - r_red) <= tol
+        assert _primal_objective(bp, X, u) == pytest.approx(
+            _primal_objective(red_bp, X, u_rem), rel=0, abs=tol
+        )
+        r_free = bp.c_free - bp.B.T @ y
+        assert worst(r_free[red.elim_cols]) <= tol
+        assert worst(
+            r_free[red.rem_cols] - (red_bp.c_free - red_bp.B.T @ y_red)
+        ) <= tol
+        # the dual slack on the blocks is the same in both problems
+        for Ck, Ak, Rk, Qk in zip(
+            bp.cost_blocks(),
+            bp.apply_At(y),
+            red_bp.cost_blocks(),
+            red_bp.apply_At(y_red),
+        ):
+            assert worst((Ck - Ak) - (Rk - Qk)) <= tol
+
+
+class TestScaling:
+    def test_equilibration_scales_rows(self):
+        bp = standardize(lorenz_problem(2))
+        scaled, s, t = _equilibrated(bp)
+        X = random_blocks(np.random.default_rng(3), bp.block_sizes)
+        assert np.allclose(
+            scaled.apply_A(X), bp.apply_A(X) / s, rtol=1e-14, atol=1e-14
+        )
+        assert np.allclose(scaled.b, bp.b / s, rtol=1e-15, atol=0)
+        assert np.allclose(scaled.B, bp.B / s[:, None] * t[None, :], rtol=1e-14)
+
+    def test_trace_cap_row(self):
+        bp = standardize(lorenz_problem(2))
+        capped = _with_trace_bound(bp, 7.0)
+        assert capped.block_sizes == bp.block_sizes + (1,)
+        assert capped.m == bp.m + 1
+        assert capped.b[-1] == 7.0
+        assert np.array_equal(capped.b[:-1], bp.b)
+        assert not np.any(capped.B[-1])
+        X = random_blocks(np.random.default_rng(4), bp.block_sizes)
+        slack = np.array([[2.5]])
+        ax = capped.apply_A(X + [slack])
+        assert ax[-1] == pytest.approx(
+            sum(float(np.trace(Xk)) for Xk in X) + 2.5, rel=1e-14
+        )
+        assert np.allclose(ax[:-1], bp.apply_A(X), rtol=0, atol=1e-13)
+
+
+class TestExtendedEndgame:
+    @pytest.mark.parametrize("mode", ["fd", "ss"])
+    def test_lorenz_d3_reaches_optimal(self, mode):
+        # double precision alone stalls here (fd runs out of iterations with
+        # primal infeasibility near 0.7); the extended-precision
+        # factorization carries both to the tolerances
+        sol = solve(lorenz_problem(3, mode))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(3.71495742203, rel=1e-6)
+        assert sol.residuals["primal_infeasibility"] <= 1e-7
+        assert sol.residuals["dual_infeasibility"] <= 1e-7
+        assert abs(sol.residuals["relative_gap"]) <= 1e-7
