@@ -10,14 +10,17 @@ The PSD constraint data is one sparse operator A with m rows and
 sum_k n_k^2 columns: block k occupies the columns offsets[k]:offsets[k+1]
 and stores the full symmetric A_ik in row-major order, so A applied to the
 stacked X_k.ravel() gives every equality's block part in one product.
-The free-variable presolve, the row/column equilibration and the trace cap
-are row and column operations on A and B.
+The free-variable presolve, the row equilibration and the trace cap are
+row and column operations on A and B.
 
-The method is a primal-dual path follower with Nesterov-Todd scaling and a
-Mehrotra predictor-corrector step.  The Schur complement is formed densely
-(problems here stay at a few thousand constraints) and free variables are
-kept free through an augmented KKT system, which avoids the conditioning
-loss of nonnegative splitting on coefficient-matching equalities.
+Every free variable is eliminated before the interior-point method: in the
+coefficient-matching equalities each one is pinned by a chain of pivot
+rows, and the presolve refuses a problem where one is not.  The method is a
+primal-dual path follower with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector step on the PSD blocks alone, so its Newton system is
+the Schur complement, positive definite and formed densely (problems here
+stay at a few thousand constraints) and factored by Cholesky.  When double
+precision gives out in the endgame, a long-double LU takes over.
 """
 
 from __future__ import annotations
@@ -265,74 +268,69 @@ def standardize(problem: SdpProblem) -> BlockProblem:
     )
 
 
-def _equilibrated(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray, np.ndarray]:
-    """Rescale rows to unit norm and free columns to unit norm afterwards.
+def _equilibrated(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray]:
+    """Rescale rows to unit norm.
 
-    Returns the scaled problem together with the row scales s and column
-    scales t; a solution of the scaled problem maps back through u = t * u',
-    y = y' / s while the PSD blocks are untouched.
+    Returns the scaled problem together with the row scales s; a solution
+    of the scaled problem maps back through y = y' / s while the PSD blocks
+    and free variables are untouched.
     """
     s = np.maximum(bp.constraint_norms, 1e-12)
-    B1 = bp.B / s[:, None]
-    t = 1.0 / np.maximum(np.sqrt((B1**2).sum(axis=0)), 1e-12)
     scaled = BlockProblem._from_operator(
         bp.block_sizes,
         sp.diags(1.0 / s) @ bp.A,
-        B1 * t[None, :],
+        bp.B / s[:, None],
         bp.b / s,
-        bp.c_free * t,
+        bp.c_free,
         C=bp.C,
         objective_offset=bp.objective_offset,
     )
-    return scaled, s, t
+    return scaled, s
 
 
 class FreeReduction:
     """Maps a solution of the reduced problem back to the original one.
 
-    Pivot rows pin the eliminated variables, so their values follow from
-    the block values; the pivot-row multipliers follow from dual
-    feasibility of the eliminated columns.  Both are triangular solves.
+    Pivot rows pin every free variable, so their values follow from the
+    block values; the pivot-row multipliers follow from dual feasibility
+    of the free columns.  Both are triangular solves.
     """
 
-    def __init__(self, original, pivot_rows, elim_cols, kept_rows, rem_cols):
+    def __init__(self, original, pivot_rows, elim_cols, kept_rows):
         self.original = original
         self.pivot_rows = np.asarray(pivot_rows, dtype=np.int64)
         self.elim_cols = np.asarray(elim_cols, dtype=np.int64)
         self.kept_rows = np.asarray(kept_rows, dtype=np.int64)
-        self.rem_cols = np.asarray(rem_cols, dtype=np.int64)
         B = original.B
         self._B_pe = sp.csc_matrix(B[np.ix_(self.pivot_rows, self.elim_cols)])
         self._lu_pe = spla.splu(self._B_pe)
         self._B_ke = B[np.ix_(self.kept_rows, self.elim_cols)]
-        self._B_pr = B[np.ix_(self.pivot_rows, self.rem_cols)]
 
-    def recover(self, X, u_rem, y_red):
+    def recover(self, X, y_red):
         bp = self.original
+        piv = self.pivot_rows
         u = np.zeros(bp.n_free)
         y = np.zeros(bp.m)
-        u[self.rem_cols] = u_rem
         y[self.kept_rows] = y_red
-        ax = bp.apply_A(X)
-        rhs = bp.b[self.pivot_rows] - ax[self.pivot_rows] - self._B_pr @ u_rem
-        u[self.elim_cols] = self._lu_pe.solve(rhs)
+        u[self.elim_cols] = self._lu_pe.solve(bp.b[piv] - bp.apply_A(X)[piv])
         c_e = bp.c_free[self.elim_cols]
-        y[self.pivot_rows] = self._lu_pe.solve(c_e - self._B_ke.T @ y_red, trans="T")
+        y[piv] = self._lu_pe.solve(c_e - self._B_ke.T @ y_red, trans="T")
         return u, y
 
 
 def reduce_free_variables(
     bp: BlockProblem,
 ) -> tuple[BlockProblem, FreeReduction | None]:
-    """Eliminate free variables that single equalities pin to the blocks.
+    """Eliminate every free variable through the equalities that pin it.
 
     A row whose free part touches exactly one not-yet-eliminated variable
     acts as a pivot: the variable is substituted everywhere, the row
     leaves the constraint set, and its objective weight becomes an affine
     cost on the blocks.  Scanning repeats until no such row remains, so
-    chains resolve (one elimination exposing the next).  Variables without
-    a pivot row stay free.  Returns the reduced problem and the recovery
-    map, or ``(bp, None)`` when nothing can be eliminated.
+    chains resolve (one elimination exposing the next).  A variable left
+    without a pivot row raises ``ValueError``, since the solver has no
+    path for free variables.  Returns the reduced problem and the recovery
+    map, or ``(bp, None)`` when there are no free variables.
     """
     m, f = bp.m, bp.n_free
     if f == 0:
@@ -373,47 +371,39 @@ def reduce_free_variables(
             progressed = True
         if not progressed:
             break
-    if not elim_cols:
-        return bp, None
+    if np.any(live_col):
+        raise ValueError(
+            "no pivot row pins free variables "
+            f"{np.flatnonzero(live_col).tolist()}"
+        )
 
     kept_rows = np.nonzero(live_row)[0]
-    rem_cols = np.nonzero(live_col)[0]
-    red = FreeReduction(bp, pivot_rows, elim_cols, kept_rows, rem_cols)
+    red = FreeReduction(bp, pivot_rows, elim_cols, kept_rows)
     piv = red.pivot_rows
 
     # F = B_KE inv(B_PE); in elimination order B_PE is lower triangular, so
-    # both F and the substituted rows keep the sparsity of short chains
+    # both F and the substituted rows keep the sparsity of short chains.  A
+    # dense right-hand side is solved in one call, where a sparse one would
+    # be solved column by column.
     if len(kept_rows):
-        Ft = spla.spsolve(
-            sp.csc_matrix(red._B_pe.T), sp.csc_matrix(red._B_ke.T)
-        )
-        if not sp.issparse(Ft):
-            Ft = sp.csc_matrix(np.atleast_2d(Ft))
-        F = sp.csr_matrix(Ft.T)
+        Ft = spla.spsolve(sp.csc_matrix(red._B_pe.T), red._B_ke.T)
+        F = sp.csr_matrix(np.reshape(Ft, red._B_ke.T.shape).T)
     else:
         F = sp.csr_matrix((0, len(elim_cols)))
     g = red._lu_pe.solve(bp.c_free[red.elim_cols], trans="T")
 
-    n_kept = len(kept_rows)
     A_piv = bp.A[piv]
     A_red = sp.csr_matrix(bp.A[kept_rows] - F @ A_piv)
     A_red.eliminate_zeros()
     cost = [
         Ck - Gk for Ck, Gk in zip(bp.cost_blocks(), bp._split(A_piv.T @ g))
     ]
-
     b_red = bp.b[kept_rows] - F @ bp.b[piv]
-    if len(rem_cols):
-        B_red = bp.B[np.ix_(kept_rows, rem_cols)] - F @ red._B_pr
-        c_red = bp.c_free[rem_cols] - red._B_pr.T @ g
-    else:
-        B_red = np.zeros((n_kept, 0))
-        c_red = np.zeros(0)
     offset = float(g @ bp.b[piv]) + bp.objective_offset
 
     # a substituted row can cancel to nothing; with a nonzero right-hand
     # side that means the equalities were inconsistent to begin with
-    empty = (np.diff(A_red.indptr) == 0) & ~np.any(B_red, axis=1)
+    empty = np.diff(A_red.indptr) == 0
     if np.any(empty):
         bad = np.abs(b_red[empty]) > 1e-9 * (1.0 + np.abs(bp.b).max())
         if np.any(bad):
@@ -421,7 +411,6 @@ def reduce_free_variables(
         keep = ~empty
         A_red = A_red[keep]
         b_red = b_red[keep]
-        B_red = B_red[keep]
         red.kept_rows = red.kept_rows[keep]
         # dropped rows carry multiplier zero, so recovery only balances
         # the surviving rows against the eliminated columns
@@ -430,9 +419,9 @@ def reduce_free_variables(
     reduced = BlockProblem._from_operator(
         bp.block_sizes,
         A_red,
-        B_red,
+        np.zeros((len(b_red), 0)),
         b_red,
-        c_red,
+        np.zeros(0),
         C=cost,
         objective_offset=offset,
     )
@@ -590,18 +579,18 @@ def solve_block_problem(
 ) -> SdpSolution:
     tol = tol or SolverTolerances()
     original = bp
-    # coefficient-matching equalities pin most free variables; solving
-    # without them removes the indefinite part of the KKT system and
-    # roughly halves the Schur complement
+    # coefficient-matching equalities pin every free variable; eliminating
+    # them all leaves the positive definite Schur complement as the whole
+    # Newton system, smaller by one row per free variable
     bp, reduction = reduce_free_variables(bp)
     bounded = trace_bound is not None
     if bounded:
         bp = _with_trace_bound(bp, float(trace_bound))
     # assembled identities mix coefficients across several orders of
-    # magnitude; unit row and free-column norms keep the Schur system
-    # solvable all the way to the central-path endgame
-    bp, row_scale, col_scale = _equilibrated(bp)
-    m, f = bp.m, bp.n_free
+    # magnitude; unit row norms keep the Schur system solvable all the way
+    # to the central-path endgame
+    bp, row_scale = _equilibrated(bp)
+    m = bp.m
     sizes = bp.block_sizes
     N = max(bp.total_dimension, 1)
     C = bp.cost_blocks()
@@ -629,11 +618,13 @@ def solve_block_problem(
         # start the slack on its row so the cap begins satisfied
         X[-1][0, 0] = max(float(trace_bound) - tau_p * (N - 1), tau_p)
     y = np.zeros(m)
-    u = np.zeros(f)
+    # primal infeasibility is measured on the unscaled data rows, as the
+    # final status is: recovery meets the pivot rows exactly and leaves the
+    # kept rows' residuals as they are
+    pinf_scale = row_scale[:m_data] / (1.0 + float(np.linalg.norm(original.b)))
 
     trace: list[IterationRecord] = []
     M = np.zeros((m, m))
-    kkt = np.zeros((m + f, m + f))
     M_ext = None
     use_extended = False
     kkt_strained = False
@@ -645,22 +636,17 @@ def solve_block_problem(
 
     for it in range(1, tol.max_iterations + 1):
         iterations = it
-        AX = bp.apply_A(X)
-        r_p = bp.b - AX - bp.B @ u
+        r_p = bp.b - bp.apply_A(X)
         At = bp.apply_At(y)
         r_d = [Ck - Sk - Ak for Ck, Sk, Ak in zip(C, S, At)]
-        r_f = bp.c_free - bp.B.T @ y
         mu = sum(float(np.sum(Xk * Sk)) for Xk, Sk in zip(X, S)) / N
-        pobj = _primal_objective(bp, X, u)
+        pobj = sum(float(np.sum(Ck * Xk)) for Ck, Xk in zip(C, X)) + bp.objective_offset
         dobj = float(bp.b @ y) + bp.objective_offset
-        pinf = float(np.linalg.norm(r_p)) / (1.0 + float(np.linalg.norm(bp.b)))
-        dual_sq = sum(float(np.sum(rd**2)) for rd in r_d) + float(np.sum(r_f**2))
-        dinf = np.sqrt(dual_sq) / (1.0 + bp.cost_norm)
+        pinf = float(np.linalg.norm(pinf_scale * r_p[:m_data]))
+        dinf = np.sqrt(sum(float(np.sum(rd**2)) for rd in r_d)) / (1.0 + bp.cost_norm)
         relgap = (pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        slack = (
-            abs(float(r_p @ y))
-            + sum(abs(float(np.sum(Xk * rdk))) for Xk, rdk in zip(X, r_d))
-            + abs(float(u @ r_f))
+        slack = abs(float(r_p @ y)) + sum(
+            abs(float(np.sum(Xk * rdk))) for Xk, rdk in zip(X, r_d)
         )
 
         score = max(pinf, dinf, abs(relgap))
@@ -668,7 +654,7 @@ def solve_block_problem(
             best_iteration = it
         if score < best_score:
             best_score = score
-            best = ([Xk.copy() for Xk in X], u.copy(), y.copy(), [Sk.copy() for Sk in S])
+            best = ([Xk.copy() for Xk in X], y.copy(), [Sk.copy() for Sk in S])
 
         record = IterationRecord(
             iteration=it,
@@ -706,14 +692,7 @@ def solve_block_problem(
             trace.append(record)
             break
         norms = [float(np.abs(Xk).max()) for Xk in X]
-        if (
-            max(
-                float(np.abs(y).max(initial=0.0)),
-                float(np.abs(u).max(initial=0.0)),
-                max(norms),
-            )
-            > _DIVERGENCE_LIMIT
-        ):
+        if max(float(np.abs(y).max(initial=0.0)), max(norms)) > _DIVERGENCE_LIMIT:
             trace.append(record)
             status = "infeasible_flag"
             break
@@ -734,18 +713,29 @@ def solve_block_problem(
             W.append(Rk @ Rk.T)
             lam.append(sig)
 
+        if not use_extended:
+            # M is positive definite (full-rank constraints, PD scaling); a
+            # failed Cholesky means double precision can no longer tell.
+            # Its two triangles round apart and Cholesky reads only one, so
+            # M is made symmetric: refinement then runs against the matrix
+            # that was factored
+            _schur(bp, W, M)
+            M += M.T
+            M *= 0.5
+            try:
+                chol = sla.cho_factor(M)
+            except sla.LinAlgError:
+                use_extended = True
+                best_iteration = it
+
         if use_extended:
             if M_ext is None:
-                M_ext = np.zeros((m + f, m + f), dtype=np.longdouble)
-            _schur(bp, W, M_ext[:m, :m])
-            if f:
-                M_ext[:m, m:] = bp.B
-                M_ext[m:, :m] = bp.B.T
-                M_ext[m:, m:] = 0.0
+                M_ext = np.zeros((m, m), dtype=np.longdouble)
+            _schur(bp, W, M_ext)
             lu_ext, piv_ext = _lu_extended(M_ext)
 
-            def kkt_solve(rhs_top, rhs_bot):
-                rhs = np.concatenate([rhs_top, rhs_bot]).astype(np.longdouble)
+            def kkt_solve(rhs):
+                rhs = np.asarray(rhs, dtype=np.longdouble)
                 sol = _lu_extended_solve(lu_ext, piv_ext, rhs)
                 scale = 1.0 + float(np.linalg.norm(rhs))
                 for _ in range(2):
@@ -753,66 +743,37 @@ def solve_block_problem(
                     if float(np.linalg.norm(resid)) <= 1e-17 * scale:
                         break
                     sol += _lu_extended_solve(lu_ext, piv_ext, resid)
-                return (
-                    np.asarray(sol[:m], dtype=float),
-                    np.asarray(sol[m:], dtype=float),
-                )
+                return np.asarray(sol, dtype=float)
 
         else:
-            _schur(bp, W, M)
-            # M is positive definite (full-rank constraints, PD scaling), so
-            # the augmented system needs no static regularization; a tiny
-            # shift is added only if the factorization comes back unusable
-            kkt[:m, :m] = M
-            kkt[:m, m:] = bp.B
-            kkt[m:, :m] = bp.B.T
-            kkt[m:, m:] = 0.0
-            lu = None
-            shift = 0.0
-            diag_scale = 1.0 + float(np.abs(np.diag(M)).mean()) if m else 1.0
-            for _ in range(4):
-                try:
-                    lu = sla.lu_factor(kkt + shift * np.eye(m + f) if shift else kkt)
-                except (sla.LinAlgError, ValueError) as exc:
-                    raise SolverBreakdown(
-                        f"KKT factorization failed: {exc}", trace
-                    ) from exc
-                probe = sla.lu_solve(lu, np.ones(m + f))
-                if np.all(np.isfinite(probe)):
-                    break
-                shift = 1e-12 * diag_scale if shift == 0.0 else shift * 1e3
-            else:
-                raise SolverBreakdown("KKT system numerically singular", trace)
 
-            def kkt_solve(rhs_top, rhs_bot):
+            def kkt_solve(rhs):
                 nonlocal kkt_strained
-                rhs = np.concatenate([rhs_top, rhs_bot])
-                sol = sla.lu_solve(lu, rhs)
+                sol = sla.cho_solve(chol, rhs)
                 scale = 1.0 + float(np.linalg.norm(rhs))
-                # refine against the exact KKT matrix so the regularization
-                # and factorization error never leak into the step equations
+                # refine against the exact Schur matrix so the factorization
+                # error never leaks into the step equations
                 for _ in range(3):
-                    resid = rhs - kkt @ sol
+                    resid = rhs - M @ sol
                     if float(np.linalg.norm(resid)) <= 1e-13 * scale:
                         break
-                    sol += sla.lu_solve(lu, resid)
-                err = float(np.linalg.norm(rhs - kkt @ sol)) / scale
-                if err > 1e-9:
+                    sol += sla.cho_solve(chol, resid)
+                if float(np.linalg.norm(rhs - M @ sol)) / scale > 1e-9:
                     kkt_strained = True
-                return sol[:m], sol[m:]
+                return sol
 
         WrdW = [Wk @ rdk @ Wk for Wk, rdk in zip(W, r_d)]
         A_WrdW = bp.apply_A(WrdW)
 
-        def direction(K, rhs_corr):
-            """Solve for (dy, du, dX, dS, dXhat, dShat) given the scaled
+        def direction(K):
+            """Solve for (dy, dX, dS, dXhat, dShat) given the scaled
             complementarity target K per block."""
             RTKRt = []
             for Rk, lamk, Kk in zip(R, lam, K):
                 TK = 2.0 * Kk / (lamk[:, None] + lamk[None, :])
                 RTKRt.append((Rk @ TK @ Rk.T, TK))
             h1 = r_p - bp.apply_A([p for p, _ in RTKRt]) + A_WrdW
-            dy, du = kkt_solve(h1, rhs_corr)
+            dy = kkt_solve(h1)
             Atdy = bp.apply_At(dy)
             dS = [rdk - Ak for rdk, Ak in zip(r_d, Atdy)]
             dShat = [Rk.T @ dSk @ Rk for Rk, dSk in zip(R, dS)]
@@ -825,24 +786,23 @@ def solve_block_problem(
             # scaled complementarity equation, so that equation stays intact)
             r_p_norm = 1.0 + float(np.linalg.norm(r_p))
             for _ in range(3):
-                r_lin = r_p - bp.apply_A(dX) - bp.B @ du
+                r_lin = r_p - bp.apply_A(dX)
                 if float(np.linalg.norm(r_lin)) <= 1e-12 * r_p_norm:
                     break
-                dy2, du2 = kkt_solve(r_lin, np.zeros(f))
+                dy2 = kkt_solve(r_lin)
                 At2 = bp.apply_At(dy2)
                 dy = dy + dy2
-                du = du + du2
                 for k, Ak in enumerate(At2):
                     half = R[k].T @ Ak @ R[k]
                     dXhat[k] = dXhat[k] + half
                     dShat[k] = dShat[k] - half
                     dX[k] = dX[k] + W[k] @ Ak @ W[k]
                     dS[k] = dS[k] - Ak
-            return dy, du, dX, dS, dXhat, dShat
+            return dy, dX, dS, dXhat, dShat
 
         # predictor: drive mu to zero
         K_aff = [-np.diag(lamk**2) for lamk in lam]
-        dy_a, du_a, dX_a, dS_a, dXh_a, dSh_a = direction(K_aff, r_f)
+        dy_a, dX_a, dS_a, dXh_a, dSh_a = direction(K_aff)
         ap = min(
             1.0,
             tol.step_fraction
@@ -880,7 +840,7 @@ def solve_block_problem(
                 cross = dxh @ dsh
                 term = term - 0.5 * (cross + cross.T)
             K_corr.append(term)
-        dy, du, dX, dS, dXh, dSh = direction(K_corr, r_f)
+        dy, dX, dS, dXh, dSh = direction(K_corr)
         ap = min(
             1.0,
             tol.step_fraction
@@ -895,7 +855,6 @@ def solve_block_problem(
         X = [0.5 * ((Xk + ap * dXk) + (Xk + ap * dXk).T) for Xk, dXk in zip(X, dX)]
         S = [0.5 * ((Sk + ad * dSk) + (Sk + ad * dSk).T) for Sk, dSk in zip(S, dS)]
         y = y + ad * dy
-        u = u + ap * du
         trace.append(
             IterationRecord(
                 iteration=it,
@@ -913,9 +872,9 @@ def solve_block_problem(
         )
 
     if status == "max_iter" and best is not None:
-        X, u, y, S = best
-    # map back to the unscaled data and judge the final status against it
-    u = col_scale * u
+        X, y, S = best
+    # map back to the original data and judge the final status against it;
+    # presolve and scaling leave the PSD blocks, and so X and S, untouched
     y = y / row_scale
     bound_diag = {}
     dual_shift = 0.0
@@ -929,12 +888,9 @@ def solve_block_problem(
         X = X[:-1]
         S = S[:-1]
         y = y[:-1]
+    u = np.zeros(0)
     if reduction is not None:
-        u, y = reduction.recover(X, u, y)
-        At_full = original.apply_At(y)
-        S = [
-            Ck - Ak for Ck, Ak in zip(original.cost_blocks(), At_full)
-        ]
+        u, y = reduction.recover(X, y)
     residuals = _residuals(original, X, u, y, S, dual_shift=dual_shift)
     residuals.update(bound_diag)
     if status != "infeasible_flag":
@@ -964,25 +920,12 @@ def solve_block_problem(
 
 
 def solve(problem: SdpProblem, tol: SolverTolerances | None = None) -> SdpSolution:
-    """Solve an assembled relaxation.
+    """Solve an assembled relaxation under a generous aggregate trace cap.
 
-    Solves under an aggregate trace cap, enlarging it if the solution ever
-    presses against it, so the reported optimum is the uncapped one.
+    The residuals report the cap's fill (``trace_bound_fraction``) and its
+    multiplier, so a caller can see whether the cap moved the optimum.
     """
-    bp = standardize(problem)
-    bound = 1e6
-    solution = None
-    for _ in range(3):
-        solution = solve_block_problem(bp, tol, trace_bound=bound)
-        fraction = solution.residuals.get("trace_bound_fraction", 0.0)
-        multiplier = abs(solution.residuals.get("trace_bound_multiplier", 0.0))
-        # a filled cap is normal here (flat directions absorb any headroom);
-        # only a multiplier above noise level says the cap moved the optimum
-        scale = 1.0 + abs(solution.objective)
-        if fraction <= 0.99 or multiplier * bound <= 1e-3 * scale:
-            break
-        bound *= 1e4
-    return solution
+    return solve_block_problem(standardize(problem), tol, trace_bound=1e6)
 
 
 def _fmt(x: float) -> str:
