@@ -7,7 +7,6 @@ compare       sweep degrees and block modes, tabulate optima
 symmetries    print the sign-symmetry basis and block partition sizes
 random-model  generate a cubic interaction network problem file
 export-sdpa   write one instance in SDPA sparse format
-grid          evaluate the recovered outer approximation on a grid
 
 Problem files are JSON objects with fields ``variables`` (list of names),
 ``dynamics`` (one polynomial string per variable), optional ``constraints``
@@ -230,28 +229,6 @@ class RunReport:
     seconds: float
     iterations: int
     residuals: dict[str, float]
-    digest: str
-
-    def cross_check(self) -> None:
-        """Verify the tabulated fields against the problem digest."""
-        lines = {
-            line.split(":", 1)[0]: line.split(":", 1)[1].strip()
-            for line in self.digest.splitlines()
-            if ":" in line
-        }
-        for cert, key in (("a", "a-blocks"), ("b", "b-blocks"), ("c", "c-blocks")):
-            want = sorted(self.block_sizes[cert], reverse=True)
-            if lines.get(key) != str(want):
-                raise CliError(
-                    f"report/digest mismatch for {key}: {lines.get(key)} vs {want}"
-                )
-        if lines.get("free") != f"v={self.v_coeffs} w={self.w_coeffs}":
-            raise CliError("report/digest mismatch for free coefficient counts")
-        total = sum(
-            int(lines[f"equalities[{ident}]"]) for ident in ("lie", "w", "wv")
-        )
-        if total != self.equalities:
-            raise CliError("report/digest mismatch for equality count")
 
     def text(self) -> str:
         cfg = self.config
@@ -332,7 +309,7 @@ def build_run_report(
     for blk in problem.blocks:
         blocks[blk.certificate].append(blk.dimension)
     v_coeffs = sum(1 for kind, _ in problem.free_labels if kind == "v")
-    report = RunReport(
+    return RunReport(
         system=name,
         config=problem.config,
         chain_summary=_chain_summary(problem),
@@ -346,10 +323,7 @@ def build_run_report(
         seconds=seconds,
         iterations=solution.iterations,
         residuals=dict(solution.residuals),
-        digest=problem.digest(),
     )
-    report.cross_check()
-    return report
 
 
 def _append_csv(path: str, header: tuple, rows: list[tuple]) -> None:
@@ -415,23 +389,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _compare_cell(payload: tuple) -> tuple:
     """One sweep cell; module level so process pools can pickle it."""
-    path, name, d, mode, s, l, beta, extension = payload
+    path, name, config = payload
+    head = (name, config.d, config.mode, config.s, config.l)
     try:
         loaded = load_problem(path)
-        config = RelaxationConfig(
-            d=d, s=s, l=l, beta=beta, extension=extension, mode=mode
-        )
         problem = assemble(loaded.system, loaded.box, config)
         t0 = time.perf_counter()
         solution = solve(problem)
         seconds = time.perf_counter() - t0
         dims = sorted((b.dimension for b in problem.blocks), reverse=True)
-        return (
-            name,
-            d,
-            mode,
-            config.s,
-            config.l,
+        return head + (
             solution.status,
             f"{solution.objective:.12g}",
             f"{seconds:.3f}",
@@ -441,45 +408,22 @@ def _compare_cell(payload: tuple) -> tuple:
             "",
         )
     except Exception as exc:
-        return (name, d, mode, s, l, "error", "", "", "", "", "", str(exc))
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise CliError(f"{flag} expects a comma-separated integer list") from exc
-    if not values:
-        raise CliError(f"{flag} expects at least one value")
-    return values
+        return head + ("error", "", "", "", "", "", str(exc))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
-    merged_cfg = dict(_CONFIG_DEFAULTS)
-    merged_cfg.update(loaded.file_config)
-    s = args.s if args.s is not None else merged_cfg.get("s", 1)
-    l = args.l if args.l is not None else merged_cfg.get("l", 1)
-    beta = args.beta if args.beta is not None else merged_cfg.get("beta", 1.0)
-    extension = (
-        args.extension
-        if args.extension is not None
-        else merged_cfg.get("extension", "maximal")
-    )
-    if args.d is not None:
-        d_values = _parse_int_list(args.d, "--d")
-    elif "d" in merged_cfg:
-        d_values = (int(merged_cfg["d"]),)
-    else:
-        raise CliError("no relaxation degree given: pass --d")
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for mode in modes:
-        if mode not in MODES:
-            raise CliError(f"unknown mode {mode!r}; valid: {MODES}")
-
+    # without --d the file's d (or the missing-degree error) applies
     cells = [
-        (args.problem, loaded.name, d, mode, s, l, beta, extension)
-        for d in d_values
+        (
+            args.problem,
+            loaded.name,
+            resolve_config(
+                loaded, argparse.Namespace(**{**vars(args), "d": d, "mode": mode})
+            ),
+        )
+        for d in args.d or (None,)
         for mode in modes
     ]
     if args.jobs > 1:
@@ -566,7 +510,7 @@ def cmd_random_model(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- export-sdpa and grid ----------------------------------------------------
+# -- export-sdpa -------------------------------------------------------------
 
 
 def cmd_export_sdpa(args: argparse.Namespace) -> int:
@@ -588,8 +532,7 @@ def cmd_export_sdpa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_grid(path: str, loaded: LoadedProblem, w, resolution_text: str) -> None:
-    resolution = _parse_int_list(resolution_text, "--resolution")
+def _write_grid(path: str, loaded: LoadedProblem, w, resolution) -> None:
     res = resolution[0] if len(resolution) == 1 else resolution
     try:
         points, values = outer_approx_grid(w, loaded.box, res)
@@ -610,22 +553,20 @@ def _write_grid(path: str, loaded: LoadedProblem, w, resolution_text: str) -> No
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    loaded = load_problem(args.problem)
-    config = resolve_config(loaded, args)
-    try:
-        problem = assemble(loaded.system, loaded.box, config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    solution = solve(problem)
-    cert = recover(problem, solution.block_values, solution.free_values)
-    for flag in cert.flags:
-        print(f"warning: {flag}", file=sys.stderr)
-    _write_grid(args.out, loaded, cert.w, args.resolution)
-    return 0
-
-
 # -- argument plumbing -------------------------------------------------------
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated integer list (an argparse ``type``)."""
+    try:
+        values = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}"
+        ) from None
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -663,7 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", default=None, help="write the outer-approximation grid CSV here"
     )
     p_run.add_argument(
-        "--resolution", default="65", help="grid points per axis (int or comma list)"
+        "--resolution",
+        type=_int_list,
+        default="65",
+        help="grid points per axis (int or comma list)",
     )
     p_run.add_argument(
         "--dump-chains",
@@ -675,7 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="sweep degrees and modes")
     p_cmp.add_argument("problem", help="problem file (JSON)")
     p_cmp.add_argument(
-        "--d", default=None, help="comma-separated relaxation half-degrees"
+        "--d",
+        type=_int_list,
+        default=None,
+        help="comma-separated relaxation half-degrees",
     )
     p_cmp.add_argument(
         "--modes", default="ts,ss,fd", help="comma-separated modes to compare"
@@ -708,15 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_exp)
     p_exp.add_argument("--out", default=None, help="output path (default stdout)")
     p_exp.set_defaults(func=cmd_export_sdpa)
-
-    p_grid = sub.add_parser("grid", help="solve and grid the outer approximation")
-    p_grid.add_argument("problem", help="problem file (JSON)")
-    _add_config_flags(p_grid)
-    p_grid.add_argument(
-        "--resolution", default="65", help="grid points per axis (int or comma list)"
-    )
-    p_grid.add_argument("--out", default="-", help="output path (default stdout)")
-    p_grid.set_defaults(func=cmd_grid)
 
     return parser
 

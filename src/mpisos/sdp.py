@@ -25,7 +25,7 @@ precision gives out in the endgame, a long-double LU takes over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,10 +35,12 @@ import scipy.sparse.linalg as spla
 
 from .relax import SdpProblem
 
-STATUSES = ("optimal", "near_optimal", "max_iter", "infeasible_flag")
-
 # scaled-space values below this count as zero when capping step lengths
 _STEP_EIG_FLOOR = 1e-13
+# each step goes this fraction of the way to the boundary of the cone
+_STEP_FRACTION = 0.99
+# the aggregate trace cap every problem is solved under (_with_trace_bound)
+_TRACE_CAP = 1e6
 _DIVERGENCE_LIMIT = 1e10
 _NEAR_OPTIMAL_FACTOR = 1e3
 
@@ -56,13 +58,10 @@ class SolverTolerances:
     gap: float = 1e-7
     feasibility: float = 1e-7
     max_iterations: int = 200
-    step_fraction: float = 0.99
 
     def __post_init__(self) -> None:
         if self.gap <= 0 or self.feasibility <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 < self.step_fraction < 1:
-            raise ValueError("step_fraction must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
 
@@ -77,9 +76,9 @@ class IterationRecord:
     dual_infeasibility: float
     relative_gap: float
     duality_slack: float
-    step_primal: float
-    step_dual: float
-    sigma: float
+    step_primal: float = 0.0
+    step_dual: float = 0.0
+    sigma: float = 0.0
 
 
 @dataclass
@@ -92,6 +91,11 @@ class SdpSolution:
     y: np.ndarray
     residuals: dict[str, float]
     iterations: int
+    # the trace cap's fill (sum_k tr X_k over the cap) and its multiplier;
+    # a small fill and a near-zero multiplier mean the cap left the optimum
+    # where it was
+    trace_cap_fraction: float
+    trace_cap_multiplier: float
     trace: list[IterationRecord] = field(repr=False, default_factory=list)
 
 
@@ -435,11 +439,9 @@ def _with_trace_bound(bp: BlockProblem, bound: float) -> BlockProblem:
     blocks can grow along zero-objective rays), which leaves the dual
     without a strictly feasible point and the central path undefined.  A
     generous aggregate trace cap restores strict dual feasibility without
-    moving the optimum as long as it stays inactive, which the caller can
-    check through the slack and the bound's multiplier.
+    moving the optimum as long as it stays inactive, which ``SdpSolution``
+    shows through the cap's fill and multiplier.
     """
-    if bound <= 0:
-        raise ValueError("trace bound must be positive")
     width = bp.offsets[-1]
     # the diagonal positions of every block, then the slack's 1x1 block
     diag = np.concatenate(
@@ -486,6 +488,15 @@ def _max_step(lam: np.ndarray, delta_hat: np.ndarray) -> float:
     return -1.0 / nu
 
 
+def _step_length(lam, deltas) -> float:
+    """The fraction-to-boundary step along the scaled block directions."""
+    return min(
+        1.0,
+        _STEP_FRACTION
+        * min(_max_step(lamk, dk) for lamk, dk in zip(lam, deltas)),
+    )
+
+
 def _primal_objective(bp: BlockProblem, X, u) -> float:
     value = float(bp.c_free @ u) + bp.objective_offset
     if bp.C is not None:
@@ -493,7 +504,7 @@ def _primal_objective(bp: BlockProblem, X, u) -> float:
     return value
 
 
-def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float = 0.0) -> dict[str, float]:
+def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, float]:
     r_p = bp.b - bp.apply_A(X) - bp.B @ u
     At = bp.apply_At(y)
     C = bp.cost_blocks()
@@ -573,9 +584,7 @@ def _lu_extended_solve(lu: np.ndarray, piv: np.ndarray, rhs) -> np.ndarray:
 
 
 def solve_block_problem(
-    bp: BlockProblem,
-    tol: SolverTolerances | None = None,
-    trace_bound: float | None = None,
+    bp: BlockProblem, tol: SolverTolerances | None = None
 ) -> SdpSolution:
     tol = tol or SolverTolerances()
     original = bp
@@ -583,9 +592,7 @@ def solve_block_problem(
     # them all leaves the positive definite Schur complement as the whole
     # Newton system, smaller by one row per free variable
     bp, reduction = reduce_free_variables(bp)
-    bounded = trace_bound is not None
-    if bounded:
-        bp = _with_trace_bound(bp, float(trace_bound))
+    bp = _with_trace_bound(bp, _TRACE_CAP)
     # assembled identities mix coefficients across several orders of
     # magnitude; unit row norms keep the Schur system solvable all the way
     # to the central-path endgame
@@ -595,15 +602,15 @@ def solve_block_problem(
     N = max(bp.total_dimension, 1)
     C = bp.cost_blocks()
 
-    # identity-scaled cold start with magnitudes taken from the data;
-    # the trace-bound row is excluded since its right-hand side is a
-    # deliberately generous cap, not a magnitude to start from
-    m_data = m - 1 if bounded else m
+    # identity-scaled cold start with magnitudes taken from the data rows;
+    # the last row is the trace cap, whose right-hand side is a
+    # deliberately generous bound, not a magnitude to start from
+    m_data = m - 1
     denom = 1.0 + bp.constraint_norms[:m_data]
     tau_p = max(
         10.0,
         np.sqrt(N),
-        float(np.max(N * (1.0 + np.abs(bp.b[:m_data])) / denom)) if m_data else 10.0,
+        float(np.max(N * (1.0 + np.abs(bp.b[:m_data])) / denom, initial=10.0)),
     )
     tau_d = max(
         10.0,
@@ -614,9 +621,8 @@ def solve_block_problem(
     tau_d = min(tau_d, 1e6)
     X = [tau_p * np.eye(n) for n in sizes]
     S = [tau_d * np.eye(n) for n in sizes]
-    if bounded:
-        # start the slack on its row so the cap begins satisfied
-        X[-1][0, 0] = max(float(trace_bound) - tau_p * (N - 1), tau_p)
+    # start the slack on its row so the cap begins satisfied
+    X[-1][0, 0] = max(_TRACE_CAP - tau_p * (N - 1), tau_p)
     y = np.zeros(m)
     # primal infeasibility is measured on the unscaled data rows, as the
     # final status is: recovery meets the pivot rows exactly and leaves the
@@ -665,14 +671,9 @@ def solve_block_problem(
             dual_infeasibility=dinf,
             relative_gap=relgap,
             duality_slack=slack,
-            step_primal=0.0,
-            step_dual=0.0,
-            sigma=0.0,
         )
 
-        if max(pinf, dinf, abs(relgap)) <= max(tol.gap, tol.feasibility) and (
-            pinf <= tol.feasibility and dinf <= tol.feasibility and abs(relgap) <= tol.gap
-        ):
+        if pinf <= tol.feasibility and dinf <= tol.feasibility and abs(relgap) <= tol.gap:
             trace.append(record)
             status = "optimal"
             break
@@ -733,34 +734,33 @@ def solve_block_problem(
                 M_ext = np.zeros((m, m), dtype=np.longdouble)
             _schur(bp, W, M_ext)
             lu_ext, piv_ext = _lu_extended(M_ext)
+            matrix, refine_steps, refine_tol = M_ext, 2, 1e-17
 
-            def kkt_solve(rhs):
-                rhs = np.asarray(rhs, dtype=np.longdouble)
-                sol = _lu_extended_solve(lu_ext, piv_ext, rhs)
-                scale = 1.0 + float(np.linalg.norm(rhs))
-                for _ in range(2):
-                    resid = rhs - M_ext @ sol
-                    if float(np.linalg.norm(resid)) <= 1e-17 * scale:
-                        break
-                    sol += _lu_extended_solve(lu_ext, piv_ext, resid)
-                return np.asarray(sol, dtype=float)
+            def solve_once(rhs):
+                return _lu_extended_solve(lu_ext, piv_ext, rhs)
 
         else:
+            matrix, refine_steps, refine_tol = M, 3, 1e-13
 
-            def kkt_solve(rhs):
-                nonlocal kkt_strained
-                sol = sla.cho_solve(chol, rhs)
-                scale = 1.0 + float(np.linalg.norm(rhs))
-                # refine against the exact Schur matrix so the factorization
-                # error never leaks into the step equations
-                for _ in range(3):
-                    resid = rhs - M @ sol
-                    if float(np.linalg.norm(resid)) <= 1e-13 * scale:
-                        break
-                    sol += sla.cho_solve(chol, resid)
-                if float(np.linalg.norm(rhs - M @ sol)) / scale > 1e-9:
+            def solve_once(rhs):
+                return sla.cho_solve(chol, rhs)
+
+        def kkt_solve(rhs):
+            nonlocal kkt_strained
+            rhs = np.asarray(rhs, dtype=matrix.dtype)
+            sol = solve_once(rhs)
+            scale = 1.0 + float(np.linalg.norm(rhs))
+            # refine against the exact Schur matrix so the factorization
+            # error never leaks into the step equations
+            for _ in range(refine_steps):
+                resid = rhs - matrix @ sol
+                if float(np.linalg.norm(resid)) <= refine_tol * scale:
+                    break
+                sol += solve_once(resid)
+            if not use_extended:
+                if float(np.linalg.norm(rhs - matrix @ sol)) / scale > 1e-9:
                     kkt_strained = True
-                return sol
+            return np.asarray(sol, dtype=float)
 
         WrdW = [Wk @ rdk @ Wk for Wk, rdk in zip(W, r_d)]
         A_WrdW = bp.apply_A(WrdW)
@@ -803,16 +803,8 @@ def solve_block_problem(
         # predictor: drive mu to zero
         K_aff = [-np.diag(lamk**2) for lamk in lam]
         dy_a, dX_a, dS_a, dXh_a, dSh_a = direction(K_aff)
-        ap = min(
-            1.0,
-            tol.step_fraction
-            * min(_max_step(lamk, dxh) for lamk, dxh in zip(lam, dXh_a)),
-        )
-        ad = min(
-            1.0,
-            tol.step_fraction
-            * min(_max_step(lamk, dsh) for lamk, dsh in zip(lam, dSh_a)),
-        )
+        ap = _step_length(lam, dXh_a)
+        ad = _step_length(lam, dSh_a)
         mu_aff = sum(
             float(np.sum((Xk + ap * dXk) * (Sk + ad * dSk)))
             for Xk, dXk, Sk, dSk in zip(X, dX_a, S, dS_a)
@@ -841,58 +833,29 @@ def solve_block_problem(
                 term = term - 0.5 * (cross + cross.T)
             K_corr.append(term)
         dy, dX, dS, dXh, dSh = direction(K_corr)
-        ap = min(
-            1.0,
-            tol.step_fraction
-            * min(_max_step(lamk, dxh) for lamk, dxh in zip(lam, dXh)),
-        )
-        ad = min(
-            1.0,
-            tol.step_fraction
-            * min(_max_step(lamk, dsh) for lamk, dsh in zip(lam, dSh)),
-        )
+        ap = _step_length(lam, dXh)
+        ad = _step_length(lam, dSh)
 
         X = [0.5 * ((Xk + ap * dXk) + (Xk + ap * dXk).T) for Xk, dXk in zip(X, dX)]
         S = [0.5 * ((Sk + ad * dSk) + (Sk + ad * dSk).T) for Sk, dSk in zip(S, dS)]
         y = y + ad * dy
-        trace.append(
-            IterationRecord(
-                iteration=it,
-                mu=mu,
-                primal_objective=pobj,
-                dual_objective=dobj,
-                primal_infeasibility=pinf,
-                dual_infeasibility=dinf,
-                relative_gap=relgap,
-                duality_slack=slack,
-                step_primal=ap,
-                step_dual=ad,
-                sigma=sigma,
-            )
-        )
+        trace.append(replace(record, step_primal=ap, step_dual=ad, sigma=sigma))
 
     if status == "max_iter" and best is not None:
         X, y, S = best
     # map back to the original data and judge the final status against it;
     # presolve and scaling leave the PSD blocks, and so X and S, untouched
     y = y / row_scale
-    bound_diag = {}
-    dual_shift = 0.0
-    if bounded:
-        used = sum(float(np.trace(Xk)) for Xk in X[:-1])
-        # keep the cap row's contribution to the dual objective: dropping it
-        # would misstate the gap by |y_T| * bound even when the cap is inert
-        dual_shift = float(trace_bound) * float(y[-1])
-        bound_diag["trace_bound_fraction"] = used / float(trace_bound)
-        bound_diag["trace_bound_multiplier"] = float(y[-1])
-        X = X[:-1]
-        S = S[:-1]
-        y = y[:-1]
+    cap_fraction = sum(float(np.trace(Xk)) for Xk in X[:-1]) / _TRACE_CAP
+    cap_multiplier = float(y[-1])
+    # keep the cap row's contribution to the dual objective: dropping it
+    # would misstate the gap by |y_T| * cap even when the cap is inert
+    dual_shift = _TRACE_CAP * cap_multiplier
+    X, S, y = X[:-1], S[:-1], y[:-1]
     u = np.zeros(0)
     if reduction is not None:
         u, y = reduction.recover(X, y)
-    residuals = _residuals(original, X, u, y, S, dual_shift=dual_shift)
-    residuals.update(bound_diag)
+    residuals = _residuals(original, X, u, y, S, dual_shift)
     if status != "infeasible_flag":
         feas = max(
             residuals["primal_infeasibility"], residuals["dual_infeasibility"]
@@ -915,6 +878,8 @@ def solve_block_problem(
         y=y.copy(),
         residuals=residuals,
         iterations=iterations,
+        trace_cap_fraction=cap_fraction,
+        trace_cap_multiplier=cap_multiplier,
         trace=trace,
     )
 
@@ -922,10 +887,11 @@ def solve_block_problem(
 def solve(problem: SdpProblem, tol: SolverTolerances | None = None) -> SdpSolution:
     """Solve an assembled relaxation under a generous aggregate trace cap.
 
-    The residuals report the cap's fill (``trace_bound_fraction``) and its
-    multiplier, so a caller can see whether the cap moved the optimum.
+    The solution reports the cap's fill (``trace_cap_fraction``) and its
+    multiplier (``trace_cap_multiplier``), so a caller can see whether the
+    cap moved the optimum.
     """
-    return solve_block_problem(standardize(problem), tol, trace_bound=1e6)
+    return solve_block_problem(standardize(problem), tol)
 
 
 def _fmt(x: float) -> str:
@@ -984,21 +950,3 @@ def export_sdpa(problem) -> str:
     lines.extend(f"{a} {k} {i} {j} {_fmt(v)}" for a, k, i, j, v in entries)
     return "\n".join(lines) + "\n"
 
-
-def solution_report(problem: SdpProblem, solution: SdpSolution) -> str:
-    """Human-readable solve summary with per-block spectra."""
-    lines = [
-        f"status: {solution.status}",
-        f"objective: {solution.objective:.12g}",
-        f"dual objective: {solution.dual_objective:.12g}",
-        f"iterations: {solution.iterations}",
-    ]
-    for name, value in sorted(solution.residuals.items()):
-        lines.append(f"residual {name}: {value:.3e}")
-    for block, mat in zip(problem.blocks, solution.block_values):
-        eigs = np.linalg.eigvalsh(mat)
-        lines.append(
-            f"block {block.label} dim {block.dimension}: "
-            f"eig [{eigs[0]:.6g}, {eigs[-1]:.6g}]"
-        )
-    return "\n".join(lines)
