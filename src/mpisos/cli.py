@@ -35,7 +35,7 @@ from .poly import (
     monomial_basis,
     parse_polynomial,
 )
-from .relax import Box, SdpProblem, assemble, outer_approx_grid, recover
+from .relax import Box, SdpProblem, assemble, grid_counts, outer_approx_grid, recover
 from .sdp import SdpSolution, export_sdpa, solve
 from .sparsity import (
     EXTENSIONS,
@@ -345,6 +345,9 @@ def _append_csv(path: str, header: tuple, rows: list[tuple]) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
+    # the grid's counts depend only on the box, so a bad --resolution fails
+    # here rather than after the solve
+    counts = _grid_counts(loaded, args.resolution) if args.grid else None
     config = resolve_config(loaded, args)
     try:
         problem = assemble(loaded.system, loaded.box, config)
@@ -380,7 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CliError(f"cannot write {args.export_sdpa}: {exc}") from exc
     if args.grid:
-        _write_grid(args.grid, loaded, cert.w, args.resolution)
+        _write_grid(args.grid, loaded, cert.w, counts)
     return 0
 
 
@@ -532,12 +535,17 @@ def cmd_export_sdpa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_grid(path: str, loaded: LoadedProblem, w, resolution) -> None:
+def _grid_counts(loaded: LoadedProblem, resolution) -> tuple[int, ...]:
+    """Per-axis counts from ``--resolution``: one value covers every axis."""
     res = resolution[0] if len(resolution) == 1 else resolution
     try:
-        points, values = outer_approx_grid(w, loaded.box, res)
+        return grid_counts(res, loaded.box.dim)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _write_grid(path: str, loaded: LoadedProblem, w, counts) -> None:
+    points, values = outer_approx_grid(w, loaded.box, counts)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(list(loaded.variables) + ["w"])

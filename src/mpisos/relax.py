@@ -446,20 +446,18 @@ def recover(
     )
 
 
-def outer_approx_grid(
-    w: Polynomial, box: Box, resolution
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate w on a regular grid and keep the points with w >= 1.
+def grid_counts(resolution, dim: int) -> tuple[int, ...]:
+    """Per-axis point counts of a grid over ``dim`` axes.
 
-    Returns the kept points (rows) and their w values.  ``resolution`` is a
-    per-axis point count, either one integer for all axes or a sequence.
+    ``resolution`` is either one integer for all axes or a sequence with one
+    count per axis; each count must be at least 2 and the grid may hold at
+    most 20 million points.  Raises ``ValueError`` otherwise.
     """
-    n = box.dim
     if isinstance(resolution, int):
-        counts = (resolution,) * n
+        counts = (resolution,) * dim
     else:
         counts = tuple(int(r) for r in resolution)
-        if len(counts) != n:
+        if len(counts) != dim:
             raise ValueError("resolution must give one count per axis")
     if any(c < 2 for c in counts):
         raise ValueError("need at least 2 points per axis")
@@ -468,6 +466,19 @@ def outer_approx_grid(
         total *= c
         if total > 20_000_000:
             raise ValueError("grid too large; lower the resolution")
+    return counts
+
+
+def outer_approx_grid(
+    w: Polynomial, box: Box, resolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate w on a regular grid and keep the points with w >= 1.
+
+    Returns the kept points (rows) and their w values.  ``resolution`` is a
+    per-axis point count, either one integer for all axes or a sequence
+    (see ``grid_counts``).
+    """
+    counts = grid_counts(resolution, box.dim)
     axes = [
         np.linspace(lo, hi, count)
         for lo, hi, count in zip(box.lo, box.hi, counts)

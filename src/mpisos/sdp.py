@@ -10,8 +10,8 @@ The PSD constraint data is one sparse operator A with m rows and
 sum_k n_k^2 columns: block k occupies the columns offsets[k]:offsets[k+1]
 and stores the full symmetric A_ik in row-major order, so A applied to the
 stacked X_k.ravel() gives every equality's block part in one product.
-The free-variable presolve, the row equilibration and the trace cap are
-row and column operations on A and B.
+B is CSR as well.  The presolve, the row equilibration and the trace cap
+are row and column operations on A and B.
 
 Every free variable is eliminated before the interior-point method: in the
 coefficient-matching equalities each one is pinned by a chain of pivot
@@ -99,6 +99,14 @@ class SdpSolution:
     trace: list[IterationRecord] = field(repr=False, default_factory=list)
 
 
+def _canonical(mat) -> sp.csr_matrix:
+    """CSR with sorted columns in each row and no explicit zeros."""
+    mat = sp.csr_matrix(mat, dtype=float)
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
+
+
 class BlockProblem:
     """Standard-form data with one stacked sparse constraint operator.
 
@@ -107,8 +115,8 @@ class BlockProblem:
     row-major order, so ``A @ concat(X_k.ravel())`` gives the block part of
     every equality.  The constructor takes one list of upper-triangle
     entries ``(k, r, c, coef)`` per equality; duplicate entries add up and
-    off-diagonal ones are mirrored.  Presolve, equilibration and the trace
-    cap derive new problems by row and column operations on ``A``.
+    off-diagonal ones are mirrored.  ``B``, the free-variable columns, is
+    stored as m x f CSR; the constructor takes it dense or sparse.
 
     The objective is <C, X> + c_free . u + objective_offset; C defaults to
     zero, which is what direct assembly produces.  Eliminating pinned free
@@ -168,7 +176,9 @@ class BlockProblem:
         self.offsets = np.cumsum([0] + [n * n for n in self.block_sizes])
         self.m = len(b)
         self.b = np.asarray(b, dtype=float)
-        self.B = np.asarray(B, dtype=float).reshape(self.m, -1)
+        if not sp.issparse(B):
+            B = np.asarray(B, dtype=float).reshape(self.m, -1)
+        self.B = _canonical(B)
         self.c_free = np.asarray(c_free, dtype=float)
         self.n_free = self.B.shape[1]
         if self.c_free.shape != (self.n_free,):
@@ -193,15 +203,11 @@ class BlockProblem:
             )
 
     def _set_operator(self, A) -> None:
-        # canonical form: sorted columns within each row and no explicit
-        # zeros, which _schur_blocks and export_sdpa rely on
-        A = sp.csr_matrix(A)
-        A.sum_duplicates()
-        A.eliminate_zeros()
-        self.A = A
+        # _schur_blocks, the presolve and export_sdpa rely on canonical CSR
+        self.A = A = _canonical(A)
         self.constraint_norms = np.sqrt(
             np.asarray(A.multiply(A).sum(axis=1)).ravel()
-            + (self.B**2).sum(axis=1)
+            + np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel()
         )
 
     @property
@@ -255,19 +261,19 @@ class BlockProblem:
 
 def standardize(problem: SdpProblem) -> BlockProblem:
     """Convert assembled equality data into solver-ready standard form."""
-    m = len(problem.equalities)
-    f = problem.free_count
-    B = np.zeros((m, f))
-    b = np.zeros(m)
-    for i, eq in enumerate(problem.equalities):
-        b[i] = eq.rhs
-        for col, coef in eq.free_entries:
-            B[i, col] = coef
+    eqs = problem.equalities
+    counts = [len(eq.free_entries) for eq in eqs]
+    flat = np.array([e for eq in eqs for e in eq.free_entries]).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(eqs)), counts)
+    B = sp.csr_matrix(
+        (flat[:, 1], (rows, flat[:, 0].astype(np.int64))),
+        shape=(len(eqs), problem.free_count),
+    )
     return BlockProblem(
         [blk.dimension for blk in problem.blocks],
-        [eq.block_entries for eq in problem.equalities],
+        [eq.block_entries for eq in eqs],
         B,
-        b,
+        np.array([eq.rhs for eq in eqs], dtype=float),
         np.asarray(problem.objective_free, dtype=float),
     )
 
@@ -283,7 +289,7 @@ def _equilibrated(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray]:
     scaled = BlockProblem._from_operator(
         bp.block_sizes,
         sp.diags(1.0 / s) @ bp.A,
-        bp.B / s[:, None],
+        sp.diags(1.0 / s) @ bp.B,
         bp.b / s,
         bp.c_free,
         C=bp.C,
@@ -305,10 +311,10 @@ class FreeReduction:
         self.pivot_rows = np.asarray(pivot_rows, dtype=np.int64)
         self.elim_cols = np.asarray(elim_cols, dtype=np.int64)
         self.kept_rows = np.asarray(kept_rows, dtype=np.int64)
-        B = original.B
-        self._B_pe = sp.csc_matrix(B[np.ix_(self.pivot_rows, self.elim_cols)])
+        B_e = original.B[:, self.elim_cols]
+        self._B_pe = sp.csc_matrix(B_e[self.pivot_rows])
         self._lu_pe = spla.splu(self._B_pe)
-        self._B_ke = B[np.ix_(self.kept_rows, self.elim_cols)]
+        self._B_ke = B_e[self.kept_rows]
 
     def recover(self, X, y_red):
         bp = self.original
@@ -335,46 +341,37 @@ def reduce_free_variables(
     without a pivot row raises ``ValueError``, since the solver has no
     path for free variables.  Returns the reduced problem and the recovery
     map, or ``(bp, None)`` when there are no free variables.
+
+    Pivots are found from ``B``'s pattern alone: substituting a pivot row
+    changes the other rows only in its own column and in eliminated ones.
     """
     m, f = bp.m, bp.n_free
     if f == 0:
         return bp, None
-    col_scale = np.maximum(np.abs(bp.B).max(axis=0), 1e-30)
-    Bw = bp.B.copy()
+    coo = bp.B.tocoo()
+    col_scale = np.maximum(abs(bp.B).max(axis=0).toarray().ravel(), 1e-30)
+    active = np.abs(coo.data) > 1e-12 * col_scale[coo.col]
+    rows, cols = coo.row[active], coo.col[active]
+    # an entry too small to divide by safely leaves its column to another row
+    big = np.abs(coo.data[active]) >= 1e-8 * col_scale[cols]
     live_row = np.ones(m, dtype=bool)
     live_col = np.ones(f, dtype=bool)
     pivot_rows: list[int] = []
     elim_cols: list[int] = []
     while True:
-        active = np.abs(Bw) > 1e-12 * col_scale[None, :]
-        active[~live_row, :] = False
-        active[:, ~live_col] = False
-        candidates = np.nonzero(live_row & (active.sum(axis=1) == 1))[0]
-        progressed = False
-        for i in candidates:
-            cols = np.nonzero(active[i])[0]
-            if len(cols) != 1:
-                continue
-            j = int(cols[0])
-            pivot = Bw[i, j]
-            if abs(pivot) < 1e-8 * col_scale[j]:
-                continue  # too small to divide by safely
-            touching = np.nonzero(
-                live_row & (np.abs(Bw[:, j]) > 1e-12 * col_scale[j])
-            )[0]
-            for r in touching:
-                if r != i:
-                    Bw[r] -= (Bw[r, j] / pivot) * Bw[i]
-                    Bw[r, j] = 0.0
-            live_row[i] = False
-            live_col[j] = False
-            active[:, j] = False
-            active[i, :] = False
-            pivot_rows.append(int(i))
-            elim_cols.append(int(j))
-            progressed = True
-        if not progressed:
+        live = live_row[rows] & live_col[cols]
+        single = np.bincount(rows[live], minlength=m) == 1
+        # the one live entry of each candidate row, in row order; within a
+        # scan the lowest row wins a column
+        at = np.flatnonzero(live & single[rows] & big)
+        _, first = np.unique(cols[at], return_index=True)
+        at = at[np.sort(first)]
+        if len(at) == 0:
             break
+        live_row[rows[at]] = False
+        live_col[cols[at]] = False
+        pivot_rows.extend(rows[at].tolist())
+        elim_cols.extend(cols[at].tolist())
     if np.any(live_col):
         raise ValueError(
             "no pivot row pins free variables "
@@ -390,8 +387,9 @@ def reduce_free_variables(
     # dense right-hand side is solved in one call, where a sparse one would
     # be solved column by column.
     if len(kept_rows):
-        Ft = spla.spsolve(sp.csc_matrix(red._B_pe.T), red._B_ke.T)
-        F = sp.csr_matrix(np.reshape(Ft, red._B_ke.T.shape).T)
+        rhs = red._B_ke.T.toarray()
+        Ft = spla.spsolve(sp.csc_matrix(red._B_pe.T), rhs)
+        F = sp.csr_matrix(np.reshape(Ft, rhs.shape).T)
     else:
         F = sp.csr_matrix((0, len(elim_cols)))
     g = red._lu_pe.solve(bp.c_free[red.elim_cols], trans="T")
@@ -418,12 +416,12 @@ def reduce_free_variables(
         red.kept_rows = red.kept_rows[keep]
         # dropped rows carry multiplier zero, so recovery only balances
         # the surviving rows against the eliminated columns
-        red._B_ke = bp.B[np.ix_(red.kept_rows, red.elim_cols)]
+        red._B_ke = red._B_ke[keep]
 
     reduced = BlockProblem._from_operator(
         bp.block_sizes,
         A_red,
-        np.zeros((len(b_red), 0)),
+        sp.csr_matrix((len(b_red), 0)),
         b_red,
         np.zeros(0),
         C=cost,
@@ -453,7 +451,7 @@ def _with_trace_bound(bp: BlockProblem, bound: float) -> BlockProblem:
         shape=(1, width + 1),
     )
     A = sp.vstack([sp.hstack([bp.A, sp.csr_matrix((bp.m, 1))]), cap])
-    B = np.vstack([bp.B, np.zeros((1, bp.n_free))])
+    B = sp.vstack([bp.B, sp.csr_matrix((1, bp.n_free))])
     b = np.append(bp.b, bound)
     C = None
     if bp.C is not None:
@@ -941,9 +939,10 @@ def export_sdpa(problem) -> str:
     r, c = np.divmod(coo.col - bp.offsets[k], np.array(bp.block_sizes)[k])
     keep = r <= c
     add(coo.row[keep] + 1, k[keep] + 1, r[keep] + 1, c[keep] + 1, coo.data[keep])
-    rows, cols = np.nonzero(bp.B)
-    add(rows + 1, free_blk, cols + 1, cols + 1, bp.B[rows, cols])
-    add(rows + 1, free_blk, f + cols + 1, f + cols + 1, -bp.B[rows, cols])
+    coo = bp.B.tocoo()
+    rows, cols = coo.row + 1, coo.col + 1
+    add(rows, free_blk, cols, cols, coo.data)
+    add(rows, free_blk, f + cols, f + cols, -coo.data)
     keys = [np.concatenate(col) for col in fields]
     order = np.lexsort(keys[3::-1])
     entries = zip(*(arr[order].tolist() for arr in keys))

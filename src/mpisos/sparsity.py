@@ -140,14 +140,19 @@ def _graph_from_rule(
     return MonomialGraph.build(nodes, edges)
 
 
+def _v_hit_set(system: DynamicalSystem, d: int, a_set: SupportSet) -> SupportSet:
+    """The current v support together with the Lie-derivative terms of its
+    part within the degree cap; every multiplier's graph reads this set."""
+    capped = a_set.restricted(v_degree_cap(system, d))
+    return a_set.union(generic_lie_support(capped, system))
+
+
 def build_v_step_graph(
     system: DynamicalSystem, d: int, a_set: SupportSet, j: int
 ) -> MonomialGraph:
     """Interaction graph for multiplier j in the Lie certificate, given the
     current v support set."""
-    capped = a_set.restricted(v_degree_cap(system, d))
-    hit = a_set.union(generic_lie_support(capped, system))
-    return _graph_from_rule(system, d, j, hit)
+    return _graph_from_rule(system, d, j, _v_hit_set(system, d, a_set))
 
 
 def build_w_step_graph(
@@ -185,9 +190,8 @@ def iterate_v_chain(
     raw_steps: list[tuple[MonomialGraph, ...]] = []
     ext_steps: list[tuple[ChordalGraph, ...]] = []
     for _ in range(s_max):
-        raw = tuple(
-            build_v_step_graph(system, d, current, j) for j in range(m + 1)
-        )
+        hit = _v_hit_set(system, d, current)
+        raw = tuple(_graph_from_rule(system, d, j, hit) for j in range(m + 1))
         ext = tuple(extend_graph(g, extension) for g in raw)
         raw_steps.append(raw)
         ext_steps.append(ext)

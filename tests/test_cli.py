@@ -376,3 +376,16 @@ class TestExportAndGrid:
             main(["run", lorenz_file, "--grid", "-", "--resolution", "nope"])
         assert exc.value.code == 2
         assert "--resolution" in capsys.readouterr().err
+
+    def test_resolution_checked_against_box(self, lorenz_file, monkeypatch, capsys):
+        # the per-axis count and the floor of 2 depend only on the box, so
+        # they are checked before anything is assembled or solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran before --resolution was checked")
+
+        monkeypatch.setattr("mpisos.cli.solve", no_solve)
+        code = main(["run", lorenz_file, "--grid", "-", "--resolution", "9,9"])
+        assert code == 2
+        assert "one count per axis" in capsys.readouterr().err
+        assert main(["run", lorenz_file, "--grid", "-", "--resolution", "1"]) == 2
+        assert "at least 2 points" in capsys.readouterr().err

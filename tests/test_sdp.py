@@ -238,7 +238,7 @@ class TestExport:
         sizes, equalities, B, b, c_free, C = fold_free_pairs(*parse_sdpa(text))
         assert sizes == [2]
         assert np.array_equal(b, bp.b)
-        assert np.array_equal(B, bp.B)
+        assert np.array_equal(B, bp.B.toarray())
         assert np.array_equal(c_free, bp.c_free)
         assert C is None
         rebuilt = BlockProblem(sizes, equalities, B, b, c_free)
@@ -289,6 +289,13 @@ class TestStandardize:
             for k, r, c, coef in eq.block_entries:
                 want += coef * X[k][r, c] * (1.0 if r == c else 2.0)
             assert ax[i] == pytest.approx(want, abs=1e-10)
+        # the free columns and right-hand sides, row by row
+        u = rng.normal(size=bp.n_free)
+        bu = bp.B @ u
+        for i, eq in enumerate(p.equalities):
+            want = sum(coef * u[col] for col, coef in eq.free_entries)
+            assert bu[i] == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(bp.b, [eq.rhs for eq in p.equalities])
 
 
 def lorenz_problem(d: int, mode: str = "ts"):
@@ -414,6 +421,28 @@ class TestPresolve:
         red_bp, _ = reduce_free_variables(bp)
         assert red_bp.n_free == 0
 
+    def test_pivot_rules(self):
+        # free columns u, x, w, v; one 1x1 block so every row stays nonempty
+        B = np.zeros((6, 4))
+        B[0, 0] = 1e-10  # u's only entry here: active but too small to pivot
+        B[1, 2], B[1, 3] = 1.0, -1.0  # pins v once w is gone (second scan)
+        B[2, 1] = 2.0  # rows 2 and 3 compete for x; the lower row wins
+        B[3, 1] = 1.0
+        B[4, 0] = 1.0  # pins u in place of row 0
+        B[5, 2] = -1.0  # pins w in the first scan
+        bp = BlockProblem(
+            [1],
+            [[(0, 0, 0, float(i + 1))] for i in range(6)],
+            B=B,
+            b=np.ones(6),
+            c_free=np.array([1.0, 0.0, 0.0, 1.0]),
+        )
+        red_bp, red = reduce_free_variables(bp)
+        assert red.pivot_rows.tolist() == [2, 4, 5, 1]
+        assert red.elim_cols.tolist() == [1, 0, 2, 3]
+        assert red.kept_rows.tolist() == [0, 3]
+        assert red_bp.m == 2
+
     def test_unpinned_free_variables_rejected(self):
         # both free variables appear in both rows, so no row pins either
         bp = BlockProblem(
@@ -436,7 +465,9 @@ class TestScaling:
             scaled.apply_A(X), bp.apply_A(X) / s, rtol=1e-14, atol=1e-14
         )
         assert np.allclose(scaled.b, bp.b / s, rtol=1e-15, atol=0)
-        assert np.allclose(scaled.B, bp.B / s[:, None], rtol=1e-14)
+        assert np.allclose(
+            scaled.B.toarray(), bp.B.toarray() / s[:, None], rtol=1e-14
+        )
 
     def test_trace_cap_row(self):
         bp = standardize(lorenz_problem(2))
@@ -445,7 +476,7 @@ class TestScaling:
         assert capped.m == bp.m + 1
         assert capped.b[-1] == 7.0
         assert np.array_equal(capped.b[:-1], bp.b)
-        assert not np.any(capped.B[-1])
+        assert not np.any(capped.B[-1].toarray())
         X = random_blocks(np.random.default_rng(4), bp.block_sizes)
         slack = np.array([[2.5]])
         ax = capped.apply_A(X + [slack])
