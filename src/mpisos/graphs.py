@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Exponent, SupportSet, exp_add, grlex_key, monomial_str
+from .poly import Exponent, SupportSet, exp_add, grlex_key
 
 
 def _sorted_nodes(nodes: tuple[Exponent, ...]) -> bool:
@@ -221,12 +221,3 @@ def supp_of_graph(graph: MonomialGraph) -> SupportSet:
     for i, j in graph.edges:
         out.add(exp_add(graph.nodes[i], graph.nodes[j]))
     return SupportSet(dim, frozenset(out))
-
-
-def edge_list_text(graph: MonomialGraph, names: tuple[str, ...] | None = None) -> str:
-    """Deterministic dump: one node line, then sorted edge lines."""
-    node_line = "nodes: " + ", ".join(monomial_str(a, names) for a in graph.nodes)
-    lines = [node_line]
-    for i, j in sorted(graph.edges):
-        lines.append(f"{monomial_str(graph.nodes[i], names)} -- {monomial_str(graph.nodes[j], names)}")
-    return "\n".join(lines)

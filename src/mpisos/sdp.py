@@ -19,8 +19,9 @@ rows, and the presolve refuses a problem where one is not.  The method is a
 primal-dual path follower with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step on the PSD blocks alone, so its Newton system is
 the Schur complement, positive definite and formed densely (problems here
-stay at a few thousand constraints) and factored by Cholesky.  When double
-precision gives out in the endgame, a long-double LU takes over.
+stay at a few thousand constraints) and factored once per iteration by a
+double Cholesky.  Where double refinement on it falls short in the endgame,
+GMRES-IR in long double carries the solves to the tolerances.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ _STEP_FRACTION = 0.99
 # the aggregate trace cap every problem is solved under (_with_trace_bound)
 _TRACE_CAP = 1e6
 _DIVERGENCE_LIMIT = 1e10
+# _schur forms the rows of W_k (x) W_k in chunks of at most this many entries
+_SCHUR_CHUNK = 8_000_000
+# a Schur solve's target relative residual and step limits (_schur_solve)
+_SOLVE_TOL = 1e-13
+_REFINE_STEPS = 3
+_GMRES_RESTARTS = 3
+_GMRES_STEPS = 20
 _NEAR_OPTIMAL_FACTOR = 1e3
 
 
@@ -79,6 +87,9 @@ class IterationRecord:
     step_primal: float = 0.0
     step_dual: float = 0.0
     sigma: float = 0.0
+    # this iteration's GMRES steps and largest relative Schur-solve residual
+    krylov_steps: int = 0
+    newton_residual: float = 0.0
 
 
 @dataclass
@@ -523,22 +534,16 @@ def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, flo
     }
 
 
-def _schur(bp: BlockProblem, W, M: np.ndarray, chunk_budget: int = 8_000_000):
-    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in the dtype of M."""
+def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
+    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in place."""
     M.fill(0.0)
-    dtype = M.dtype
     for Wk, n, (eq_ids, ptr, rows, cols, vals, P) in zip(
         W, bp.block_sizes, bp._schur_blocks
     ):
-        if len(eq_ids) == 0:
-            continue
-        Wk = np.asarray(Wk, dtype=dtype)
-        vals = np.asarray(vals, dtype=dtype)
-        P = P.astype(dtype, copy=False)
-        chunk = max(1, chunk_budget // (n * n))
+        chunk = max(1, _SCHUR_CHUNK // (n * n))
         for start in range(0, len(eq_ids), chunk):
             ids = eq_ids[start : start + chunk]
-            U = np.empty((len(ids), n * n), dtype=dtype)
+            U = np.empty((len(ids), n * n))
             for t, local in enumerate(range(start, start + len(ids))):
                 sl = slice(ptr[local], ptr[local + 1])
                 left = Wk[:, rows[sl]] * vals[sl]
@@ -546,39 +551,65 @@ def _schur(bp: BlockProblem, W, M: np.ndarray, chunk_budget: int = 8_000_000):
             M[np.ix_(eq_ids, ids)] += P @ U.T
 
 
-def _lu_extended(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outer-product LU with partial pivoting in extended precision.
-
-    LAPACK only covers float32/float64, so the endgame factorization is
-    done by hand; at the sizes the reduced Schur systems reach this costs
-    a few seconds and resolves pivots double precision cannot.
-    """
-    lu = np.array(A, dtype=np.longdouble)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    tiny = np.longdouble(np.finfo(np.longdouble).tiny)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[k], piv[p] = piv[p], piv[k]
-        if lu[k, k] == 0:
-            lu[k, k] = tiny
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    if n and lu[n - 1, n - 1] == 0:
-        lu[n - 1, n - 1] = tiny
-    return lu, piv
+def _schur_factor(M: np.ndarray) -> tuple:
+    """Cholesky of M + delta diag(M), the diagonally scaled M plus delta I,
+    for the first delta of 0, 1e-14, 1e-13, ... that succeeds: the factor
+    only preconditions ``_schur_solve``, so it must exist however bad M gets."""
+    shift = np.abs(np.diag(M)) + np.finfo(float).tiny
+    delta = 0.0
+    while True:
+        shifted = M.copy()
+        shifted.flat[:: len(M) + 1] += delta * shift
+        try:
+            return sla.cho_factor(shifted, overwrite_a=True)
+        except sla.LinAlgError:
+            delta = max(10.0 * delta, 1e-14)
 
 
-def _lu_extended_solve(lu: np.ndarray, piv: np.ndarray, rhs) -> np.ndarray:
-    x = np.asarray(rhs, dtype=np.longdouble)[piv].copy()
-    n = len(x)
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x
+def _schur_solve(M, factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
+    """Solve M x = rhs; return x, the GMRES steps and the relative residual.
+    Double refinement on the factor goes first.  Where it misses _SOLVE_TOL,
+    GMRES-IR (Carson & Higham, SIAM J. Sci. Comput. 2017, 2018) goes on:
+    flexible GMRES in long double against ``apply_exact``, the Schur operator
+    never rounded to a matrix, right-preconditioned by the factor."""
+    scale = 1.0 + float(np.linalg.norm(rhs))
+    target = _SOLVE_TOL * scale
+    x = np.zeros_like(rhs)
+    resid = rhs
+    for _ in range(_REFINE_STEPS + 1):
+        x += sla.cho_solve(factor, resid)
+        resid = rhs - M @ x
+        res = float(np.linalg.norm(resid))
+        if res <= target:
+            return x, 0, res / scale
+    x = x.astype(np.longdouble)
+    steps = 0
+    for restart in range(_GMRES_RESTARTS + 1):
+        r = rhs - apply_exact(x)
+        beta = np.linalg.norm(r)
+        if beta <= target or restart == _GMRES_RESTARTS:
+            return x, steps, float(beta) / scale
+        V = np.zeros((_GMRES_STEPS + 1, len(x)), dtype=np.longdouble)
+        Z = np.zeros_like(V)
+        H = np.zeros((_GMRES_STEPS + 1, _GMRES_STEPS))
+        V[0] = r / beta
+        for j in range(_GMRES_STEPS):
+            steps += 1
+            # the factor preconditions V[j]'s high and low double parts
+            hi = V[j].astype(float)
+            Z[j] = sla.cho_solve(factor, hi)
+            Z[j] += sla.cho_solve(factor, (V[j] - hi).astype(float))
+            w = apply_exact(Z[j])
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                H[: j + 1, j] += h
+            H[j + 1, j] = np.linalg.norm(w)
+            coef, res2 = np.linalg.lstsq(H[: j + 2, : j + 1], np.eye(j + 2)[0])[:2]
+            if beta * np.sqrt(res2.sum()) <= target or H[j + 1, j] == 0.0:
+                break
+            V[j + 1] = w / H[j + 1, j]
+        x += beta * (coef @ Z[: j + 1])
 
 
 def solve_block_problem(
@@ -629,9 +660,12 @@ def solve_block_problem(
 
     trace: list[IterationRecord] = []
     M = np.zeros((m, m))
-    M_ext = None
-    use_extended = False
-    kkt_strained = False
+    # GMRES-IR's exact Schur operator, in long double, one block size at a time
+    A_ld = bp.A.astype(np.longdouble)
+    classes = []
+    for n in set(sizes):
+        ks = np.flatnonzero(np.array(sizes) == n)
+        classes.append((ks, (bp.offsets[ks][:, None] + np.arange(n * n)).ravel()))
     best = None
     best_score = np.inf
     best_iteration = 0
@@ -675,16 +709,6 @@ def solve_block_problem(
             trace.append(record)
             status = "optimal"
             break
-        if not use_extended and mu < 1e-2 and trace:
-            # double precision exhausts itself once the Schur system's
-            # conditioning outruns it: steps collapse or the factorization
-            # stops reproducing its own right-hand sides; switch the
-            # factorization to extended precision and keep walking the path
-            last = trace[-1]
-            stalled = max(last.step_primal, last.step_dual) < 0.02
-            if stalled or kkt_strained:
-                use_extended = True
-                best_iteration = it
         if it - best_iteration >= 30:
             # no meaningful progress for 30 iterations: the central path has
             # collapsed numerically, keep the best iterate seen so far
@@ -712,52 +736,27 @@ def solve_block_problem(
             W.append(Rk @ Rk.T)
             lam.append(sig)
 
-        if not use_extended:
-            # M is positive definite (full-rank constraints, PD scaling); a
-            # failed Cholesky means double precision can no longer tell.
-            # Its two triangles round apart and Cholesky reads only one, so
-            # M is made symmetric: refinement then runs against the matrix
-            # that was factored
-            _schur(bp, W, M)
-            M += M.T
-            M *= 0.5
-            try:
-                chol = sla.cho_factor(M)
-            except sla.LinAlgError:
-                use_extended = True
-                best_iteration = it
+        # M is positive definite (full-rank constraints, PD scaling).  Its
+        # two triangles round apart and Cholesky reads only one, so M is
+        # made symmetric: refinement then runs against the matrix that was
+        # factored, up to _schur_factor's shift
+        _schur(bp, W, M)
+        M += M.T
+        M *= 0.5
+        factor = _schur_factor(M)
+        solves = {"krylov_steps": 0, "newton_residual": 0.0}
+        W_classes = [(cols, np.stack([W[k] for k in ks])) for ks, cols in classes]
 
-        if use_extended:
-            if M_ext is None:
-                M_ext = np.zeros((m, m), dtype=np.longdouble)
-            _schur(bp, W, M_ext)
-            lu_ext, piv_ext = _lu_extended(M_ext)
-            matrix, refine_steps, refine_tol = M_ext, 2, 1e-17
-
-            def solve_once(rhs):
-                return _lu_extended_solve(lu_ext, piv_ext, rhs)
-
-        else:
-            matrix, refine_steps, refine_tol = M, 3, 1e-13
-
-            def solve_once(rhs):
-                return sla.cho_solve(chol, rhs)
+        def apply_exact(v):
+            z = A_ld.T @ v
+            for cols, Ws in W_classes:
+                z[cols] = (Ws @ z[cols].reshape(Ws.shape) @ Ws).ravel()
+            return A_ld @ z
 
         def kkt_solve(rhs):
-            nonlocal kkt_strained
-            rhs = np.asarray(rhs, dtype=matrix.dtype)
-            sol = solve_once(rhs)
-            scale = 1.0 + float(np.linalg.norm(rhs))
-            # refine against the exact Schur matrix so the factorization
-            # error never leaks into the step equations
-            for _ in range(refine_steps):
-                resid = rhs - matrix @ sol
-                if float(np.linalg.norm(resid)) <= refine_tol * scale:
-                    break
-                sol += solve_once(resid)
-            if not use_extended:
-                if float(np.linalg.norm(rhs - matrix @ sol)) / scale > 1e-9:
-                    kkt_strained = True
+            sol, steps, res = _schur_solve(M, factor, apply_exact, rhs)
+            solves["krylov_steps"] += steps
+            solves["newton_residual"] = max(solves["newton_residual"], res)
             return np.asarray(sol, dtype=float)
 
         WrdW = [Wk @ rdk @ Wk for Wk, rdk in zip(W, r_d)]
@@ -837,7 +836,7 @@ def solve_block_problem(
         X = [0.5 * ((Xk + ap * dXk) + (Xk + ap * dXk).T) for Xk, dXk in zip(X, dX)]
         S = [0.5 * ((Sk + ad * dSk) + (Sk + ad * dSk).T) for Sk, dSk in zip(S, dS)]
         y = y + ad * dy
-        trace.append(replace(record, step_primal=ap, step_dual=ad, sigma=sigma))
+        trace.append(replace(record, step_primal=ap, step_dual=ad, sigma=sigma, **solves))
 
     if status == "max_iter" and best is not None:
         X, y, S = best

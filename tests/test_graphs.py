@@ -8,7 +8,6 @@ from mpisos.graphs import (
     MonomialGraph,
     approx_smallest_chordal_extension,
     clique_set,
-    edge_list_text,
     maximal_chordal_extension,
     maximal_cliques,
     supp_of_graph,
@@ -169,14 +168,3 @@ def test_supp_of_graph_golden():
 def test_supp_of_graph_includes_all_squares():
     g = MonomialGraph.build(((0, 0), (1, 0), (0, 1)), set())
     assert set(supp_of_graph(g).elements) == {(0, 0), (2, 0), (0, 2)}
-
-
-def test_edge_list_text_deterministic():
-    # nodes sort graded-lex: 1, x2, x1; edge indices follow the order given here
-    g = MonomialGraph.build(((0, 0), (1, 0), (0, 1)), {(0, 1), (0, 2)})
-    text = edge_list_text(g)
-    assert text.splitlines() == [
-        "nodes: 1, x2, x1",
-        "1 -- x2",
-        "1 -- x1",
-    ]

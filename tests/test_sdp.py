@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from oracles import admm_sdp
 from sdpa_reader import fold_free_pairs, parse_sdpa
@@ -16,6 +17,8 @@ from mpisos.sdp import (
     SolverTolerances,
     _equilibrated,
     _primal_objective,
+    _schur_factor,
+    _schur_solve,
     _with_trace_bound,
     export_sdpa,
     reduce_free_variables,
@@ -497,15 +500,55 @@ class TestScaling:
 class TestExtendedEndgame:
     @pytest.mark.parametrize("mode", ["fd", "ss"])
     def test_lorenz_d3_reaches_optimal(self, mode):
-        # double precision alone stalls here (fd runs out of iterations with
-        # primal infeasibility near 0.7); the extended-precision
-        # factorization carries both to the tolerances
+        # double refinement alone leaves both near_optimal (objective
+        # 3.7154 after 45 iterations); GMRES in long double against the
+        # exact Schur operator carries both to the tolerances
         sol = solve(lorenz_problem(3, mode))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.71495742203, rel=1e-6)
         assert sol.residuals["primal_infeasibility"] <= 1e-7
         assert sol.residuals["dual_infeasibility"] <= 1e-7
         assert abs(sol.residuals["relative_gap"]) <= 1e-7
+
+
+class TestSchurSolve:
+    @pytest.mark.parametrize(
+        "eigs",
+        [
+            np.r_[np.full(3, 1e-20), np.linspace(1.0, 10.0, 37)],
+            np.logspace(0.0, -20.0, 40),
+        ],
+        ids=["few-tiny", "log-uniform"],
+    )
+    def test_backward_error_past_double_precision(self, eigs):
+        # SPD with cond ~ 1e20, exact in long double; rounded to double it
+        # is no longer positive definite
+        rng = np.random.default_rng(5)
+        Q = np.linalg.qr(rng.normal(size=(len(eigs), len(eigs))))[0]
+        Q = Q.astype(np.longdouble)
+        M_exact = (Q * eigs.astype(np.longdouble)) @ Q.T
+        M_exact = 0.5 * (M_exact + M_exact.T)
+        M = M_exact.astype(float)
+        with pytest.raises(sla.LinAlgError):
+            sla.cho_factor(M)
+        rhs = rng.normal(size=len(eigs))
+        x, steps, _ = _schur_solve(
+            M, _schur_factor(M), lambda v: M_exact @ v, rhs
+        )
+        assert steps > 0
+        x = np.asarray(x, dtype=np.longdouble)
+        backward = np.linalg.norm(rhs - M_exact @ x) / (
+            eigs.max() * np.linalg.norm(x) + np.linalg.norm(rhs)
+        )
+        assert backward <= 1e-18
+
+    def test_trace_records_krylov_steps(self):
+        sol = solve(lorenz_problem(3, "fd"))
+        assert any(rec.krylov_steps > 0 for rec in sol.trace)
+        easy = solve_block_problem(eigenvalue_problem())
+        assert all(rec.krylov_steps == 0 for rec in easy.trace)
+        # double refinement met its target on every solve
+        assert all(rec.newton_residual <= 1e-13 for rec in easy.trace)
 
 
 class TestOriginalSpaceStatus:
