@@ -57,9 +57,6 @@ class MonomialGraph:
             adj[j].add(i)
         return adj
 
-    def exponent_edges(self) -> frozenset[frozenset[Exponent]]:
-        return frozenset(frozenset((self.nodes[i], self.nodes[j])) for i, j in self.edges)
-
     def connected_components(self) -> list[list[int]]:
         """Components as sorted index lists, ordered by smallest member."""
         adj = self.adjacency()

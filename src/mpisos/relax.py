@@ -39,7 +39,6 @@ from .sparsity import (
 )
 from .symmetry import SignSymmetryGroup, in_r_perp, sign_symmetries, symmetry_blocks
 
-CERTIFICATES = ("a", "b", "c")
 IDENTITIES = ("lie", "w", "wv")
 
 
@@ -138,40 +137,8 @@ class SdpProblem:
     def free_count(self) -> int:
         return len(self.free_labels)
 
-    def free_index(self, label: tuple[str, Exponent]) -> int:
-        try:
-            return self._free_lookup[label]
-        except AttributeError:
-            self._free_lookup = {lab: k for k, lab in enumerate(self.free_labels)}
-            return self._free_lookup[label]
-
     def gram_variable_count(self) -> int:
         return sum(b.dimension * (b.dimension + 1) // 2 for b in self.blocks)
-
-    def digest(self) -> str:
-        """Deterministic text fingerprint of the problem structure."""
-        lines = [
-            f"mode={self.config.mode} d={self.config.d} s={self.config.s} "
-            f"l={self.config.l} beta={self.config.beta!r} "
-            f"extension={self.config.extension}",
-            f"dim={self.system.dim} multipliers={len(self.system.constraints) + 1}",
-        ]
-        for cert in CERTIFICATES:
-            sizes = sorted(
-                (b.dimension for b in self.blocks if b.certificate == cert),
-                reverse=True,
-            )
-            lines.append(f"{cert}-blocks: {sizes}")
-        v_count = sum(1 for kind, _ in self.free_labels if kind == "v")
-        w_count = len(self.free_labels) - v_count
-        lines.append(f"free: v={v_count} w={w_count}")
-        for ident in IDENTITIES:
-            count = sum(1 for e in self.equalities if e.identity == ident)
-            lines.append(f"equalities[{ident}]: {count}")
-        lines.append(f"gram-scalars: {self.gram_variable_count()}")
-        nnz = sum(1 for c in self.objective_free if c != 0.0)
-        lines.append(f"objective-nnz: {nnz}")
-        return "\n".join(lines)
 
 
 def _clique_exponents(graphs) -> list[tuple[tuple[Exponent, ...], ...]]:

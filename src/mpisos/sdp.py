@@ -18,9 +18,10 @@ coefficient-matching equalities each one is pinned by a chain of pivot
 rows, and the presolve refuses a problem where one is not.  The method is a
 primal-dual path follower with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step on the PSD blocks alone, so its Newton system is
-the Schur complement, positive definite and formed densely (problems here
-stay at a few thousand constraints) and factored once per iteration by a
-double Cholesky.  Where double refinement on it falls short in the endgame,
+the Schur complement M, positive definite and dense (problems here stay at
+a few thousand constraints).  Each block adds <A_ik, W_k A_jk W_k> to M from
+one stacked product, and M is factored once per iteration by a double
+Cholesky.  Where double refinement on it falls short in the endgame,
 GMRES-IR in long double carries the solves to the tolerances.
 """
 
@@ -43,8 +44,6 @@ _STEP_FRACTION = 0.99
 # the aggregate trace cap every problem is solved under (_with_trace_bound)
 _TRACE_CAP = 1e6
 _DIVERGENCE_LIMIT = 1e10
-# _schur forms the rows of W_k (x) W_k in chunks of at most this many entries
-_SCHUR_CHUNK = 8_000_000
 # a Schur solve's target relative residual and step limits (_schur_solve)
 _SOLVE_TOL = 1e-13
 _REFINE_STEPS = 3
@@ -214,7 +213,7 @@ class BlockProblem:
             )
 
     def _set_operator(self, A) -> None:
-        # _schur_blocks, the presolve and export_sdpa rely on canonical CSR
+        # the presolve and export_sdpa rely on canonical CSR
         self.A = A = _canonical(A)
         self.constraint_norms = np.sqrt(
             np.asarray(A.multiply(A).sum(axis=1)).ravel()
@@ -246,27 +245,24 @@ class BlockProblem:
 
     @cached_property
     def _schur_blocks(self) -> list[tuple]:
-        """Per block: the equalities touching it, their entries sliced by
-        ``ptr`` into full-symmetric (rows, cols, vals), and the block's
-        columns of ``A`` restricted to those equalities.  Built once per
-        problem, the first time a Schur complement is formed."""
+        """Per block: the equalities touching it and P, the block's columns
+        of ``A`` restricted to those rows, from which ``_schur`` forms the
+        block's part of M in one product.  Built once per problem, the
+        first time a Schur complement is formed."""
         coo = self.A.tocoo()
         blk = np.searchsorted(self.offsets, coo.col, side="right") - 1
-        # a stable sort keeps the (row, column) order within each block
-        order = np.argsort(blk, kind="stable")
+        order = np.argsort(blk)
         row, blk, val = coo.row[order], blk[order], coo.data[order]
         pos = coo.col[order] - self.offsets[blk]
         bounds = np.searchsorted(blk, np.arange(len(self.block_sizes) + 1))
         out = []
         for k, n in enumerate(self.block_sizes):
             lo, hi = bounds[k], bounds[k + 1]
-            eq_ids, starts = np.unique(row[lo:hi], return_index=True)
-            ptr = np.append(starts, hi - lo)
-            local = pos[lo:hi]
+            eq_ids, local = np.unique(row[lo:hi], return_inverse=True)
             P = sp.csr_matrix(
-                (val[lo:hi], local, ptr), shape=(len(eq_ids), n * n)
+                (val[lo:hi], (local, pos[lo:hi])), shape=(len(eq_ids), n * n)
             )
-            out.append((eq_ids, ptr, local // n, local % n, val[lo:hi], P))
+            out.append((eq_ids, P))
         return out
 
 
@@ -535,20 +531,13 @@ def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, flo
 
 
 def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
-    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in place."""
+    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in place; block k adds its
+    part <A_ik, W_k A_jk W_k> from one stacked product over its equalities."""
     M.fill(0.0)
-    for Wk, n, (eq_ids, ptr, rows, cols, vals, P) in zip(
-        W, bp.block_sizes, bp._schur_blocks
-    ):
-        chunk = max(1, _SCHUR_CHUNK // (n * n))
-        for start in range(0, len(eq_ids), chunk):
-            ids = eq_ids[start : start + chunk]
-            U = np.empty((len(ids), n * n))
-            for t, local in enumerate(range(start, start + len(ids))):
-                sl = slice(ptr[local], ptr[local + 1])
-                left = Wk[:, rows[sl]] * vals[sl]
-                U[t] = (left @ Wk[cols[sl], :]).ravel()
-            M[np.ix_(eq_ids, ids)] += P @ U.T
+    for Wk, (eq_ids, P) in zip(W, bp._schur_blocks):
+        n = len(Wk)
+        U = Wk @ P.toarray().reshape(-1, n, n) @ Wk
+        M[np.ix_(eq_ids, eq_ids)] += P @ U.reshape(len(eq_ids), n * n).T
 
 
 def _schur_factor(M: np.ndarray) -> tuple:
@@ -681,7 +670,7 @@ def solve_block_problem(
         pobj = sum(float(np.sum(Ck * Xk)) for Ck, Xk in zip(C, X)) + bp.objective_offset
         dobj = float(bp.b @ y) + bp.objective_offset
         pinf = float(np.linalg.norm(pinf_scale * r_p[:m_data]))
-        dinf = np.sqrt(sum(float(np.sum(rd**2)) for rd in r_d)) / (1.0 + bp.cost_norm)
+        dinf = np.sqrt(sum(float(np.sum(rd**2)) for rd in r_d)) / (1.0 + original.cost_norm)
         relgap = (pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         slack = abs(float(r_p @ y)) + sum(
             abs(float(np.sum(Xk * rdk))) for Xk, rdk in zip(X, r_d)

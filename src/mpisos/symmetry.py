@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CliqueSet
 from .poly import DynamicalSystem, Exponent, SupportSet, grlex_key
 from .sparsity import initial_support
 
@@ -145,12 +144,3 @@ def symmetry_blocks(
     blocks = [tuple(sorted(b, key=grlex_key)) for b in buckets.values()]
     blocks.sort(key=lambda b: grlex_key(b[0]))
     return tuple(blocks)
-
-
-def blocks_equal(
-    cliques: CliqueSet, blocks: tuple[tuple[Exponent, ...], ...]
-) -> bool:
-    """True iff the maximal cliques, as exponent sets, equal the blocks."""
-    clique_sets = {frozenset(c) for c in cliques.exponent_cliques()}
-    block_sets = {frozenset(b) for b in blocks}
-    return clique_sets == block_sets

@@ -103,9 +103,6 @@ class RandomNetworkModel(Model):
     matrix: tuple[tuple[float, ...], ...]
     attempts: int
 
-    def matrix_array(self) -> np.ndarray:
-        return np.array(self.matrix)
-
 
 def random_network_model(
     n: int, seed: int, max_attempts: int = 1000

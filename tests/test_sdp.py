@@ -17,6 +17,7 @@ from mpisos.sdp import (
     SolverTolerances,
     _equilibrated,
     _primal_objective,
+    _schur,
     _schur_factor,
     _schur_solve,
     _with_trace_bound,
@@ -509,6 +510,50 @@ class TestExtendedEndgame:
         assert sol.residuals["primal_infeasibility"] <= 1e-7
         assert sol.residuals["dual_infeasibility"] <= 1e-7
         assert abs(sol.residuals["relative_gap"]) <= 1e-7
+
+
+def dense_schur(sizes, dense, W) -> np.ndarray:
+    """Reference Schur matrix sum_k A_k (W_k (x) W_k) A_k^T from the dense
+    operator, whose rows hold each A_ik row-major."""
+    offsets = np.concatenate([[0], np.cumsum([n * n for n in sizes])])
+    M = np.zeros((len(dense), len(dense)))
+    for k, Wk in enumerate(W):
+        Ak = dense[:, offsets[k] : offsets[k + 1]]
+        M += Ak @ np.kron(Wk, Wk) @ Ak.T
+    return M
+
+
+class TestSchur:
+    @pytest.mark.parametrize("case", ["lorenz-ts-presolved", "hand-built"])
+    def test_matches_dense_reference(self, case):
+        if case == "hand-built":
+            # duplicate and off-diagonal entries, a 1x1 block, a row that
+            # touches one block only and a block that one row skips
+            sizes = [3, 1, 2]
+            entries = [
+                [(0, 0, 1, 0.5), (0, 0, 1, 0.25), (1, 0, 0, 2.0)],
+                [(0, 2, 2, -1.0), (2, 0, 1, 3.0), (2, 0, 1, -1.0)],
+                [(1, 0, 0, 1.5), (1, 0, 0, 1.5)],
+                [(0, 0, 2, 1.0), (0, 1, 1, 4.0), (1, 0, 0, -1.0), (2, 1, 1, 2.0)],
+            ]
+            bp = BlockProblem(
+                sizes, entries, B=np.zeros((4, 0)), b=np.ones(4), c_free=np.zeros(0)
+            )
+            dense = dense_operator(sizes, entries)
+        else:
+            bp, _ = reduce_free_variables(standardize(lorenz_problem(2)))
+            bp, _ = _equilibrated(_with_trace_bound(bp, 1e6))
+            sizes = bp.block_sizes
+            dense = bp.A.toarray()
+        rng = np.random.default_rng(11)
+        W = []
+        for n in sizes:
+            G = rng.normal(size=(n, n))
+            W.append(G @ G.T + 0.1 * np.eye(n))
+        M = np.ones((bp.m, bp.m))
+        _schur(bp, W, M)
+        want = dense_schur(sizes, dense, W)
+        assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSchurSolve:

@@ -36,6 +36,12 @@ from mpisos.sparsity import (
 )
 from mpisos.systems import coupled_cubic, extended_lorenz, lorenz, semi_coupled_cubic
 
+
+def exponent_edges(graph):
+    """The graph's edges as unordered pairs of exponents."""
+    return frozenset(frozenset((graph.nodes[i], graph.nodes[j])) for i, j in graph.edges)
+
+
 # exponent shorthands for the three-variable benchmark
 ONE = (0, 0, 0)
 X1, X2, X3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -166,7 +172,7 @@ class TestLorenzGoldens:
         sys = lorenz().system
         graph = build_v_step_graph(sys, 2, initial_support(sys, 2), 0)
         assert graph.nodes == monomial_basis(3, 2)
-        assert graph.exponent_edges() == V_STEP1_EDGES
+        assert exponent_edges(graph) == V_STEP1_EDGES
 
     def test_step1_clique_sizes(self, lorenz_chain):
         sizes = clique_set(lorenz_chain.v_extended_at(1)[0]).sizes()
@@ -183,20 +189,20 @@ class TestLorenzGoldens:
         a1 = initial_support(sys, 2)
         pair_only = frozenset({frozenset((X1, X2))})
         with_x3 = frozenset({frozenset((ONE, X3)), frozenset((X1, X2))})
-        assert build_v_step_graph(sys, 2, a1, 1).exponent_edges() == with_x3
-        assert build_v_step_graph(sys, 2, a1, 2).exponent_edges() == with_x3
-        assert build_v_step_graph(sys, 2, a1, 3).exponent_edges() == pair_only
+        assert exponent_edges(build_v_step_graph(sys, 2, a1, 1)) == with_x3
+        assert exponent_edges(build_v_step_graph(sys, 2, a1, 2)) == with_x3
+        assert exponent_edges(build_v_step_graph(sys, 2, a1, 3)) == pair_only
 
     def test_w_step1_graph_is_strict_subgraph(self, lorenz_chain):
         graph = lorenz_chain.w_graphs_at(1)[0]
         assert graph.nodes == monomial_basis(3, 2)
-        assert graph.exponent_edges() == W_STEP1_EDGES
+        assert exponent_edges(graph) == W_STEP1_EDGES
         assert W_STEP1_EDGES < V_STEP1_EDGES
 
     def test_w_multiplier_graphs_at_step1(self, lorenz_chain):
         pair_only = frozenset({frozenset((X1, X2))})
         for j in (1, 2, 3):
-            assert lorenz_chain.w_graphs_at(1)[j].exponent_edges() == pair_only
+            assert exponent_edges(lorenz_chain.w_graphs_at(1)[j]) == pair_only
 
     def test_w_chain_reaches_v_fixed_point(self, lorenz_chain):
         assert set(lorenz_chain.w_support_at(1)) == INITIAL_12
@@ -212,7 +218,7 @@ class TestLorenzGoldens:
     def test_w_multiplier_graphs_gain_edge_at_step2(self, lorenz_chain):
         with_x3 = frozenset({frozenset((ONE, X3)), frozenset((X1, X2))})
         for j in (1, 2, 3):
-            assert lorenz_chain.w_graphs_at(2)[j].exponent_edges() == with_x3
+            assert exponent_edges(lorenz_chain.w_graphs_at(2)[j]) == with_x3
 
     def test_stabilized_chain_helper(self):
         chain = stabilized_chain(lorenz().system, 2)

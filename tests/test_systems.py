@@ -86,14 +86,14 @@ class TestRandomNetworks:
         for n in (5, 6, 8, 10):
             model = random_network_model(n, seed=7)
             assert len(model.edges) == n - 4
-            b = model.matrix_array()
+            b = np.array(model.matrix)
             assert np.allclose(b, b.T)
             assert np.linalg.eigvalsh(b).min() > 0
             assert model.attempts >= 1
 
     def test_matrix_ranges(self):
         model = random_network_model(10, seed=3)
-        b = model.matrix_array()
+        b = np.array(model.matrix)
         diag = np.diag(b)
         assert ((diag >= 1.0) & (diag <= 2.0)).all()
         off = b[~np.eye(10, dtype=bool)]
@@ -109,7 +109,7 @@ class TestRandomNetworks:
 
     def test_field_matches_quadratic_form(self):
         model = random_network_model(6, seed=2)
-        b = model.matrix_array()
+        b = np.array(model.matrix)
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.uniform(-1, 1, size=6)
