@@ -22,7 +22,11 @@ the Schur complement M, positive definite and dense (problems here stay at
 a few thousand constraints).  Each block adds <A_ik, W_k A_jk W_k> to M from
 one stacked product, and M is factored once per iteration by a double
 Cholesky.  Where double refinement on it falls short in the endgame,
-GMRES-IR in long double carries the solves to the tolerances.
+GMRES-IR in long double carries the solves to the tolerances.  The iterates
+and every term of the Newton direction are one (k, n, n) stack per block
+size, gathered from a stacked vector by the blocks' columns of A and
+scattered back before each product with A, so Cholesky, SVD, eigvalsh and
+the sandwich products run once per block size, not once per block.
 """
 
 from __future__ import annotations
@@ -469,25 +473,44 @@ def _with_trace_bound(bp: BlockProblem, bound: float) -> BlockProblem:
     )
 
 
-def _chol_lower(mat: np.ndarray, label: str, trace: list) -> np.ndarray:
-    jitter = 0.0
-    base = max(np.trace(mat) / max(len(mat), 1), 1.0)
-    for _ in range(4):
+def _chol_lower(mats: np.ndarray, label: str, trace: list) -> np.ndarray:
+    """Lower Cholesky factors of a (k, n, n) stack in one call.  If a block
+    fails, the whole stack is retried with a jitter of 1e-14, 1e-12, 1e-10
+    times each block's mean diagonal (at least 1)."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        pass
+    eye = np.eye(mats.shape[-1])
+    base = np.maximum(np.trace(mats, axis1=1, axis2=2) / len(eye), 1.0)
+    for jitter in (1e-14, 1e-12, 1e-10):
         try:
-            if jitter:
-                return sla.cholesky(
-                    mat + jitter * np.eye(len(mat)), lower=True
-                )
-            return sla.cholesky(mat, lower=True)
-        except sla.LinAlgError:
-            jitter = base * 1e-14 if jitter == 0.0 else jitter * 100.0
+            return np.linalg.cholesky(mats + jitter * base[:, None, None] * eye)
+        except np.linalg.LinAlgError:
+            pass
     raise SolverBreakdown(f"Cholesky failed on {label} iterate", trace)
 
 
+def _nt_scaling(X: np.ndarray, S: np.ndarray, trace: list) -> tuple:
+    """Nesterov-Todd scaling of a (k, n, n) stack of iterates: R with
+    R^T S R = R^-1 X R^-T = diag(lam), W = R R^T (so W S W = X), and lam."""
+    Lx = _chol_lower(X, "primal", trace)
+    Ls = _chol_lower(S, "dual", trace)
+    try:
+        _, sig, Vt = np.linalg.svd(np.swapaxes(Ls, -1, -2) @ Lx)
+    except np.linalg.LinAlgError as exc:
+        raise SolverBreakdown(f"SVD breakdown: {exc}", trace) from exc
+    if sig.min() <= 0:
+        raise SolverBreakdown("singular scaling point", trace)
+    R = Lx @ np.swapaxes(Vt, -1, -2) / np.sqrt(sig)[:, None, :]
+    return R, R @ np.swapaxes(R, -1, -2), sig
+
+
 def _max_step(lam: np.ndarray, delta_hat: np.ndarray) -> float:
+    """The largest a keeping each diag(lam_k) + a delta_hat_k of a stack PSD."""
     scale = 1.0 / np.sqrt(lam)
-    scaled = delta_hat * scale[:, None] * scale[None, :]
-    nu = float(np.linalg.eigvalsh(scaled)[0])
+    scaled = delta_hat * scale[:, :, None] * scale[:, None, :]
+    nu = float(np.linalg.eigvalsh(scaled)[:, 0].min())
     if nu >= -_STEP_EIG_FLOOR:
         return np.inf
     return -1.0 / nu
@@ -616,9 +639,23 @@ def solve_block_problem(
     # to the central-path endgame
     bp, row_scale = _equilibrated(bp)
     m = bp.m
-    sizes = bp.block_sizes
     N = max(bp.total_dimension, 1)
-    C = bp.cost_blocks()
+    # per block size n: its blocks ks, unpermuted, and their columns of A
+    classes = []
+    for n in np.unique(bp.block_sizes):
+        ks = np.flatnonzero(np.array(bp.block_sizes) == n)
+        classes.append((n, ks, (bp.offsets[ks][:, None] + np.arange(n * n)).ravel()))
+
+    def gather(flat):
+        return [flat[cols].reshape(len(ks), n, n) for n, ks, cols in classes]
+
+    def scatter(stacks):
+        flat = np.empty(bp.offsets[-1], dtype=stacks[0].dtype)
+        for (_, _, cols), st in zip(classes, stacks):
+            flat[cols] = st.ravel()
+        return flat
+
+    C = gather(np.concatenate([Ck.ravel() for Ck in bp.cost_blocks()]))
 
     # identity-scaled cold start with magnitudes taken from the data rows;
     # the last row is the trace cap, whose right-hand side is a
@@ -637,10 +674,10 @@ def solve_block_problem(
     )
     tau_p = min(tau_p, 1e6)
     tau_d = min(tau_d, 1e6)
-    X = [tau_p * np.eye(n) for n in sizes]
-    S = [tau_d * np.eye(n) for n in sizes]
-    # start the slack on its row so the cap begins satisfied
-    X[-1][0, 0] = max(_TRACE_CAP - tau_p * (N - 1), tau_p)
+    X = [np.tile(tau_p * np.eye(n), (len(ks), 1, 1)) for n, ks, _ in classes]
+    S = [np.tile(tau_d * np.eye(n), (len(ks), 1, 1)) for n, ks, _ in classes]
+    # the cap's slack, the last 1x1 block, starts on its row: the cap holds
+    X[0][-1, 0, 0] = max(_TRACE_CAP - tau_p * (N - 1), tau_p)
     y = np.zeros(m)
     # primal infeasibility is measured on the unscaled data rows, as the
     # final status is: recovery meets the pivot rows exactly and leaves the
@@ -649,12 +686,8 @@ def solve_block_problem(
 
     trace: list[IterationRecord] = []
     M = np.zeros((m, m))
-    # GMRES-IR's exact Schur operator, in long double, one block size at a time
+    # GMRES-IR's exact Schur operator, in long double
     A_ld = bp.A.astype(np.longdouble)
-    classes = []
-    for n in set(sizes):
-        ks = np.flatnonzero(np.array(sizes) == n)
-        classes.append((ks, (bp.offsets[ks][:, None] + np.arange(n * n)).ravel()))
     best = None
     best_score = np.inf
     best_iteration = 0
@@ -663,17 +696,16 @@ def solve_block_problem(
 
     for it in range(1, tol.max_iterations + 1):
         iterations = it
-        r_p = bp.b - bp.apply_A(X)
-        At = bp.apply_At(y)
-        r_d = [Ck - Sk - Ak for Ck, Sk, Ak in zip(C, S, At)]
-        mu = sum(float(np.sum(Xk * Sk)) for Xk, Sk in zip(X, S)) / N
-        pobj = sum(float(np.sum(Ck * Xk)) for Ck, Xk in zip(C, X)) + bp.objective_offset
+        r_p = bp.b - bp.A @ scatter(X)
+        r_d = [Cc - Sc - Ac for Cc, Sc, Ac in zip(C, S, gather(bp.A.T @ y))]
+        mu = sum(float(np.sum(Xc * Sc)) for Xc, Sc in zip(X, S)) / N
+        pobj = sum(float(np.sum(Cc * Xc)) for Cc, Xc in zip(C, X)) + bp.objective_offset
         dobj = float(bp.b @ y) + bp.objective_offset
         pinf = float(np.linalg.norm(pinf_scale * r_p[:m_data]))
         dinf = np.sqrt(sum(float(np.sum(rd**2)) for rd in r_d)) / (1.0 + original.cost_norm)
         relgap = (pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         slack = abs(float(r_p @ y)) + sum(
-            abs(float(np.sum(Xk * rdk))) for Xk, rdk in zip(X, r_d)
+            float(np.abs(np.sum(Xc * rdc, axis=(1, 2))).sum()) for Xc, rdc in zip(X, r_d)
         )
 
         score = max(pinf, dinf, abs(relgap))
@@ -703,44 +735,27 @@ def solve_block_problem(
             # collapsed numerically, keep the best iterate seen so far
             trace.append(record)
             break
-        norms = [float(np.abs(Xk).max()) for Xk in X]
+        norms = [float(np.abs(Xc).max()) for Xc in X]
         if max(float(np.abs(y).max(initial=0.0)), max(norms)) > _DIVERGENCE_LIMIT:
             trace.append(record)
             status = "infeasible_flag"
             break
 
-        # Nesterov-Todd scaling per block
-        R, W, lam = [], [], []
-        for k, n in enumerate(sizes):
-            Lx = _chol_lower(X[k], "primal", trace)
-            Ls = _chol_lower(S[k], "dual", trace)
-            try:
-                Usvd, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-            except np.linalg.LinAlgError as exc:
-                raise SolverBreakdown(f"SVD breakdown: {exc}", trace) from exc
-            if sig.min() <= 0:
-                raise SolverBreakdown("singular scaling point", trace)
-            Rk = Lx @ Vt.T / np.sqrt(sig)
-            R.append(Rk)
-            W.append(Rk @ Rk.T)
-            lam.append(sig)
+        R, W, lam = zip(*(_nt_scaling(Xc, Sc, trace) for Xc, Sc in zip(X, S)))
 
         # M is positive definite (full-rank constraints, PD scaling).  Its
         # two triangles round apart and Cholesky reads only one, so M is
         # made symmetric: refinement then runs against the matrix that was
         # factored, up to _schur_factor's shift
-        _schur(bp, W, M)
+        _schur(bp, bp._split(scatter(W)), M)
         M += M.T
         M *= 0.5
         factor = _schur_factor(M)
         solves = {"krylov_steps": 0, "newton_residual": 0.0}
-        W_classes = [(cols, np.stack([W[k] for k in ks])) for ks, cols in classes]
 
         def apply_exact(v):
-            z = A_ld.T @ v
-            for cols, Ws in W_classes:
-                z[cols] = (Ws @ z[cols].reshape(Ws.shape) @ Ws).ravel()
-            return A_ld @ z
+            Z = gather(A_ld.T @ v)
+            return A_ld @ scatter([Wc @ Zc @ Wc for Wc, Zc in zip(W, Z)])
 
         def kkt_solve(rhs):
             sol, steps, res = _schur_solve(M, factor, apply_exact, rhs)
@@ -748,23 +763,18 @@ def solve_block_problem(
             solves["newton_residual"] = max(solves["newton_residual"], res)
             return np.asarray(sol, dtype=float)
 
-        WrdW = [Wk @ rdk @ Wk for Wk, rdk in zip(W, r_d)]
-        A_WrdW = bp.apply_A(WrdW)
+        A_WrdW = bp.A @ scatter([Wc @ rdc @ Wc for Wc, rdc in zip(W, r_d)])
 
         def direction(K):
             """Solve for (dy, dX, dS, dXhat, dShat) given the scaled
-            complementarity target K per block."""
-            RTKRt = []
-            for Rk, lamk, Kk in zip(R, lam, K):
-                TK = 2.0 * Kk / (lamk[:, None] + lamk[None, :])
-                RTKRt.append((Rk @ TK @ Rk.T, TK))
-            h1 = r_p - bp.apply_A([p for p, _ in RTKRt]) + A_WrdW
-            dy = kkt_solve(h1)
-            Atdy = bp.apply_At(dy)
-            dS = [rdk - Ak for rdk, Ak in zip(r_d, Atdy)]
-            dShat = [Rk.T @ dSk @ Rk for Rk, dSk in zip(R, dS)]
-            dXhat = [TK - dsh for (_, TK), dsh in zip(RTKRt, dShat)]
-            dX = [Rk @ dxh @ Rk.T for Rk, dxh in zip(R, dXhat)]
+            complementarity target K, one stack per block size."""
+            TK = [2.0 * Kc / (lc[:, :, None] + lc[:, None, :]) for lc, Kc in zip(lam, K)]
+            RTKRt = [Rc @ TKc @ np.swapaxes(Rc, -1, -2) for Rc, TKc in zip(R, TK)]
+            dy = kkt_solve(r_p - bp.A @ scatter(RTKRt) + A_WrdW)
+            dS = [rdc - Ac for rdc, Ac in zip(r_d, gather(bp.A.T @ dy))]
+            dShat = [np.swapaxes(Rc, -1, -2) @ dSc @ Rc for Rc, dSc in zip(R, dS)]
+            dXhat = [TKc - dsh for TKc, dsh in zip(TK, dShat)]
+            dX = [Rc @ dxh @ np.swapaxes(Rc, -1, -2) for Rc, dxh in zip(R, dXhat)]
             # the sandwich products above lose O(eps * cond(W)) digits, which
             # caps how far primal feasibility can fall; push the measured
             # violation of the primal Newton equation back through the same
@@ -772,28 +782,27 @@ def solve_block_problem(
             # scaled complementarity equation, so that equation stays intact)
             r_p_norm = 1.0 + float(np.linalg.norm(r_p))
             for _ in range(3):
-                r_lin = r_p - bp.apply_A(dX)
+                r_lin = r_p - bp.A @ scatter(dX)
                 if float(np.linalg.norm(r_lin)) <= 1e-12 * r_p_norm:
                     break
                 dy2 = kkt_solve(r_lin)
-                At2 = bp.apply_At(dy2)
                 dy = dy + dy2
-                for k, Ak in enumerate(At2):
-                    half = R[k].T @ Ak @ R[k]
-                    dXhat[k] = dXhat[k] + half
-                    dShat[k] = dShat[k] - half
-                    dX[k] = dX[k] + W[k] @ Ak @ W[k]
-                    dS[k] = dS[k] - Ak
+                for c, Ac in enumerate(gather(bp.A.T @ dy2)):
+                    half = np.swapaxes(R[c], -1, -2) @ Ac @ R[c]
+                    dXhat[c] = dXhat[c] + half
+                    dShat[c] = dShat[c] - half
+                    dX[c] = dX[c] + W[c] @ Ac @ W[c]
+                    dS[c] = dS[c] - Ac
             return dy, dX, dS, dXhat, dShat
 
         # predictor: drive mu to zero
-        K_aff = [-np.diag(lamk**2) for lamk in lam]
+        K_aff = [-(lc**2)[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
         dy_a, dX_a, dS_a, dXh_a, dSh_a = direction(K_aff)
         ap = _step_length(lam, dXh_a)
         ad = _step_length(lam, dSh_a)
         mu_aff = sum(
-            float(np.sum((Xk + ap * dXk) * (Sk + ad * dSk)))
-            for Xk, dXk, Sk, dSk in zip(X, dX_a, S, dS_a)
+            float(np.sum((Xc + ap * dXc) * (Sc + ad * dSc)))
+            for Xc, dXc, Sc, dSc in zip(X, dX_a, S, dS_a)
         ) / N
         mu_aff = max(mu_aff, 0.0)
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
@@ -802,33 +811,28 @@ def solve_block_problem(
         # singular and return enormous directions; folding their product
         # into the corrector would poison it, so fall back to a plain
         # centering step and let the iterate recover
-        cross_sq = sum(
-            float(np.sum((dxh @ dsh) ** 2))
-            for dxh, dsh in zip(dXh_a, dSh_a)
-        )
+        cross = [dxh @ dsh for dxh, dsh in zip(dXh_a, dSh_a)]
+        cross_sq = sum(float(np.sum(c**2)) for c in cross)
         use_cross = min(ap, ad) >= 0.01 and np.sqrt(cross_sq) <= 1e2 * mu * N
         if not use_cross:
             sigma = max(sigma, 0.8)
 
         # corrector: recentre and fold in the second-order term
-        K_corr = []
-        for lamk, dxh, dsh in zip(lam, dXh_a, dSh_a):
-            term = sigma * mu * np.eye(len(lamk)) - np.diag(lamk**2)
-            if use_cross:
-                cross = dxh @ dsh
-                term = term - 0.5 * (cross + cross.T)
-            K_corr.append(term)
+        K_corr = [(sigma * mu - lc**2)[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
+        if use_cross:
+            K_corr = [Kc - 0.5 * (c + np.swapaxes(c, -1, -2)) for Kc, c in zip(K_corr, cross)]
         dy, dX, dS, dXh, dSh = direction(K_corr)
         ap = _step_length(lam, dXh)
         ad = _step_length(lam, dSh)
 
-        X = [0.5 * ((Xk + ap * dXk) + (Xk + ap * dXk).T) for Xk, dXk in zip(X, dX)]
-        S = [0.5 * ((Sk + ad * dSk) + (Sk + ad * dSk).T) for Sk, dSk in zip(S, dS)]
+        X = [0.5 * ((Xc + ap * dXc) + np.swapaxes(Xc + ap * dXc, -1, -2)) for Xc, dXc in zip(X, dX)]
+        S = [0.5 * ((Sc + ad * dSc) + np.swapaxes(Sc + ad * dSc, -1, -2)) for Sc, dSc in zip(S, dS)]
         y = y + ad * dy
         trace.append(replace(record, step_primal=ap, step_dual=ad, sigma=sigma, **solves))
 
     if status == "max_iter" and best is not None:
         X, y, S = best
+    X, S = bp._split(scatter(X)), bp._split(scatter(S))
     # map back to the original data and judge the final status against it;
     # presolve and scaling leave the PSD blocks, and so X and S, untouched
     y = y / row_scale

@@ -15,7 +15,10 @@ from mpisos.sdp import (
     SdpSolution,
     SolverBreakdown,
     SolverTolerances,
+    _chol_lower,
     _equilibrated,
+    _max_step,
+    _nt_scaling,
     _primal_objective,
     _schur,
     _schur_factor,
@@ -610,3 +613,112 @@ class TestOriginalSpaceStatus:
         )
         sol = solve(p)
         assert sol.status == "optimal"
+
+
+def spd_stack(rng, k, n) -> np.ndarray:
+    G = rng.normal(size=(k, n, n))
+    return G @ np.swapaxes(G, -1, -2) + n * np.eye(n)
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_nt_scaling(self, n):
+        rng = np.random.default_rng(n)
+        X, S = spd_stack(rng, 4, n), spd_stack(rng, 4, n)
+        R, W, lam = _nt_scaling(X, S, [])
+        diag = lam[:, :, None] * np.eye(n)
+        tol = dict(rtol=1e-10, atol=1e-10 * lam.max())
+        Rt = np.swapaxes(R, -1, -2)
+        assert np.allclose(Rt @ S @ R, diag, **tol)
+        Rinv = np.linalg.inv(R)
+        assert np.allclose(Rinv @ X @ np.swapaxes(Rinv, -1, -2), diag, **tol)
+        assert np.allclose(W, R @ Rt, rtol=1e-14, atol=0)
+        assert np.allclose(W @ S @ W, X, rtol=1e-10, atol=1e-10 * np.abs(X).max())
+
+    def test_max_step_matches_per_block_loop(self):
+        rng = np.random.default_rng(2)
+        lam = rng.uniform(0.5, 2.0, size=(6, 3))
+        D = random_blocks(rng, [3] * 6)
+        want = np.inf
+        for lk, Dk in zip(lam, D):
+            scale = 1.0 / np.sqrt(lk)
+            nu = np.linalg.eigvalsh(Dk * np.outer(scale, scale))[0]
+            want = min(want, -1.0 / nu if nu < 0 else np.inf)
+        assert _max_step(lam, np.array(D)) == pytest.approx(want, rel=1e-12)
+        assert _max_step(lam, np.zeros((6, 3, 3))) == np.inf
+
+    def test_chol_lower_jitter_guard(self):
+        # the first block is PSD only up to rounding: the jitter retry must
+        # factor it and leave the factors of the others where they were
+        rng = np.random.default_rng(9)
+        healthy = spd_stack(rng, 2, 2)
+        mats = np.concatenate([np.diag([1.0, -1e-17])[None], healthy])
+        L = _chol_lower(mats, "primal", [])
+        assert np.all(np.isfinite(L)) and np.all(np.triu(L[0], 1) == 0.0)
+        assert np.allclose(L[0] @ L[0].T, mats[0], rtol=0, atol=1e-12)
+        assert np.allclose(L[1:], np.linalg.cholesky(healthy), rtol=0, atol=1e-13)
+        mats[0] = np.diag([1.0, -1.0])
+        with pytest.raises(SolverBreakdown, match="primal"):
+            _chol_lower(mats, "primal", [])
+
+
+class TestBlockOrder:
+    def test_shuffled_blocks_give_the_same_solution(self):
+        # the solver groups blocks by size without moving them; a problem
+        # with its blocks in another order must give the same solution,
+        # each block in its own place
+        p = lorenz_problem(2)
+        bp = standardize(p)
+        assert len(bp.block_sizes) == 31 and len(set(bp.block_sizes)) > 2
+        perm = np.random.default_rng(3).permutation(len(bp.block_sizes))
+        new_index = np.argsort(perm)
+        shuffled = BlockProblem(
+            [bp.block_sizes[k] for k in perm],
+            [
+                [(int(new_index[k]), r, c, v) for k, r, c, v in eq.block_entries]
+                for eq in p.equalities
+            ],
+            bp.B,
+            bp.b,
+            bp.c_free,
+        )
+        a, b = solve_block_problem(bp), solve_block_problem(shuffled)
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations
+        assert b.objective == pytest.approx(a.objective, rel=1e-9)
+        for j, k in enumerate(perm):
+            assert np.allclose(b.block_values[j], a.block_values[k], rtol=0, atol=1e-6)
+
+
+def objective(model, **config) -> float:
+    p = assemble(
+        model.system, Box.from_bounds(model.bounds), RelaxationConfig(d=2, **config)
+    )
+    sol = solve(p)
+    assert sol.status == "optimal"
+    return sol.objective
+
+
+class TestPaperInvariants:
+    def test_lorenz_d2(self):
+        # ss equals the dense relaxation, and term sparsity reaches it at
+        # (s, l) = (2, 2) from above
+        model = lorenz()
+        ss = objective(model, mode="ss")
+        assert ss == pytest.approx(4.554010, rel=1e-6)
+        assert objective(model, mode="fd") == pytest.approx(ss, rel=1e-6)
+        assert objective(model, mode="ts", s=2, l=2) == pytest.approx(ss, rel=1e-6)
+        ts = objective(model, mode="ts")
+        assert ts == pytest.approx(5.567028, rel=1e-6)
+        assert ts >= ss
+
+    def test_network_n8(self):
+        # the maximal chordal extension reaches ss at (2, 2); min-degree
+        # stays above it
+        model = random_network_model(8, 0)
+        ss = objective(model, mode="ss")
+        assert ss == pytest.approx(43.027454, rel=1e-6)
+        assert objective(model, mode="ts", s=2, l=2) == pytest.approx(ss, rel=1e-6)
+        ts = objective(model, mode="ts", s=2, l=2, extension="min-degree")
+        assert ts == pytest.approx(46.852807, rel=1e-6)
+        assert ts >= ss
