@@ -19,14 +19,14 @@ rows, and the presolve refuses a problem where one is not.  The method is a
 primal-dual path follower with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step on the PSD blocks alone, so its Newton system is
 the Schur complement M, positive definite and dense (problems here stay at
-a few thousand constraints).  Each block adds <A_ik, W_k A_jk W_k> to M from
-one stacked product, and M is factored once per iteration by a double
+a few thousand constraints), factored once per iteration by a double
 Cholesky.  Where double refinement on it falls short in the endgame,
 GMRES-IR in long double carries the solves to the tolerances.  The iterates
 and every term of the Newton direction are one (k, n, n) stack per block
 size, gathered from a stacked vector by the blocks' columns of A and
-scattered back before each product with A, so Cholesky, SVD, eigvalsh and
-the sandwich products run once per block size, not once per block.
+scattered back before each product with A, so Cholesky, SVD, eigvalsh, the
+sandwich products and the Schur complement's <A_ik, W_k A_jk W_k> run once
+per block size, not once per block; M is formed in bounded chunks of pairs.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ _REFINE_STEPS = 3
 _GMRES_RESTARTS = 3
 _GMRES_STEPS = 20
 _NEAR_OPTIMAL_FACTOR = 1e3
+# doubles per temporary of one chunk of pair slots in _schur
+_SCHUR_BUDGET = 1 << 16
 
 
 class SolverBreakdown(RuntimeError):
@@ -248,25 +250,38 @@ class BlockProblem:
         return self._split(self.A.T @ y)
 
     @cached_property
-    def _schur_blocks(self) -> list[tuple]:
-        """Per block: the equalities touching it and P, the block's columns
-        of ``A`` restricted to those rows, from which ``_schur`` forms the
-        block's part of M in one product.  Built once per problem, the
-        first time a Schur complement is formed."""
+    def _size_classes(self) -> list[tuple]:
+        """Per block size n: its blocks ks, unpermuted, and their columns of A."""
+        sizes = np.array(self.block_sizes)
+        classes = [(int(n), np.flatnonzero(sizes == n)) for n in np.unique(sizes)]
+        return [
+            (n, ks, (self.offsets[ks][:, None] + np.arange(n * n)).ravel()) for n, ks in classes
+        ]
+
+    @cached_property
+    def _schur_tables(self) -> list[tuple]:
+        """Per size class, the tables of ``_schur``: n; Pg, the class's
+        columns of ``A`` in the rows of its pairs, ordered by slot, and the
+        slot of each entry of Pg; each pair's row times m and its block's
+        place in ks; and the (k, e) rows in the blocks' slots, 0 in padding."""
+        sizes = np.array(self.block_sizes)
         coo = self.A.tocoo()
         blk = np.searchsorted(self.offsets, coo.col, side="right") - 1
-        order = np.argsort(blk)
-        row, blk, val = coo.row[order], blk[order], coo.data[order]
-        pos = coo.col[order] - self.offsets[blk]
-        bounds = np.searchsorted(blk, np.arange(len(self.block_sizes) + 1))
+        keys, pair = np.unique(coo.row.astype(np.int64) * len(sizes) + blk, return_inverse=True)
+        p_row, p_blk = np.divmod(keys, len(sizes))
+        by_blk = np.argsort(p_blk, kind="stable")
+        slot = np.argsort(by_blk) - np.searchsorted(p_blk[by_blk], p_blk)
+        by_slot = np.argsort(slot, kind="stable")
+        pairs = sp.csr_matrix((coo.data, (pair, coo.col)), shape=(len(keys), coo.shape[1]))
         out = []
-        for k, n in enumerate(self.block_sizes):
-            lo, hi = bounds[k], bounds[k + 1]
-            eq_ids, local = np.unique(row[lo:hi], return_inverse=True)
-            P = sp.csr_matrix(
-                (val[lo:hi], (local, pos[lo:hi])), shape=(len(eq_ids), n * n)
-            )
-            out.append((eq_ids, P))
+        for n, ks, cols in self._size_classes:
+            qs = by_slot[sizes[p_blk[by_slot]] == n]
+            place = np.searchsorted(ks, p_blk[qs])
+            eqs = np.zeros((len(ks), slot[qs].max(initial=-1) + 1), dtype=np.int64)
+            eqs[place, slot[qs]] = p_row[qs]
+            Pg = pairs[qs][:, cols]
+            pg_slot = np.repeat(slot[qs], np.diff(Pg.indptr))
+            out.append((n, Pg, pg_slot, p_row[qs] * self.m, place, eqs))
         return out
 
 
@@ -554,13 +569,29 @@ def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, flo
 
 
 def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
-    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in place; block k adds its
-    part <A_ik, W_k A_jk W_k> from one stacked product over its equalities."""
+    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in place from the (k, n, n)
+    stacks W of ``bp._size_classes``, by the same calls for every size.  A
+    pair is one (row i, block k) with A_ik != 0; block k's pairs fill its
+    slots j = 0, 1, ... in row order.  Per class and chunk of slots, Pt
+    stacks the pairs' A_ik, zero-padded; U = W_k Pt W_k overwrites it;
+    Q = Pg U adds <A_ik, W_k A_jk W_k> into M at (i, j) by ``np.add.at``, as
+    two blocks' pairs can meet there.  Chunks of slots keep each temporary
+    within _SCHUR_BUDGET doubles (or one slot), bounding the memory of large
+    blocks and letting the allocator reuse them rather than fault them in."""
     M.fill(0.0)
-    for Wk, (eq_ids, P) in zip(W, bp._schur_blocks):
-        n = len(Wk)
-        U = Wk @ P.toarray().reshape(-1, n, n) @ Wk
-        M[np.ix_(eq_ids, eq_ids)] += P @ U.reshape(len(eq_ids), n * n).T
+    for Wc, (n, Pg, slot, row, place, eqs) in zip(W, bp._schur_tables):
+        k, e = len(Wc), eqs.shape[1]
+        width = max(1, _SCHUR_BUDGET // max(k * n * n, len(row)))
+        for s0 in range(0, e, width):
+            w = min(width, e - s0)
+            lo, hi = np.searchsorted(slot, [s0, s0 + w])
+            Pt = np.zeros((k, n, n, w))
+            Pt.reshape(-1)[Pg.indices[lo:hi] * w + slot[lo:hi] - s0] = Pg.data[lo:hi]
+            T = (Wc @ Pt.reshape(k, n, n * w)).reshape(k, n, n, w)
+            # W_k is symmetric: row a of W_k A W_k is W_k times row a of T
+            np.matmul(Wc[:, None], T, out=Pt)
+            idx = eqs[place, s0 : s0 + w] + row[:, None]
+            np.add.at(M.reshape(-1), idx.ravel(), (Pg @ Pt.reshape(-1, w)).ravel())
 
 
 def _schur_factor(M: np.ndarray) -> tuple:
@@ -640,11 +671,7 @@ def solve_block_problem(
     bp, row_scale = _equilibrated(bp)
     m = bp.m
     N = max(bp.total_dimension, 1)
-    # per block size n: its blocks ks, unpermuted, and their columns of A
-    classes = []
-    for n in np.unique(bp.block_sizes):
-        ks = np.flatnonzero(np.array(bp.block_sizes) == n)
-        classes.append((n, ks, (bp.offsets[ks][:, None] + np.arange(n * n)).ravel()))
+    classes = bp._size_classes
 
     def gather(flat):
         return [flat[cols].reshape(len(ks), n, n) for n, ks, cols in classes]
@@ -747,7 +774,7 @@ def solve_block_problem(
         # two triangles round apart and Cholesky reads only one, so M is
         # made symmetric: refinement then runs against the matrix that was
         # factored, up to _schur_factor's shift
-        _schur(bp, bp._split(scatter(W)), M)
+        _schur(bp, W, M)
         M += M.T
         M *= 0.5
         factor = _schur_factor(M)

@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from oracles import admm_sdp
 from sdpa_reader import fold_free_pairs, parse_sdpa
 
+from mpisos import sdp
 from mpisos.relax import Box, assemble
 from mpisos.sdp import (
     BlockProblem,
@@ -531,16 +532,20 @@ class TestSchur:
     def test_matches_dense_reference(self, case):
         if case == "hand-built":
             # duplicate and off-diagonal entries, a 1x1 block, a row that
-            # touches one block only and a block that one row skips
-            sizes = [3, 1, 2]
+            # touches one block only and a block that one row skips; block 3
+            # has fewer pairs than block 0 of its size, so its slots are
+            # padded; no row touches block 4, of an existing size, or
+            # block 5, the only one of its size
+            sizes = [3, 1, 2, 3, 2, 4]
             entries = [
                 [(0, 0, 1, 0.5), (0, 0, 1, 0.25), (1, 0, 0, 2.0)],
-                [(0, 2, 2, -1.0), (2, 0, 1, 3.0), (2, 0, 1, -1.0)],
+                [(0, 2, 2, -1.0), (2, 0, 1, 3.0), (2, 0, 1, -1.0), (3, 1, 2, 2.0)],
                 [(1, 0, 0, 1.5), (1, 0, 0, 1.5)],
                 [(0, 0, 2, 1.0), (0, 1, 1, 4.0), (1, 0, 0, -1.0), (2, 1, 1, 2.0)],
+                [(3, 0, 0, -2.0), (3, 1, 2, 0.5), (0, 2, 2, 1.0)],
             ]
             bp = BlockProblem(
-                sizes, entries, B=np.zeros((4, 0)), b=np.ones(4), c_free=np.zeros(0)
+                sizes, entries, B=np.zeros((5, 0)), b=np.ones(5), c_free=np.zeros(0)
             )
             dense = dense_operator(sizes, entries)
         else:
@@ -554,9 +559,15 @@ class TestSchur:
             G = rng.normal(size=(n, n))
             W.append(G @ G.T + 0.1 * np.eye(n))
         M = np.ones((bp.m, bp.m))
-        _schur(bp, W, M)
+        _schur(bp, [np.array([W[k] for k in ks]) for _, ks, _ in bp._size_classes], M)
         want = dense_schur(sizes, dense, W)
         assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["lorenz-ts-presolved", "hand-built"])
+    def test_matches_dense_reference_in_small_chunks(self, case, monkeypatch):
+        # every class with more than one slot then takes several chunks
+        monkeypatch.setattr(sdp, "_SCHUR_BUDGET", 8)
+        self.test_matches_dense_reference(case)
 
 
 class TestSchurSolve:
@@ -711,6 +722,20 @@ class TestPaperInvariants:
         ts = objective(model, mode="ts")
         assert ts == pytest.approx(5.567028, rel=1e-6)
         assert ts >= ss
+
+    def test_lorenz_d2_ts_does_not_increase_in_s_l(self):
+        # each step up the term-sparsity hierarchy keeps the earlier support
+        # and adds to it, so the bound can only tighten; it reaches ss at
+        # (2, 2) and stays there
+        model = lorenz()
+        chain = [
+            objective(model, mode="ts", s=s, l=l)
+            for s, l in [(1, 1), (1, 2), (2, 2), (3, 3)]
+        ]
+        assert chain == pytest.approx([5.5670284, 4.5597063, 4.5540104, 4.5540104], rel=1e-6)
+        for before, after in zip(chain, chain[1:]):
+            assert after <= before * (1 + 1e-9)
+        assert chain[-1] == pytest.approx(objective(model, mode="ss"), rel=1e-6)
 
     def test_network_n8(self):
         # the maximal chordal extension reaches ss at (2, 2); min-degree
