@@ -8,12 +8,11 @@ support compare cheaply and dumps are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 
-from .poly import Exponent, SupportSet, exp_add, grlex_key
+import numpy as np
 
-
-def _sorted_nodes(nodes: tuple[Exponent, ...]) -> bool:
-    return all(grlex_key(nodes[i]) < grlex_key(nodes[i + 1]) for i in range(len(nodes) - 1))
+from .poly import Exponent, SupportSet, exponent_keys, grlex_key, radix_weights
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class MonomialGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not _sorted_nodes(self.nodes):
+        if any(grlex_key(a) >= grlex_key(b) for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly graded-lex sorted")
         n = len(self.nodes)
         for i, j in self.edges:
@@ -36,7 +35,8 @@ class MonomialGraph:
         """Build from nodes in any order; edge indices refer to the given order."""
         given = tuple(nodes)
         node_tuple = tuple(sorted(given, key=grlex_key))
-        remap = {old: node_tuple.index(alpha) for old, alpha in enumerate(given)}
+        position = {alpha: k for k, alpha in enumerate(node_tuple)}
+        remap = {old: position[alpha] for old, alpha in enumerate(given)}
         norm = frozenset(
             (min(remap[i], remap[j]), max(remap[i], remap[j])) for i, j in edges if i != j
         )
@@ -49,6 +49,11 @@ class MonomialGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (edge_count, 2) int64 array, in set order."""
+        flat = chain.from_iterable(self.edges)
+        return np.fromiter(flat, np.int64, 2 * len(self.edges)).reshape(-1, 2)
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.nodes]
@@ -84,7 +89,9 @@ class ChordalGraph(MonomialGraph):
     """A MonomialGraph with a perfect elimination order certifying chordality.
 
     elimination_order lists node indices; for each node, its neighbours that
-    appear later in the order must form a clique.
+    appear later in the order must form a clique.  The check is linear (Rose,
+    Tarjan and Lueker): each later neighbour of v but the earliest, p, must be
+    adjacent to p, which by induction from the end makes each a clique.
     """
 
     elimination_order: tuple[int, ...]
@@ -94,18 +101,23 @@ class ChordalGraph(MonomialGraph):
         n = len(self.nodes)
         if sorted(self.elimination_order) != list(range(n)):
             raise ValueError("elimination order must be a permutation of the node indices")
-        position = {v: k for k, v in enumerate(self.elimination_order)}
-        adj = self.adjacency()
-        for v in self.elimination_order:
-            later = [u for u in adj[v] if position[u] > position[v]]
-            for a in range(len(later)):
-                for b in range(a + 1, len(later)):
-                    i, j = min(later[a], later[b]), max(later[a], later[b])
-                    if (i, j) not in self.edges:
-                        raise ValueError(
-                            f"order is not a perfect elimination order: "
-                            f"{later[a]} and {later[b]} follow {v} but are not adjacent"
-                        )
+        position = np.empty(n, dtype=np.int64)
+        position[list(self.elimination_order)] = np.arange(n)
+        edges = self.edge_array()
+        # (earlier, later) ends sorted by earlier end, then position: each run opens on its p
+        forward = position[edges[:, 0]] < position[edges[:, 1]]
+        pairs = np.where(forward[:, None], edges, edges[:, ::-1])
+        v, w = pairs[np.lexsort((position[pairs[:, 1]], pairs[:, 0]))].T
+        opens = np.diff(v, prepend=-1) != 0
+        parent = w[opens][np.cumsum(opens) - 1]
+        need = np.minimum(parent, w) * n + np.maximum(parent, w)
+        bad = np.flatnonzero(~opens & ~np.isin(need, edges @ [n, 1]))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(
+                f"order is not a perfect elimination order: "
+                f"{parent[k]} and {w[k]} follow {v[k]} but are not adjacent"
+            )
 
 
 def maximal_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
@@ -116,9 +128,7 @@ def maximal_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
     """
     edges = set(graph.edges)
     for comp in graph.connected_components():
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                edges.add((comp[a], comp[b]))
+        edges.update(combinations(comp, 2))
     return ChordalGraph(graph.nodes, frozenset(edges), tuple(range(len(graph.nodes))))
 
 
@@ -147,14 +157,11 @@ def approx_smallest_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
         if chosen < 0:
             chosen = min(alive, key=lambda v: (len(adj[v]), v))
         order.append(chosen)
-        nb = sorted(adj[chosen])
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                e = (nb[a], nb[b])
-                if e not in graph.edges and e not in fill:
-                    fill.add(e)
-                    adj[e[0]].add(e[1])
-                    adj[e[1]].add(e[0])
+        for e in combinations(sorted(adj[chosen]), 2):
+            if e not in graph.edges and e not in fill:
+                fill.add(e)
+                adj[e[0]].add(e[1])
+                adj[e[1]].add(e[0])
         for u in adj[chosen]:
             adj[u].discard(chosen)
         adj[chosen] = set()
@@ -211,10 +218,16 @@ def supp_of_graph(graph: MonomialGraph) -> SupportSet:
     """Exponent support of a Gram matrix patterned on the graph.
 
     Diagonal entries contribute 2*alpha for every node alpha, off-diagonal
-    entries contribute alpha + gamma for every edge {alpha, gamma}.
+    entries contribute alpha + gamma for every edge {alpha, gamma}.  Each
+    distinct sum, told apart by radix key, is built once.
     """
-    dim = len(graph.nodes[0]) if graph.nodes else 0
-    out: set[Exponent] = {exp_add(a, a) for a in graph.nodes}
-    for i, j in graph.edges:
-        out.add(exp_add(graph.nodes[i], graph.nodes[j]))
-    return SupportSet(dim, frozenset(out))
+    if not graph.nodes:
+        return SupportSet(0, frozenset())
+    nodes = np.array(graph.nodes, dtype=np.int64)
+    dim = nodes.shape[1]
+    keys = exponent_keys(nodes, radix_weights(dim, 2 * nodes.sum(axis=1).max()))
+    diagonal = np.arange(len(nodes)).repeat(2).reshape(-1, 2)
+    ends = np.concatenate([diagonal, graph.edge_array()])
+    first = np.unique(keys[ends[:, 0]] + keys[ends[:, 1]], return_index=True)[1]
+    sums = nodes[ends[first, 0]] + nodes[ends[first, 1]]
+    return SupportSet(dim, frozenset(map(tuple, sums.tolist())))

@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 Exponent = tuple[int, ...]
 
 NEG_INF = float("-inf")
@@ -34,6 +36,20 @@ def grlex_key(alpha: Exponent) -> tuple[int, Exponent]:
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def radix_weights(dim: int, max_degree: int) -> np.ndarray:
+    """Weights w keying each exponent alpha of total degree <= max_degree as
+    ``alpha @ w`` in base max_degree + 1, first variable most significant: keys
+    add like exponents, ``key // w % base`` decodes, and no key overflows, as
+    the weights are Python ints in an object array where int64 would."""
+    base = int(max_degree) + 1
+    dtype = np.int64 if base**dim <= 2**63 else object
+    return np.array([base**k for k in range(dim - 1, -1, -1)], dtype=dtype)
+
+
+def exponent_keys(exponents, weights: np.ndarray) -> np.ndarray:
+    return np.array(exponents, dtype=np.int64).reshape(-1, len(weights)) @ weights
 
 
 def monomial_basis(dim: int, max_degree: int) -> tuple[Exponent, ...]:

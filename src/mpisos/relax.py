@@ -25,9 +25,11 @@ from .poly import (
     Exponent,
     Polynomial,
     SupportSet,
+    exponent_keys,
     grlex_key,
     lie_polynomial,
     monomial_basis,
+    radix_weights,
     support,
 )
 from .sparsity import (
@@ -214,6 +216,48 @@ def _lie_coefficient_map(
     return out
 
 
+def _gram_rows(
+    blocks: list[GramBlock], multipliers: tuple[Polynomial, ...], dim: int
+) -> dict[str, dict[Exponent, list[tuple[int, int, int, float]]]]:
+    """Gram entries (block, r, c, coef) per identity and matched exponent, in
+    loop order: block, r <= c row-major, term.  One array pass on radix keys
+    per (multiplier, size) class of blocks, then a stable sort groups them;
+    block ids and coefficients are looked up, so entries share the objects."""
+    terms = [p.sorted_terms() for p in multipliers]
+    first_term = np.cumsum([0] + [len(t) for t in terms])
+    top = 2 * max(sum(a) for b in blocks for a in b.exponents) + max(p.degree for p in multipliers)
+    weights = radix_weights(dim, top)
+    classes: dict[tuple[int, int], list[int]] = {}
+    for block_id, block in enumerate(blocks):
+        classes.setdefault((block.multiplier, block.dimension), []).append(block_id)
+    parts = []
+    for (j, size), ids in classes.items():
+        exps = exponent_keys([blocks[k].exponents for k in ids], weights).reshape(-1, size)
+        r, c = np.triu_indices(size)
+        deltas = exponent_keys([delta for delta, _ in terms[j]], weights)
+        keys = (exps[:, r] + exps[:, c])[:, :, None] + deltas
+        term = first_term[j] + np.arange(len(deltas))
+        fields = (keys, np.array(ids)[:, None, None], r[:, None], c[:, None], term)
+        parts.append([np.broadcast_to(f, keys.shape).ravel() for f in fields])
+    keys, block_of, row, col, term = (np.concatenate(x) for x in zip(*parts))
+    alphas, rank = np.unique(keys, return_inverse=True)
+    # certificates a, b and c match the identities lie, w and wv
+    ident = np.array(["abc".index(b.certificate) for b in blocks])[block_of]
+    order = np.lexsort((block_of, rank.reshape(-1), ident))
+    ident, rank = ident[order], rank.reshape(-1)[order]
+    cut = (np.flatnonzero((ident[1:] != ident[:-1]) | (rank[1:] != rank[:-1])) + 1).tolist()
+    block_ids, coefs = list(range(len(blocks))), [x for t in terms for _, x in t]
+    entries = list(zip(
+        map(block_ids.__getitem__, block_of[order].tolist()), row[order].tolist(),
+        col[order].tolist(), map(coefs.__getitem__, term[order].tolist()),
+    ))
+    alphas = (alphas[:, None] // weights % (top + 1)).tolist()
+    rows: dict = {name: {} for name in IDENTITIES}
+    for start, stop in zip([0, *cut], [*cut, len(order)]):
+        rows[IDENTITIES[ident[start]]][tuple(alphas[rank[start]])] = entries[start:stop]
+    return rows
+
+
 def assemble(
     system: DynamicalSystem, box: Box, config: RelaxationConfig
 ) -> SdpProblem:
@@ -247,22 +291,7 @@ def assemble(
 
     lie_map = _lie_coefficient_map(system, v_support, config.beta)
 
-    # gram contributions per identity, grouped by matched exponent
-    rows: dict[str, dict[Exponent, list[tuple[int, int, int, float]]]] = {
-        ident: {} for ident in IDENTITIES
-    }
-    cert_identity = {"a": "lie", "b": "w", "c": "wv"}
-    for block_id, block in enumerate(blocks):
-        ident = cert_identity[block.certificate]
-        target = rows[ident]
-        terms = multipliers[block.multiplier].sorted_terms()
-        exps = block.exponents
-        for r in range(len(exps)):
-            for c in range(r, len(exps)):
-                base = tuple(x + y for x, y in zip(exps[r], exps[c]))
-                for delta, coef in terms:
-                    alpha = tuple(x + y for x, y in zip(base, delta))
-                    target.setdefault(alpha, []).append((block_id, r, c, coef))
+    rows = _gram_rows(blocks, multipliers, system.dim)
 
     # free-variable contributions per identity
     free_rows: dict[str, dict[Exponent, list[tuple[int, float]]]] = {

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+import numpy as np
+
 from .graphs import (
     ChordalGraph,
     MonomialGraph,
@@ -26,9 +28,11 @@ from .poly import (
     DynamicalSystem,
     Exponent,
     SupportSet,
+    exponent_keys,
     generic_lie_support,
     monomial_basis,
     monomial_str,
+    radix_weights,
     support,
     total_degree,
 )
@@ -118,7 +122,9 @@ def _graph_from_rule(
     hit: SupportSet,
 ) -> MonomialGraph:
     """Connect basis exponents whose pairwise products against multiplier j
-    touch the hit set."""
+    touch the hit set.  All pairs go at once: radix keys (``radix_weights``)
+    add like exponents, so each product is a sum of keys, looked up in the
+    sorted keys of the hit exponents."""
     n = system.dim
     deg = multiplier_basis_degree(d, 0 if j == 0 else system.constraint_degrees[j - 1])
     if deg < 0:
@@ -130,14 +136,17 @@ def _graph_from_rule(
         deltas: tuple[Exponent, ...] = (tuple([0] * n),)
     else:
         deltas = tuple(support(system.constraints[j - 1]))
-    edges: set[tuple[int, int]] = set()
-    for a, beta in enumerate(nodes):
-        for b in range(a + 1, len(nodes)):
-            gamma = nodes[b]
-            base = tuple(x + y for x, y in zip(beta, gamma))
-            if any(tuple(x + y for x, y in zip(base, delta)) in hit for delta in deltas):
-                edges.add((a, b))
-    return MonomialGraph.build(nodes, edges)
+    top = 2 * deg + max(map(sum, deltas))
+    weights = radix_weights(n, top)
+    keys = exponent_keys(nodes, weights)
+    a, b = np.triu_indices(len(nodes), 1)
+    keys = (keys[a] + keys[b])[:, None] + exponent_keys(deltas, weights)
+    # hit exponents above the top degree match no product; -1 is no key
+    table = exponent_keys([alpha for alpha in hit.elements if sum(alpha) <= top], weights)
+    table = np.unique(np.append(table, -1))
+    found = table[np.searchsorted(table, keys).clip(max=len(table) - 1)] == keys
+    touch = found.any(axis=1)
+    return MonomialGraph(nodes, frozenset(zip(a[touch].tolist(), b[touch].tolist())))
 
 
 def _v_hit_set(system: DynamicalSystem, d: int, a_set: SupportSet) -> SupportSet:
@@ -171,73 +180,66 @@ def extend_graph(graph: MonomialGraph, extension: str) -> ChordalGraph:
     raise ValueError(f"extension must be one of {EXTENSIONS}, got {extension!r}")
 
 
-def iterate_v_chain(
-    system: DynamicalSystem, d: int, extension: str, s_max: int
-) -> tuple[
+ChainSteps = tuple[
     tuple[SupportSet, ...],
     tuple[tuple[MonomialGraph, ...], ...],
     tuple[tuple[ChordalGraph, ...], ...],
-]:
+]
+
+
+def _iterate(system, d, extension, current, steps, hit_of, next_of) -> ChainSteps:
+    """Build each multiplier's graph on ``hit_of(current)``, extend it, go on to
+    ``next_of(extended graphs)``; at most ``steps`` times, up to a fixed point."""
+    supports = [current]
+    raw_steps: list[tuple[MonomialGraph, ...]] = []
+    ext_steps: list[tuple[ChordalGraph, ...]] = []
+    for _ in range(steps):
+        hit = hit_of(current)
+        raw = tuple(_graph_from_rule(system, d, j, hit) for j in range(len(system.constraints) + 1))
+        ext = tuple(extend_graph(g, extension) for g in raw)
+        raw_steps.append(raw)
+        ext_steps.append(ext)
+        nxt = next_of(ext)
+        supports.append(nxt)
+        if nxt == current:
+            break
+        current = nxt
+    return tuple(supports), tuple(raw_steps), tuple(ext_steps)
+
+
+def iterate_v_chain(
+    system: DynamicalSystem, d: int, extension: str, s_max: int
+) -> ChainSteps:
     """Run the v-chain for at most s_max steps, stopping at the fixed point.
 
     Returns the support iterates, the raw graphs of each executed step, and
     their chordal extensions.  On stabilization the final support is entered
     twice, so the support tuple always has one more entry than the graphs.
     """
-    m = len(system.constraints)
-    current = initial_support(system, d)
-    supports = [current]
-    raw_steps: list[tuple[MonomialGraph, ...]] = []
-    ext_steps: list[tuple[ChordalGraph, ...]] = []
-    for _ in range(s_max):
-        hit = _v_hit_set(system, d, current)
-        raw = tuple(_graph_from_rule(system, d, j, hit) for j in range(m + 1))
-        ext = tuple(extend_graph(g, extension) for g in raw)
-        raw_steps.append(raw)
-        ext_steps.append(ext)
-        nxt = supp_of_graph(ext[0])
-        supports.append(nxt)
-        if nxt == current:
-            break
-        current = nxt
-    return tuple(supports), tuple(raw_steps), tuple(ext_steps)
+    return _iterate(
+        system, d, extension, initial_support(system, d), s_max,
+        lambda a_set: _v_hit_set(system, d, a_set), lambda ext: supp_of_graph(ext[0]),
+    )
 
 
 def iterate_w_chain(
     system: DynamicalSystem, d: int, seed: SupportSet, extension: str, l_max: int
-) -> tuple[
-    tuple[SupportSet, ...],
-    tuple[tuple[MonomialGraph, ...], ...],
-    tuple[tuple[ChordalGraph, ...], ...],
-]:
+) -> ChainSteps:
     """Run the w-chain for at most l_max steps from the given seed support.
 
     The seed is restricted to degree 2d before the first step; every later
     iterate stays within that bound by construction.
     """
-    m = len(system.constraints)
-    current = seed.restricted(2 * d)
-    supports = [current]
-    raw_steps: list[tuple[MonomialGraph, ...]] = []
-    ext_steps: list[tuple[ChordalGraph, ...]] = []
-    for _ in range(l_max):
-        raw = tuple(
-            build_w_step_graph(system, d, current, j) for j in range(m + 1)
-        )
-        ext = tuple(extend_graph(g, extension) for g in raw)
-        raw_steps.append(raw)
-        ext_steps.append(ext)
-        pieces = [supp_of_graph(ext[0])]
-        for j in range(1, m + 1):
-            pieces.append(
-                support(system.constraints[j - 1]).minkowski(supp_of_graph(ext[j]))
-            )
-        nxt = pieces[0].union(*pieces[1:])
-        supports.append(nxt)
-        if nxt == current:
-            break
-        current = nxt
-    return tuple(supports), tuple(raw_steps), tuple(ext_steps)
+
+    def next_support(ext: tuple[ChordalGraph, ...]) -> SupportSet:
+        pieces = [
+            support(p).minkowski(supp_of_graph(g)) for p, g in zip(system.constraints, ext[1:])
+        ]
+        return supp_of_graph(ext[0]).union(*pieces)
+
+    return _iterate(
+        system, d, extension, seed.restricted(2 * d), l_max, lambda b_set: b_set, next_support
+    )
 
 
 def _at(

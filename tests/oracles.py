@@ -3,14 +3,21 @@
 Each oracle takes a deliberately different algorithmic route than the library
 code it checks: recursive Horner evaluation, simplicial-elimination chordality
 testing, exhaustive parity-vector enumeration, and a projection-splitting SDP
-solver.
+solver.  The term-sparsity front end (graph rules, Gram supports, the
+elimination-order check and coefficient matching) runs on arrays in the
+library; its plain loop versions are kept here as references.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add
 
 import numpy as np
+
+from mpisos.graphs import MonomialGraph
+from mpisos.poly import SupportSet, monomial_basis, support
+from mpisos.sparsity import multiplier_basis_degree
 
 
 # -- polynomial evaluation ---------------------------------------------------
@@ -61,6 +68,69 @@ def is_chordal(n: int, edges: set[tuple[int, int]]) -> bool:
         del adj[simplicial]
         alive.discard(simplicial)
     return True
+
+
+def later_neighbours_are_cliques(n: int, edges, order) -> bool:
+    """Pairwise perfect-elimination test: for every node, the neighbours that
+    come later in the order are pairwise adjacent."""
+    edge_set = {(min(i, j), max(i, j)) for i, j in edges}
+    position = {v: k for k, v in enumerate(order)}
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for i, j in edge_set:
+        adj[i].add(j)
+        adj[j].add(i)
+    for v in order:
+        later = [u for u in adj[v] if position[u] > position[v]]
+        for a in range(len(later)):
+            for b in range(a + 1, len(later)):
+                if (min(later[a], later[b]), max(later[a], later[b])) not in edge_set:
+                    return False
+    return True
+
+
+# -- term-sparsity loops -------------------------------------------------------
+
+def graph_from_rule_loop(system, d: int, j: int, hit: SupportSet) -> MonomialGraph:
+    """Pairs of basis exponents whose product against some term of multiplier
+    j lies in the hit set, one pair at a time."""
+    n = system.dim
+    deg = multiplier_basis_degree(d, 0 if j == 0 else system.constraint_degrees[j - 1])
+    nodes = monomial_basis(n, deg)
+    deltas = [(0,) * n] if j == 0 else list(support(system.constraints[j - 1]))
+    edges = set()
+    for a, beta in enumerate(nodes):
+        for b in range(a + 1, len(nodes)):
+            base = tuple(map(add, beta, nodes[b]))
+            if any(tuple(map(add, base, delta)) in hit for delta in deltas):
+                edges.add((a, b))
+    return MonomialGraph.build(nodes, edges)
+
+
+def supp_of_graph_loop(graph: MonomialGraph) -> SupportSet:
+    """2 alpha for every node alpha and alpha + gamma for every edge."""
+    dim = len(graph.nodes[0]) if graph.nodes else 0
+    out = {tuple(map(add, a, a)) for a in graph.nodes}
+    for i, j in graph.edges:
+        out.add(tuple(map(add, graph.nodes[i], graph.nodes[j])))
+    return SupportSet(dim, frozenset(out))
+
+
+def gram_rows_loop(blocks, multipliers) -> dict:
+    """Gram entries (block, r, c, coef) per identity and matched exponent, in
+    the order block, r <= c row-major, term."""
+    identity = {"a": "lie", "b": "w", "c": "wv"}
+    rows: dict = {name: {} for name in identity.values()}
+    for block_id, block in enumerate(blocks):
+        target = rows[identity[block.certificate]]
+        terms = multipliers[block.multiplier].sorted_terms()
+        exps = block.exponents
+        for r in range(len(exps)):
+            for c in range(r, len(exps)):
+                base = tuple(map(add, exps[r], exps[c]))
+                for delta, coef in terms:
+                    alpha = tuple(map(add, base, delta))
+                    target.setdefault(alpha, []).append((block_id, r, c, coef))
+    return rows
 
 
 # -- sign symmetries -----------------------------------------------------------

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpisos.graphs import (
     ChordalGraph,
@@ -13,7 +13,7 @@ from mpisos.graphs import (
     supp_of_graph,
 )
 
-from oracles import is_chordal
+from oracles import is_chordal, later_neighbours_are_cliques
 
 
 def line_nodes(n: int) -> tuple[tuple[int, ...], ...]:
@@ -156,6 +156,60 @@ def test_clique_cover_covers_every_edge(case):
     cliques = maximal_cliques(ext)
     for i, j in ext.edges:
         assert any(i in c and j in c for c in cliques)
+
+
+# -- elimination orders vs the pairwise reference ---------------------------------
+
+order_strategy = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=40,
+        ),
+        st.permutations(range(n)),
+    )
+)
+
+
+def accepts(n: int, edges, order) -> bool:
+    try:
+        ChordalGraph(line_nodes(n), frozenset(edges), tuple(order))
+    except ValueError as err:
+        assert "perfect elimination" in str(err)
+        return False
+    return True
+
+
+@settings(max_examples=300)
+@given(order_strategy, st.integers(0, 11))
+# node 0's later neighbours 1 and 2 are adjacent to 3, the last one, not to
+# each other: only the earliest later neighbour may stand in for the rest
+@example((4, {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}, [0, 1, 2, 3]), 0)
+def test_elimination_order_check_matches_pairwise_reference(case, swap):
+    n, raw, order = case
+    edges = {tuple(sorted(e)) for e in raw}
+    # a random order, and a perfect one of the min-degree extension with two
+    # neighbouring entries swapped, which the check may or may not accept
+    ext = approx_smallest_chordal_extension(graph(n, edges))
+    near = list(ext.elimination_order)
+    k = swap % n
+    near[k], near[(k + 1) % n] = near[(k + 1) % n], near[k]
+    for e, o in ((edges, order), (ext.edges, near)):
+        assert accepts(n, e, o) == later_neighbours_are_cliques(n, e, o)
+
+
+@given(order_strategy)
+def test_extension_orders_pass_the_pairwise_reference(case):
+    n, raw, _ = case
+    g = graph(n, {tuple(sorted(e)) for e in raw})
+    for ext in (maximal_chordal_extension(g), approx_smallest_chordal_extension(g)):
+        assert later_neighbours_are_cliques(n, ext.edges, ext.elimination_order)
+
+
+def test_elimination_order_must_be_a_permutation():
+    with pytest.raises(ValueError, match="permutation"):
+        ChordalGraph(line_nodes(3), frozenset({(0, 1)}), (0, 0, 1))
 
 
 # -- gram support -----------------------------------------------------------------
