@@ -230,4 +230,4 @@ def supp_of_graph(graph: MonomialGraph) -> SupportSet:
     ends = np.concatenate([diagonal, graph.edge_array()])
     first = np.unique(keys[ends[:, 0]] + keys[ends[:, 1]], return_index=True)[1]
     sums = nodes[ends[first, 0]] + nodes[ends[first, 1]]
-    return SupportSet(dim, frozenset(map(tuple, sums.tolist())))
+    return SupportSet._valid(dim, frozenset(map(tuple, sums.tolist())))

@@ -102,6 +102,15 @@ class Polynomial:
             if c == 0.0:
                 raise ValueError(f"stored coefficient for {alpha} is zero")
 
+    @classmethod
+    def _valid(cls, dim: int, terms: dict[Exponent, float]) -> Polynomial:
+        """Wrap terms already known to be valid (the result of arithmetic on
+        valid polynomials) without the per-term checks of construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -158,10 +167,10 @@ class Polynomial:
                 acc.pop(alpha, None)
             else:
                 acc[alpha] = s
-        return Polynomial(self.dim, acc)
+        return Polynomial._valid(self.dim, acc)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.dim, {a: -c for a, c in self.terms.items()})
+        return Polynomial._valid(self.dim, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
@@ -170,7 +179,8 @@ class Polynomial:
         if isinstance(other, (int, float)):
             if other == 0:
                 return Polynomial.zero(self.dim)
-            return Polynomial(self.dim, {a: c * other for a, c in self.terms.items()})
+            scaled = {a: c * other for a, c in self.terms.items()}
+            return Polynomial._valid(self.dim, {a: c for a, c in scaled.items() if c != 0.0})
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.dim != self.dim:
@@ -184,7 +194,7 @@ class Polynomial:
                     acc.pop(key, None)
                 else:
                     acc[key] = s
-        return Polynomial(self.dim, acc)
+        return Polynomial._valid(self.dim, acc)
 
     def __rmul__(self, other: float | int) -> Polynomial:
         return self.__mul__(other)
@@ -200,7 +210,7 @@ class Polynomial:
                 continue
             beta = alpha[:index] + (a - 1,) + alpha[index + 1:]
             acc[beta] = acc.get(beta, 0.0) + a * c
-        return Polynomial.from_terms(self.dim, acc)
+        return Polynomial._valid(self.dim, {b: c for b, c in acc.items() if c != 0.0})
 
     def __call__(self, point: Iterable[float]) -> float:
         pt = tuple(point)
@@ -405,6 +415,15 @@ class SupportSet:
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative exponent in {alpha}")
 
+    @classmethod
+    def _valid(cls, dim: int, elements: frozenset[Exponent]) -> SupportSet:
+        """Wrap exponents already known to be valid (derived from valid sets)
+        without the per-element checks of construction."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "dim", dim)
+        object.__setattr__(s, "elements", elements)
+        return s
+
     @staticmethod
     def of(dim: int, elements: Iterable[Exponent]) -> SupportSet:
         return SupportSet(dim, frozenset(tuple(a) for a in elements))
@@ -421,22 +440,23 @@ class SupportSet:
     def union(self, *others: SupportSet | Iterable[Exponent]) -> SupportSet:
         acc = set(self.elements)
         for other in others:
-            if isinstance(other, SupportSet):
-                if other.dim != self.dim:
-                    raise ValueError("dimension mismatch in union")
-                acc |= other.elements
-            else:
-                acc |= {tuple(a) for a in other}
-        return SupportSet(self.dim, frozenset(acc))
+            if not isinstance(other, SupportSet):
+                other = SupportSet.of(self.dim, other)
+            if other.dim != self.dim:
+                raise ValueError("dimension mismatch in union")
+            acc |= other.elements
+        return SupportSet._valid(self.dim, frozenset(acc))
 
     def restricted(self, max_degree: int) -> SupportSet:
         """Subset of elements with total degree <= max_degree."""
-        return SupportSet(self.dim, frozenset(a for a in self.elements if sum(a) <= max_degree))
+        return SupportSet._valid(
+            self.dim, frozenset(a for a in self.elements if sum(a) <= max_degree)
+        )
 
     def minkowski(self, other: SupportSet) -> SupportSet:
         if other.dim != self.dim:
             raise ValueError("dimension mismatch in Minkowski sum")
-        return SupportSet(
+        return SupportSet._valid(
             self.dim,
             frozenset(exp_add(a, b) for a in self.elements for b in other.elements),
         )
@@ -448,7 +468,7 @@ class SupportSet:
 
 def support(p: Polynomial) -> SupportSet:
     """The exponents carrying nonzero coefficients of p."""
-    return SupportSet(p.dim, frozenset(p.terms))
+    return SupportSet._valid(p.dim, frozenset(p.terms))
 
 
 # -- dynamical systems -----------------------------------------------------
@@ -515,7 +535,7 @@ def generic_lie_support(v_support: SupportSet, sys: DynamicalSystem) -> SupportS
             shifted = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
             for delta in f_supports[i]:
                 out.add(exp_add(shifted, delta))
-    return SupportSet(sys.dim, frozenset(out))
+    return SupportSet._valid(sys.dim, frozenset(out))
 
 
 def lie_polynomial(v: Polynomial, sys: DynamicalSystem, beta: float = 1.0) -> Polynomial:

@@ -27,10 +27,16 @@ size, gathered from a stacked vector by the blocks' columns of A and
 scattered back before each product with A, so Cholesky, SVD, eigvalsh, the
 sandwich products and the Schur complement's <A_ik, W_k A_jk W_k> run once
 per block size, not once per block; M is formed in bounded chunks of pairs.
+A block size takes one of two forms of W_k A_jk W_k, chosen once per problem:
+two dense n^3 products, or, for large blocks whose A_jk are sparse,
+products with only the rows of W_k in A_jk's row support, contracted over
+one triangle of pairs.  Either way M comes out exactly symmetric.
+``SdpSolution.timings`` records the wall time of each phase.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -56,6 +62,12 @@ _GMRES_STEPS = 20
 _NEAR_OPTIMAL_FACTOR = 1e3
 # doubles per temporary of one chunk of pair slots in _schur
 _SCHUR_BUDGET = 1 << 16
+# a class whose dense chunks hold fewer slots may take the support form
+_SUPPORT_WIDTH = 16
+# the timed phases of solve_block_problem: free-variable presolve, trace cap
+# and equilibration, Schur build, its factorization, Schur solves, NT
+# scaling and step lengths
+_PHASES = ("presolve", "scaling", "schur", "factor", "solve", "nt_scaling", "step_length")
 
 
 class SolverBreakdown(RuntimeError):
@@ -113,6 +125,8 @@ class SdpSolution:
     trace_cap_fraction: float
     trace_cap_multiplier: float
     trace: list[IterationRecord] = field(repr=False, default_factory=list)
+    # wall seconds per phase of solve_block_problem (_PHASES) and in total
+    timings: dict[str, float] = field(repr=False, default_factory=dict)
 
 
 def _canonical(mat) -> sp.csr_matrix:
@@ -260,17 +274,39 @@ class BlockProblem:
 
     @cached_property
     def _schur_tables(self) -> list[tuple]:
-        """Per size class, the tables of ``_schur``: n; Pg, the class's
-        columns of ``A`` in the rows of its pairs, ordered by slot, and the
-        slot of each entry of Pg; each pair's row times m and its block's
-        place in ks; and the (k, e) rows in the blocks' slots, 0 in padding."""
+        """Per size class, the tables of ``_schur``: n; on the dense form,
+        Pg, the class's columns of ``A`` in the rows of its pairs, ordered
+        by slot, and the slot of each entry of Pg, else None twice; each
+        pair's row times m and its block's place in ks; the (k, e) rows in
+        the blocks' slots, 0 in padding; and the ``_support_plan`` of a
+        class that ``_support_pays`` puts on the support form, else None."""
         sizes = np.array(self.block_sizes)
+        nb = len(sizes)
         coo = self.A.tocoo()
         blk = np.searchsorted(self.offsets, coo.col, side="right") - 1
-        keys, pair = np.unique(coo.row.astype(np.int64) * len(sizes) + blk, return_inverse=True)
-        p_row, p_blk = np.divmod(keys, len(sizes))
-        by_blk = np.argsort(p_blk, kind="stable")
-        slot = np.argsort(by_blk) - np.searchsorted(p_blk[by_blk], p_blk)
+        # canonical CSR lists entries by row, then column, so an entry's
+        # pair (row, block) and its row a inside A_ik never decrease along
+        # a pair: runs of equal values give pairs and the rows of R, the
+        # row support of A_ik (also its column support, as A_ik is symmetric)
+        key = coo.row.astype(np.int64) * nb + blk
+        a = (coo.col - self.offsets[blk]) // sizes[blk]
+        new_pair = np.ones(len(key), dtype=bool)
+        new_pair[1:] = key[1:] != key[:-1]
+        new_row = new_pair.copy()
+        new_row[1:] |= a[1:] != a[:-1]
+        keys = key[new_pair]
+        pair = np.cumsum(new_pair) - 1
+        p_row, p_blk = np.divmod(keys, nb)
+        r_size = np.bincount(pair[new_row], minlength=len(keys))
+        on_support = np.zeros(nb, dtype=bool)
+        for n, ks, _ in self._size_classes:
+            in_class = sizes[p_blk] == n
+            on_support[ks] = _support_pays(n, len(ks), r_size[in_class])
+        # a block's pairs fill its slots in row order, or by |R| first on the
+        # support form, which keeps the padding of a chunk's |R| tight
+        by_blk = np.lexsort((p_row, np.where(on_support[p_blk], r_size, 0), p_blk))
+        slot = np.empty(len(keys), dtype=np.int64)
+        slot[by_blk] = np.arange(len(keys)) - np.searchsorted(p_blk[by_blk], p_blk[by_blk])
         by_slot = np.argsort(slot, kind="stable")
         pairs = sp.csr_matrix((coo.data, (pair, coo.col)), shape=(len(keys), coo.shape[1]))
         out = []
@@ -280,8 +316,12 @@ class BlockProblem:
             eqs = np.zeros((len(ks), slot[qs].max(initial=-1) + 1), dtype=np.int64)
             eqs[place, slot[qs]] = p_row[qs]
             Pg = pairs[qs][:, cols]
-            pg_slot = np.repeat(slot[qs], np.diff(Pg.indptr))
-            out.append((n, Pg, pg_slot, p_row[qs] * self.m, place, eqs))
+            if on_support[ks[0]]:
+                plan = _support_plan(n, len(ks), Pg, slot[qs], place)
+                out.append((n, None, None, p_row[qs] * self.m, place, eqs, plan))
+            else:
+                pg_slot = np.repeat(slot[qs], np.diff(Pg.indptr))
+                out.append((n, Pg, pg_slot, p_row[qs] * self.m, place, eqs, None))
         return out
 
 
@@ -568,30 +608,155 @@ def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, flo
     }
 
 
+def _chunk_width(k: int, n: int, pairs: int) -> int:
+    """Slots per chunk of a class of k blocks of size n with this many pairs:
+    each (k, n, n, w) stack and each (pairs, w) product stays within
+    _SCHUR_BUDGET doubles, or one slot."""
+    return max(1, _SCHUR_BUDGET // max(k * n * n, pairs))
+
+
+def _support_pays(n: int, k: int, r_size: np.ndarray) -> bool:
+    """Whether a class of k blocks of size n, whose pairs' A_ik have row
+    supports of sizes r_size, takes the support form (see ``_schur``)."""
+    if len(r_size) == 0 or _chunk_width(k, n, len(r_size)) >= _SUPPORT_WIDTH:
+        return False
+    return 4.0 * float(np.mean(n * n * r_size + n * r_size**2)) <= 2.0 * n**3
+
+
+def _support_plan(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray) -> list:
+    """The support form's plan of a size class, from its Pg and its pairs'
+    slots and places.  Per chunk of slots: its first slot s0 and width w;
+    plo, the pairs in earlier slots; r, the chunk's largest |R|; the rows of
+    the class's stacked W that form G, (w, k, r) rows padded with row 0;
+    the places of the chunk's A_jk entries in its (w, k, r, r) A_RR stack,
+    in the upper and in the lower triangle, and their values; Ph's rows up
+    to the chunk's last pair, as a view, where Ph is Pg's upper triangle
+    with off-diagonal entries doubled, so that <A_ik, U> = Ph U for
+    symmetric U; and the weights 0, 1 or 2 of the chunk's own pairs
+    against its slots."""
+    # with each row's columns sorted, a pair's rows of R come in order
+    Pg.sort_indices()
+    q = np.repeat(np.arange(len(p_slot)), np.diff(Pg.indptr))
+    a, b = np.divmod(Pg.indices % (n * n), n)
+    first = np.ones(len(q), dtype=bool)
+    first[1:] = (q[1:] != q[:-1]) | (a[1:] != a[:-1])
+    skey = q[first] * n + a[first]
+    sup_pair, sup_row = np.divmod(skey, n)
+    sup_ptr = np.searchsorted(sup_pair, np.arange(len(p_slot) + 1))
+    # a row of R, and an entry, sit at (slot * k + place) in the class's slots
+    at = p_slot * k + place
+    sup_at, sup_pos = at[sup_pair], np.arange(len(skey)) - sup_ptr[sup_pair]
+    up = a <= b
+    q, a, b, v = q[up], a[up], b[up], Pg.data[up]
+    pa = np.searchsorted(skey, q * n + a) - sup_ptr[q]
+    pb = np.searchsorted(skey, q * n + b) - sup_ptr[q]
+    indptr = np.searchsorted(q, np.arange(len(p_slot) + 1))
+    Ph = sp.csr_matrix((np.where(a == b, v, 2.0 * v), Pg.indices[up], indptr), shape=Pg.shape)
+    e = int(p_slot.max(initial=-1)) + 1
+    width = _chunk_width(k, n, len(p_slot))
+    plan = []
+    for s0 in range(0, e, width):
+        w = min(width, e - s0)
+        plo, phi = np.searchsorted(p_slot, [s0, s0 + w])
+        r = int(np.diff(sup_ptr[plo : phi + 1]).max())
+        j = slice(sup_ptr[plo], sup_ptr[phi])
+        g = np.zeros(w * k * r, dtype=np.int32)
+        g[(sup_at[j] - s0 * k) * r + sup_pos[j]] = place[sup_pair[j]] * n + sup_row[j]
+        lo, hi = indptr[plo], indptr[phi]
+        cell = (at[q[lo:hi]] - s0 * k) * r * r
+        cells = np.array([cell + pa[lo:hi] * r + pb[lo:hi], cell + pb[lo:hi] * r + pa[lo:hi]])
+        view = sp.csr_matrix(
+            (Ph.data[:hi], Ph.indices[:hi], Ph.indptr[: phi + 1]), shape=(phi, Pg.shape[1])
+        )
+        weight = (1 + np.sign(s0 + np.arange(w) - p_slot[plo:phi, None])).astype(np.int8)
+        plan.append((s0, w, plo, r, g, cells.astype(np.int32), v[lo:hi], view, weight))
+    return plan
+
+
+def _schur_dense(Wc, tables, flat: np.ndarray) -> None:
+    """Add one size class's part of M by the dense sandwich (see ``_schur``)."""
+    n, Pg, slot, row, place, eqs, _ = tables
+    k, e = len(Wc), eqs.shape[1]
+    width = _chunk_width(k, n, len(row))
+    for s0 in range(0, e, width):
+        w = min(width, e - s0)
+        lo, hi = np.searchsorted(slot, [s0, s0 + w])
+        Pt = np.zeros((k, n, n, w))
+        Pt.reshape(-1)[Pg.indices[lo:hi] * w + slot[lo:hi] - s0] = Pg.data[lo:hi]
+        T = (Wc @ Pt.reshape(k, n, n * w)).reshape(k, n, n, w)
+        # W_k is symmetric: row a of W_k A W_k is W_k times row a of T
+        np.matmul(Wc[:, None], T, out=Pt)
+        idx = eqs[place, s0 : s0 + w] + row[:, None]
+        np.add.at(flat, idx.ravel(), (Pg @ Pt.reshape(-1, w)).ravel())
+
+
+def _schur_support(Wc, tables, flat: np.ndarray) -> None:
+    """Add one size class's part of M, one triangle weighted, by the support
+    form (see ``_schur``)."""
+    n, _, _, row, place, eqs, plan = tables
+    k = len(Wc)
+    Wf = Wc.reshape(k * n, n)
+    size = plan[0][1] * k * n * n
+    U_buf, Ut_buf = np.empty((2, size))
+    for s0, w, plo, r, g, cells, vals, Ph, weight in plan:
+        # a padding row of G is row 0 of the first block's W, and the zeros
+        # of A_RR around it cancel it exactly
+        G = Wf[g].reshape(w, k, r, n)
+        A_RR = np.zeros((w, k, r, r))
+        A_RR.reshape(-1)[cells] = vals
+        U = U_buf[: w * k * n * n].reshape(w, k, n, n)
+        np.matmul(np.swapaxes(G, -1, -2), A_RR @ G, out=U)
+        Ut = Ut_buf[: w * k * n * n].reshape(-1, w)
+        np.copyto(Ut.T, U.reshape(w, -1))
+        # pairs in earlier slots meet every slot of the chunk at weight 2,
+        # the chunk's own pairs its earlier slots at 2 and their own at 1
+        Q = Ph @ Ut
+        Q[:plo] *= 2.0
+        Q[plo:] *= weight
+        phi = len(Q)
+        idx = eqs[place[:phi], s0 : s0 + w] + row[:phi, None]
+        np.add.at(flat, idx.ravel(), Q.ravel())
+
+
 def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
-    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in place from the (k, n, n)
-    stacks W of ``bp._size_classes``, by the same calls for every size.  A
-    pair is one (row i, block k) with A_ik != 0; block k's pairs fill its
-    slots j = 0, 1, ... in row order.  Per class and chunk of slots, Pt
-    stacks the pairs' A_ik, zero-padded; U = W_k Pt W_k overwrites it;
-    Q = Pg U adds <A_ik, W_k A_jk W_k> into M at (i, j) by ``np.add.at``, as
-    two blocks' pairs can meet there.  Chunks of slots keep each temporary
+    """Form M = sum_k A_k (W_k (x) W_k) A_k^T in place, exactly symmetric,
+    from the (k, n, n) stacks W of ``bp._size_classes``.
+
+    A pair is one (row i, block k) with A_ik != 0; block k's pairs fill its
+    slots j = 0, 1, ...  Per class, chunks of slots keep each temporary
     within _SCHUR_BUDGET doubles (or one slot), bounding the memory of large
-    blocks and letting the allocator reuse them rather than fault them in."""
+    blocks and letting the allocator reuse them rather than fault them in;
+    ``np.add.at`` adds a chunk's <A_ik, W_k A_jk W_k> into M at
+    (i, j), as two blocks' pairs can meet there.  A class takes one of two
+    forms, chosen once per problem in ``_schur_tables``:
+
+    - dense: slots in row order; Pt stacks the chunk's A_jk, zero-padded,
+      U = W_k Pt W_k by two n^3 products per slot overwrites it, and
+      Q = Pg U holds every pair against every slot of the chunk.
+    - support: slots ordered by |R|, R the rows holding A_jk's entries (also
+      its columns: A_jk is symmetric); U = W_k[:, R] A_jk[R, R] W_k[R, :]
+      from the gathered rows G = W_k[R, :], n^2 |R| + n |R|^2 flops per
+      slot.  As <A_ik, W A_jk W> = <A_jk, W A_ik W>, Q holds only pairs up
+      to the chunk against slots no later than their own: weight 2 for
+      earlier slots, 1 for a pair's own; the symmetrization below then
+      completes M.  What does not depend on W, from the gather rows to the
+      weights, is planned once per problem (``_support_plan``).
+
+    A class takes the support form when its dense chunks are narrow, fewer
+    than _SUPPORT_WIDTH slots, so the dense form's n x n by n x w products
+    run slowly per flop, and the support form needs at most a quarter of
+    the dense flops, mean n^2 |R| + n |R|^2 against 2 n^3 per pair.  Small
+    blocks stay dense: numpy's cost per matrix of a stack of tiny products
+    there outweighs the flops saved.  The n=21 and n=56 classes of extended
+    lorenz d=3 ``fd`` take the support form; every class of the n=8 and
+    n=10 network relaxations stays dense."""
     M.fill(0.0)
-    for Wc, (n, Pg, slot, row, place, eqs) in zip(W, bp._schur_tables):
-        k, e = len(Wc), eqs.shape[1]
-        width = max(1, _SCHUR_BUDGET // max(k * n * n, len(row)))
-        for s0 in range(0, e, width):
-            w = min(width, e - s0)
-            lo, hi = np.searchsorted(slot, [s0, s0 + w])
-            Pt = np.zeros((k, n, n, w))
-            Pt.reshape(-1)[Pg.indices[lo:hi] * w + slot[lo:hi] - s0] = Pg.data[lo:hi]
-            T = (Wc @ Pt.reshape(k, n, n * w)).reshape(k, n, n, w)
-            # W_k is symmetric: row a of W_k A W_k is W_k times row a of T
-            np.matmul(Wc[:, None], T, out=Pt)
-            idx = eqs[place, s0 : s0 + w] + row[:, None]
-            np.add.at(M.reshape(-1), idx.ravel(), (Pg @ Pt.reshape(-1, w)).ravel())
+    flat = M.reshape(-1)
+    for Wc, tables in zip(W, bp._schur_tables):
+        form = _schur_dense if tables[-1] is None else _schur_support
+        form(Wc, tables, flat)
+    M += M.T
+    M *= 0.5
 
 
 def _schur_factor(M: np.ndarray) -> tuple:
@@ -658,17 +823,26 @@ def _schur_solve(M, factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
 def solve_block_problem(
     bp: BlockProblem, tol: SolverTolerances | None = None
 ) -> SdpSolution:
+    start = time.perf_counter()
+    timings = dict.fromkeys(_PHASES, 0.0)
+
+    def timed(phase, fn, *args):
+        t = time.perf_counter()
+        out = fn(*args)
+        timings[phase] += time.perf_counter() - t
+        return out
+
     tol = tol or SolverTolerances()
     original = bp
     # coefficient-matching equalities pin every free variable; eliminating
     # them all leaves the positive definite Schur complement as the whole
     # Newton system, smaller by one row per free variable
-    bp, reduction = reduce_free_variables(bp)
-    bp = _with_trace_bound(bp, _TRACE_CAP)
+    bp, reduction = timed("presolve", reduce_free_variables, bp)
+    bp = timed("scaling", _with_trace_bound, bp, _TRACE_CAP)
     # assembled identities mix coefficients across several orders of
     # magnitude; unit row norms keep the Schur system solvable all the way
     # to the central-path endgame
-    bp, row_scale = _equilibrated(bp)
+    bp, row_scale = timed("scaling", _equilibrated, bp)
     m = bp.m
     N = max(bp.total_dimension, 1)
     classes = bp._size_classes
@@ -768,16 +942,15 @@ def solve_block_problem(
             status = "infeasible_flag"
             break
 
-        R, W, lam = zip(*(_nt_scaling(Xc, Sc, trace) for Xc, Sc in zip(X, S)))
+        R, W, lam = zip(
+            *(timed("nt_scaling", _nt_scaling, Xc, Sc, trace) for Xc, Sc in zip(X, S))
+        )
 
-        # M is positive definite (full-rank constraints, PD scaling).  Its
-        # two triangles round apart and Cholesky reads only one, so M is
-        # made symmetric: refinement then runs against the matrix that was
+        # M is positive definite (full-rank constraints, PD scaling) and
+        # exactly symmetric, so refinement runs against the matrix that was
         # factored, up to _schur_factor's shift
-        _schur(bp, W, M)
-        M += M.T
-        M *= 0.5
-        factor = _schur_factor(M)
+        timed("schur", _schur, bp, W, M)
+        factor = timed("factor", _schur_factor, M)
         solves = {"krylov_steps": 0, "newton_residual": 0.0}
 
         def apply_exact(v):
@@ -785,7 +958,7 @@ def solve_block_problem(
             return A_ld @ scatter([Wc @ Zc @ Wc for Wc, Zc in zip(W, Z)])
 
         def kkt_solve(rhs):
-            sol, steps, res = _schur_solve(M, factor, apply_exact, rhs)
+            sol, steps, res = timed("solve", _schur_solve, M, factor, apply_exact, rhs)
             solves["krylov_steps"] += steps
             solves["newton_residual"] = max(solves["newton_residual"], res)
             return np.asarray(sol, dtype=float)
@@ -825,8 +998,8 @@ def solve_block_problem(
         # predictor: drive mu to zero
         K_aff = [-(lc**2)[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
         dy_a, dX_a, dS_a, dXh_a, dSh_a = direction(K_aff)
-        ap = _step_length(lam, dXh_a)
-        ad = _step_length(lam, dSh_a)
+        ap = timed("step_length", _step_length, lam, dXh_a)
+        ad = timed("step_length", _step_length, lam, dSh_a)
         mu_aff = sum(
             float(np.sum((Xc + ap * dXc) * (Sc + ad * dSc)))
             for Xc, dXc, Sc, dSc in zip(X, dX_a, S, dS_a)
@@ -849,8 +1022,8 @@ def solve_block_problem(
         if use_cross:
             K_corr = [Kc - 0.5 * (c + np.swapaxes(c, -1, -2)) for Kc, c in zip(K_corr, cross)]
         dy, dX, dS, dXh, dSh = direction(K_corr)
-        ap = _step_length(lam, dXh)
-        ad = _step_length(lam, dSh)
+        ap = timed("step_length", _step_length, lam, dXh)
+        ad = timed("step_length", _step_length, lam, dSh)
 
         X = [0.5 * ((Xc + ap * dXc) + np.swapaxes(Xc + ap * dXc, -1, -2)) for Xc, dXc in zip(X, dX)]
         S = [0.5 * ((Sc + ad * dSc) + np.swapaxes(Sc + ad * dSc, -1, -2)) for Sc, dSc in zip(S, dS)]
@@ -898,6 +1071,7 @@ def solve_block_problem(
         trace_cap_fraction=cap_fraction,
         trace_cap_multiplier=cap_multiplier,
         trace=trace,
+        timings={**timings, "total": time.perf_counter() - start},
     )
 
 

@@ -161,6 +161,16 @@ def test_arithmetic_agrees_with_pointwise(point, pair):
     assert (p * q)(point) == pytest.approx(p(point) * q(point), rel=1e-6, abs=1e-4)
 
 
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(poly_strategy(d), poly_strategy(d))))
+def test_arithmetic_results_pass_construction_checks(pair):
+    # arithmetic skips the per-term checks; its results must pass them
+    p, q = pair
+    for r in (p + q, p - q, p * q, -p, 2.5 * p, p * 0.0, p.differentiate(0)):
+        assert Polynomial(r.dim, dict(r.terms)) == r
+    s = support(p).union(support(q)).minkowski(support(q)).restricted(3)
+    assert SupportSet(s.dim, frozenset(s.elements)) == s
+
+
 @given(poly_strategy(3))
 def test_string_round_trip(p):
     assert parse_polynomial(p.to_string(), XYZ) == p
@@ -184,6 +194,11 @@ def test_support_set_union_restricted():
 def test_support_set_validates_dim():
     with pytest.raises(ValueError):
         SupportSet.of(2, [(1,)])
+    # raw exponents are checked in a union too
+    with pytest.raises(ValueError):
+        SupportSet.of(2, [(1, 0)]).union([(1,)])
+    with pytest.raises(ValueError):
+        SupportSet.of(1, [(1,)]).union([(-1,)])
 
 
 # -- dynamical systems ---------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from oracles import admm_sdp
 from sdpa_reader import fold_free_pairs, parse_sdpa
@@ -32,7 +33,7 @@ from mpisos.sdp import (
     standardize,
 )
 from mpisos.sparsity import RelaxationConfig
-from mpisos.systems import lorenz, random_network_model
+from mpisos.systems import extended_lorenz, lorenz, random_network_model
 
 
 def eigenvalue_problem() -> BlockProblem:
@@ -162,6 +163,14 @@ class TestSolver:
         assert all(
             np.array_equal(x, y) for x, y in zip(a.block_values, b.block_values)
         )
+
+    def test_phase_timings(self):
+        sol = solve(lorenz_problem(2))
+        phases = {"presolve", "scaling", "schur", "factor", "solve", "nt_scaling", "step_length"}
+        assert set(sol.timings) == phases | {"total"}
+        assert all(t >= 0.0 for t in sol.timings.values())
+        assert sum(sol.timings[p] for p in phases) <= sol.timings["total"]
+        assert sol.timings["schur"] > 0.0
 
     def test_infeasible_flagged(self):
         bp = BlockProblem(
@@ -516,19 +525,49 @@ class TestExtendedEndgame:
         assert abs(sol.residuals["relative_gap"]) <= 1e-7
 
 
-def dense_schur(sizes, dense, W) -> np.ndarray:
-    """Reference Schur matrix sum_k A_k (W_k (x) W_k) A_k^T from the dense
-    operator, whose rows hold each A_ik row-major."""
+def dense_schur(sizes, A, W) -> np.ndarray:
+    """Reference Schur matrix sum_k A_k (W_k (x) W_k) A_k^T from the operator
+    A, dense or sparse, whose rows hold each A_ik row-major.  For symmetric
+    W_k, (W_k (x) W_k) vec(A_ik) = vec(W_k A_ik W_k), which spares forming
+    the Kronecker product of a large block."""
+    A = sp.csr_matrix(A)
     offsets = np.concatenate([[0], np.cumsum([n * n for n in sizes])])
-    M = np.zeros((len(dense), len(dense)))
-    for k, Wk in enumerate(W):
-        Ak = dense[:, offsets[k] : offsets[k + 1]]
-        M += Ak @ np.kron(Wk, Wk) @ Ak.T
+    M = np.zeros((A.shape[0], A.shape[0]))
+    for k, (n, Wk) in enumerate(zip(sizes, W)):
+        Ak = A[:, offsets[k] : offsets[k + 1]]
+        rows = np.unique(Ak.nonzero()[0])
+        WAW = Wk @ Ak[rows].toarray().reshape(-1, n, n) @ Wk
+        M[:, rows] += Ak @ WAW.reshape(len(rows), n * n).T
     return M
 
 
+def presolved(p) -> BlockProblem:
+    """An assembled relaxation as the interior-point loop sees it."""
+    bp, _ = reduce_free_variables(standardize(p))
+    bp, _ = _equilibrated(_with_trace_bound(bp, 1e6))
+    return bp
+
+
+def extended_lorenz_problem(d: int, mode: str):
+    m = extended_lorenz()
+    return assemble(
+        m.system, Box.from_bounds(m.bounds), RelaxationConfig(d=d, mode=mode)
+    )
+
+
+def network_problem(n: int, seed: int, mode: str, extension: str = "maximal"):
+    model = random_network_model(n, seed)
+    return assemble(
+        model.system,
+        Box.from_bounds(model.bounds),
+        RelaxationConfig(d=2, mode=mode, extension=extension),
+    )
+
+
 class TestSchur:
-    @pytest.mark.parametrize("case", ["lorenz-ts-presolved", "hand-built"])
+    CASES = ["lorenz-ts-presolved", "hand-built", "extlorenz-fd-presolved"]
+
+    @pytest.mark.parametrize("case", CASES)
     def test_matches_dense_reference(self, case):
         if case == "hand-built":
             # duplicate and off-diagonal entries, a 1x1 block, a row that
@@ -547,27 +586,44 @@ class TestSchur:
             bp = BlockProblem(
                 sizes, entries, B=np.zeros((5, 0)), b=np.ones(5), c_free=np.zeros(0)
             )
-            dense = dense_operator(sizes, entries)
+            A = dense_operator(sizes, entries)
         else:
-            bp, _ = reduce_free_variables(standardize(lorenz_problem(2)))
-            bp, _ = _equilibrated(_with_trace_bound(bp, 1e6))
+            if case == "lorenz-ts-presolved":
+                bp = presolved(lorenz_problem(2))
+            else:
+                # the n=56 and n=21 classes take the support form
+                bp = presolved(extended_lorenz_problem(3, "fd"))
             sizes = bp.block_sizes
-            dense = bp.A.toarray()
+            A = bp.A
         rng = np.random.default_rng(11)
         W = []
         for n in sizes:
             G = rng.normal(size=(n, n))
-            W.append(G @ G.T + 0.1 * np.eye(n))
+            W.append(G @ G.T / n + 0.1 * np.eye(n))
         M = np.ones((bp.m, bp.m))
         _schur(bp, [np.array([W[k] for k in ks]) for _, ks, _ in bp._size_classes], M)
-        want = dense_schur(sizes, dense, W)
+        want = dense_schur(sizes, A, W)
         assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(M, M.T)
 
-    @pytest.mark.parametrize("case", ["lorenz-ts-presolved", "hand-built"])
+    @pytest.mark.parametrize("case", CASES)
     def test_matches_dense_reference_in_small_chunks(self, case, monkeypatch):
-        # every class with more than one slot then takes several chunks
+        # every class with more than one slot then takes several chunks, and
+        # every class whose flops allow it takes the support form, whose
+        # one-triangle weights then cross chunk boundaries
         monkeypatch.setattr(sdp, "_SCHUR_BUDGET", 8)
         self.test_matches_dense_reference(case)
+
+    def test_support_form_choice(self):
+        def forms(bp):
+            return {n: sup is not None for n, *_, sup in bp._schur_tables}
+
+        assert forms(presolved(extended_lorenz_problem(3, "fd"))) == {
+            1: False, 21: True, 56: True
+        }
+        for mode, extension in [("ts", "maximal"), ("ts", "min-degree"), ("ss", "maximal")]:
+            bp = presolved(network_problem(8, 0, mode, extension))
+            assert not any(forms(bp).values())
 
 
 class TestSchurSolve:
