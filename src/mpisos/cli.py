@@ -316,7 +316,7 @@ def build_run_report(
         block_sizes={k: tuple(v) for k, v in blocks.items()},
         v_coeffs=v_coeffs,
         w_coeffs=len(problem.free_labels) - v_coeffs,
-        equalities=len(problem.equalities),
+        equalities=len(problem.row_labels),
         status=solution.status,
         objective=solution.objective,
         dual_objective=solution.dual_objective,

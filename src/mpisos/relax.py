@@ -9,15 +9,20 @@ families of linear equalities match coefficients exponent by exponent:
 * ``w``    sum_j b_j p_j - w = 0,
 * ``wv``   sum_j c_j p_j - w + v = -1 (constant exponent only).
 
+Assembly numbers the rows from radix keys of the exponents and hands them
+to the solver as arrays (see ``SdpProblem``); recovery reads the same arrays.
+
 The objective integrates w over a box with closed-form Lebesgue moments, so
 the constraint set must be a box; anything else is rejected at assembly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import clique_set
 from .poly import (
@@ -122,16 +127,29 @@ class Equality:
     rhs: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpProblem:
-    """Standard-form data for one relaxation instance."""
+    """Standard-form data for one relaxation instance.
+
+    Row i of the equalities matches the coefficient of x^alpha in one
+    identity, ``row_labels[i] = (identity, alpha)``, ordered by identity, then
+    alpha in grlex order.  ``gram_entries`` holds the arrays (row, block, r,
+    c, coef) of its upper-triangle Gram entries, sorted by row and otherwise
+    in loop order (block, r <= c row-major, multiplier term); ``B`` (CSR,
+    rows x free variables) its free part and ``rhs`` its right-hand side.
+    ``equalities`` views the same rows as ``Equality`` records, built on
+    access.  Problems compare by identity, as arrays have no single truth
+    value."""
 
     system: DynamicalSystem
     box: Box
     config: RelaxationConfig
     blocks: tuple[GramBlock, ...]
     free_labels: tuple[tuple[str, Exponent], ...]
-    equalities: tuple[Equality, ...]
+    row_labels: tuple[tuple[str, Exponent], ...]
+    gram_entries: tuple[np.ndarray, ...]
+    B: sp.csr_matrix
+    rhs: np.ndarray
     objective_free: tuple[float, ...]
     metadata: dict = field(default_factory=dict)
 
@@ -139,8 +157,35 @@ class SdpProblem:
     def free_count(self) -> int:
         return len(self.free_labels)
 
+    @property
+    def equalities(self) -> _Equalities:
+        return _Equalities(self)
+
     def gram_variable_count(self) -> int:
         return sum(b.dimension * (b.dimension + 1) // 2 for b in self.blocks)
+
+
+class _Equalities(Sequence):
+    """The rows of an ``SdpProblem`` as ``Equality`` records, each built on
+    access: holding them all would cost more than the arrays they view."""
+
+    def __init__(self, problem: SdpProblem) -> None:
+        self._problem = problem
+
+    def __len__(self) -> int:
+        return len(self._problem.rhs)
+
+    def __getitem__(self, i: int) -> Equality:
+        p, i = self._problem, range(len(self))[i]
+        row, *entry = p.gram_entries
+        lo, hi = np.searchsorted(row, [i, i + 1])
+        free = slice(p.B.indptr[i], p.B.indptr[i + 1])
+        return Equality(
+            *p.row_labels[i],
+            block_entries=tuple(zip(*(x[lo:hi].tolist() for x in entry))),
+            free_entries=tuple(zip(p.B.indices[free].tolist(), p.B.data[free].tolist())),
+            rhs=float(p.rhs[i]),
+        )
 
 
 def _clique_exponents(graphs) -> list[tuple[tuple[Exponent, ...], ...]]:
@@ -204,29 +249,17 @@ def _structure(
     return v_support, w_support, cliques, list(cliques), meta
 
 
-def _lie_coefficient_map(
-    system: DynamicalSystem, v_support: SupportSet, beta: float
-) -> dict[Exponent, dict[Exponent, float]]:
-    """For each candidate v exponent, the coefficients of beta x^g - grad(x^g) . f."""
-    n = system.dim
-    out: dict[Exponent, dict[Exponent, float]] = {}
-    for gamma in v_support:
-        mono = Polynomial(n, {gamma: 1.0})
-        out[gamma] = dict(lie_polynomial(mono, system, beta).terms)
-    return out
-
-
 def _gram_rows(
-    blocks: list[GramBlock], multipliers: tuple[Polynomial, ...], dim: int
-) -> dict[str, dict[Exponent, list[tuple[int, int, int, float]]]]:
-    """Gram entries (block, r, c, coef) per identity and matched exponent, in
-    loop order: block, r <= c row-major, term.  One array pass on radix keys
-    per (multiplier, size) class of blocks, then a stable sort groups them;
-    block ids and coefficients are looked up, so entries share the objects."""
+    blocks: list[GramBlock], multipliers: tuple[Polynomial, ...], weights: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Gram entries as arrays (identity, key, block, r, c, coef): the index
+    into IDENTITIES, the matched exponent keyed by ``weights``, and the
+    upper-triangle entry.  Sorted by identity, then key; a row's entries stay
+    in loop order: block, r <= c row-major, term.  One array pass on radix
+    keys per (multiplier, size) class of blocks, then a stable sort."""
     terms = [p.sorted_terms() for p in multipliers]
     first_term = np.cumsum([0] + [len(t) for t in terms])
-    top = 2 * max(sum(a) for b in blocks for a in b.exponents) + max(p.degree for p in multipliers)
-    weights = radix_weights(dim, top)
+    coefs = np.array([x for t in terms for _, x in t], dtype=float)
     classes: dict[tuple[int, int], list[int]] = {}
     for block_id, block in enumerate(blocks):
         classes.setdefault((block.multiplier, block.dimension), []).append(block_id)
@@ -240,22 +273,11 @@ def _gram_rows(
         fields = (keys, np.array(ids)[:, None, None], r[:, None], c[:, None], term)
         parts.append([np.broadcast_to(f, keys.shape).ravel() for f in fields])
     keys, block_of, row, col, term = (np.concatenate(x) for x in zip(*parts))
-    alphas, rank = np.unique(keys, return_inverse=True)
     # certificates a, b and c match the identities lie, w and wv
     ident = np.array(["abc".index(b.certificate) for b in blocks])[block_of]
-    order = np.lexsort((block_of, rank.reshape(-1), ident))
-    ident, rank = ident[order], rank.reshape(-1)[order]
-    cut = (np.flatnonzero((ident[1:] != ident[:-1]) | (rank[1:] != rank[:-1])) + 1).tolist()
-    block_ids, coefs = list(range(len(blocks))), [x for t in terms for _, x in t]
-    entries = list(zip(
-        map(block_ids.__getitem__, block_of[order].tolist()), row[order].tolist(),
-        col[order].tolist(), map(coefs.__getitem__, term[order].tolist()),
-    ))
-    alphas = (alphas[:, None] // weights % (top + 1)).tolist()
-    rows: dict = {name: {} for name in IDENTITIES}
-    for start, stop in zip([0, *cut], [*cut, len(order)]):
-        rows[IDENTITIES[ident[start]]][tuple(alphas[rank[start]])] = entries[start:stop]
-    return rows
+    rank = np.unique(keys, return_inverse=True)[1].reshape(-1)
+    order = np.lexsort((block_of, rank, ident))
+    return ident[order], keys[order], block_of[order], row[order], col[order], coefs[term[order]]
 
 
 def assemble(
@@ -289,43 +311,35 @@ def assemble(
     w_offset = len(v_exponents)
     w_index = {a: w_offset + k for k, a in enumerate(w_exponents)}
 
-    lie_map = _lie_coefficient_map(system, v_support, config.beta)
+    # free-variable entries (identity, alpha, column, coef); lie holds
+    # -(beta x^g - grad(x^g) . f) for each v exponent g
+    lie = [lie_polynomial(Polynomial(system.dim, {g: 1.0}), system, config.beta) for g in v_index]
+    free = [(0, a, col, -x) for col, p in enumerate(lie) for a, x in p.terms.items()]
+    free += [(i, alpha, col, -1.0) for alpha, col in w_index.items() for i in (1, 2)]
+    free += [(2, alpha, col, 1.0) for alpha, col in v_index.items()]
+    f_ident, f_alpha, f_col, f_coef = (np.array(x) for x in zip(*free))
 
-    rows = _gram_rows(blocks, multipliers, system.dim)
+    # radix keys whose digits are the degree, then x_1, x_2, ...: they add
+    # like exponents and sort in grlex order
+    basis_degree = max(sum(a) for b in blocks for a in b.exponents)
+    top = max(2 * basis_degree + max(p.degree for p in multipliers), int(f_alpha.sum(axis=1).max()))
+    weights = radix_weights(system.dim + 1, top)
+    grlex = weights[1:] + weights[0]
+    g_ident, g_keys, block, r, c, coef = _gram_rows(blocks, multipliers, grlex)
 
-    # free-variable contributions per identity
-    free_rows: dict[str, dict[Exponent, list[tuple[int, float]]]] = {
-        ident: {} for ident in IDENTITIES
-    }
-    for gamma, terms in lie_map.items():
-        col = v_index[gamma]
-        for alpha, coef in terms.items():
-            free_rows["lie"].setdefault(alpha, []).append((col, -coef))
-    for alpha, col in w_index.items():
-        free_rows["w"].setdefault(alpha, []).append((col, -1.0))
-        free_rows["wv"].setdefault(alpha, []).append((col, -1.0))
-    for alpha, col in v_index.items():
-        free_rows["wv"].setdefault(alpha, []).append((col, 1.0))
-
-    zero = (0,) * system.dim
-    rhs_map = {("wv", zero): -1.0}
-    equalities: list[Equality] = []
-    for ident in IDENTITIES:
-        alphas = set(rows[ident]) | set(free_rows[ident])
-        if ident == "wv":
-            alphas.add(zero)
-        for alpha in sorted(alphas, key=grlex_key):
-            equalities.append(
-                Equality(
-                    identity=ident,
-                    alpha=alpha,
-                    block_entries=tuple(rows[ident].get(alpha, ())),
-                    free_entries=tuple(
-                        sorted(free_rows[ident].get(alpha, ()))
-                    ),
-                    rhs=rhs_map.get((ident, alpha), 0.0),
-                )
-            )
+    # a row per matched (identity, alpha); the last key is the constant of wv,
+    # whose row holds the right-hand side
+    keys = np.concatenate([g_keys, exponent_keys(f_alpha, grlex), [0]])
+    keys, rank = np.unique(keys, return_inverse=True)
+    ident = np.concatenate([g_ident, f_ident, [IDENTITIES.index("wv")]])
+    labels, row = np.unique(ident * len(keys) + rank.reshape(-1), return_inverse=True)
+    alphas = (keys[labels % len(keys), None] // weights[1:] % (top + 1)).tolist()
+    row_labels = tuple(zip([IDENTITIES[i] for i in labels // len(keys)], map(tuple, alphas)))
+    m, row = len(labels), row.reshape(-1)
+    B = sp.csr_matrix((f_coef, (row[len(g_keys) : -1], f_col)), shape=(m, len(free_labels)))
+    B.sum_duplicates()
+    rhs = np.zeros(m)
+    rhs[row[-1]] = -1.0
 
     objective = [0.0] * len(free_labels)
     for alpha, col in w_index.items():
@@ -336,7 +350,7 @@ def assemble(
             "v_support_size": len(v_exponents),
             "w_support_size": len(w_exponents),
             "block_count": len(blocks),
-            "equality_count": len(equalities),
+            "equality_count": m,
         }
     )
     return SdpProblem(
@@ -345,7 +359,10 @@ def assemble(
         config=config,
         blocks=tuple(blocks),
         free_labels=free_labels,
-        equalities=tuple(equalities),
+        row_labels=row_labels,
+        gram_entries=(row[: len(g_keys)], block, r, c, coef),
+        B=B,
+        rhs=rhs,
         objective_free=tuple(objective),
         metadata=meta,
     )
@@ -376,7 +393,7 @@ def recover(
 ) -> CertificateSet:
     """Map raw solver output back to polynomials and validated Gram blocks.
 
-    Residuals are recomputed from the stored equality data; violations are
+    Residuals are recomputed from the stored equality arrays; violations are
     reported through ``flags`` rather than raised, so callers can decide how
     strict to be.
     """
@@ -406,18 +423,14 @@ def recover(
         min_eigs[block.label] = eig_min
         mats.append(mat)
 
-    residuals = {ident: 0.0 for ident in IDENTITIES}
-    coef_scale = 1.0
-    for eq in problem.equalities:
-        total = -eq.rhs
-        for block_id, r, c, coef in eq.block_entries:
-            entry = mats[block_id][r, c]
-            total += coef * entry * (1.0 if r == c else 2.0)
-            coef_scale = max(coef_scale, abs(coef))
-        for col, coef in eq.free_entries:
-            total += coef * free[col]
-            coef_scale = max(coef_scale, abs(coef))
-        residuals[eq.identity] = max(residuals[eq.identity], abs(total))
+    row, k, r, c, coef = problem.gram_entries
+    sizes = np.array([b.dimension for b in problem.blocks])
+    at = np.cumsum(np.append(0, sizes**2))[k] + r * sizes[k] + c
+    terms = coef * np.concatenate([mat.ravel() for mat in mats])[at] * np.where(r == c, 1.0, 2.0)
+    total = np.bincount(row, terms, minlength=len(problem.rhs)) + problem.B @ free - problem.rhs
+    names = np.array([name for name, _ in problem.row_labels])
+    residuals = {name: float(np.abs(total[names == name]).max(initial=0.0)) for name in IDENTITIES}
+    coef_scale = max(1.0, np.abs(coef).max(initial=0.0), np.abs(problem.B.data).max(initial=0.0))
     worst = max(residuals.values())
     if worst > tolerance * coef_scale:
         flags.append(f"identity residual {worst:.3e} exceeds tolerance")

@@ -2,16 +2,17 @@
 
 The standard form matches what assembly produces:
 
-    minimize    c_f . u
+    minimize    c . x + c_f . u
     subject to  sum_k <A_ik, X_k> + (B u)_i = b_i,   i = 1..m
-                X_k PSD,  u free.
+                X_k PSD,  u free,
 
-The PSD constraint data is one sparse operator A with m rows and
-sum_k n_k^2 columns: block k occupies the columns offsets[k]:offsets[k+1]
-and stores the full symmetric A_ik in row-major order, so A applied to the
-stacked X_k.ravel() gives every equality's block part in one product.
-B is CSR as well.  The presolve, the row equilibration and the trace cap
-are row and column operations on A and B.
+where x stacks the X_k.ravel().  The PSD constraint data is one sparse
+operator A with m rows and sum_k n_k^2 columns: block k occupies the
+columns offsets[k]:offsets[k+1] and stores the full symmetric A_ik in
+row-major order, so A x gives every equality's block part in one product.
+The PSD cost c is one flat vector over the same columns, the iterates'
+layout.  B is CSR as well.  The presolve, the row equilibration and the
+trace cap are row and column operations on A, B and c.
 
 Every free variable is eliminated before the interior-point method: in the
 coefficient-matching equalities each one is pinned by a chain of pivot
@@ -137,6 +138,11 @@ def _canonical(mat) -> sp.csr_matrix:
     return mat
 
 
+def _flat(mats) -> np.ndarray:
+    """The stacked vector of a list of blocks, each raveled row-major."""
+    return np.concatenate([np.ravel(mat) for mat in mats])
+
+
 class BlockProblem:
     """Standard-form data with one stacked sparse constraint operator.
 
@@ -148,9 +154,11 @@ class BlockProblem:
     off-diagonal ones are mirrored.  ``B``, the free-variable columns, is
     stored as m x f CSR; the constructor takes it dense or sparse.
 
-    The objective is <C, X> + c_free . u + objective_offset; C defaults to
+    The objective is c . concat(X_k.ravel()) + c_free . u +
+    objective_offset.  The constructor takes the PSD cost as one matrix
+    C_k per block, symmetrized, and stores it flat as ``c``; it defaults to
     zero, which is what direct assembly produces.  Eliminating pinned free
-    variables moves their weights into C and the offset.
+    variables moves their weights into c and the offset.
     """
 
     def __init__(
@@ -163,43 +171,34 @@ class BlockProblem:
         C=None,
         objective_offset: float = 0.0,
     ) -> None:
-        self._set_data(block_sizes, B, b, c_free, C, objective_offset)
+        cost = None
+        if C is not None:
+            mats = [np.asarray(Ck, dtype=float) for Ck in C]
+            if len(mats) != len(block_sizes):
+                raise ValueError("need one cost matrix per block")
+            if any(Ck.shape != (n, n) for n, Ck in zip(block_sizes, mats)):
+                raise ValueError("cost block shape mismatch")
+            cost = _flat([0.5 * (Ck + Ck.T) for Ck in mats])
+        self._set_data(block_sizes, B, b, c_free, cost, objective_offset)
         if len(equality_entries) != self.m:
             raise ValueError("need one entry list per equality")
-        counts = [len(row) for row in equality_entries]
         flat = np.array(
             [e for row in equality_entries for e in row], dtype=float
         ).reshape(-1, 4)
+        rows = np.repeat(np.arange(self.m), [len(row) for row in equality_entries])
         k, r, c = flat[:, :3].astype(np.int64).T
-        v = flat[:, 3]
-        if np.any((k < 0) | (k >= len(self.block_sizes))):
-            raise ValueError("entry references an unknown block")
-        n = np.array(self.block_sizes, dtype=np.int64)[k]
-        if np.any((r < 0) | (r > c) | (c >= n)):
-            raise ValueError("entry outside the upper triangle")
-        rows = np.repeat(np.arange(self.m), counts)
-        cols = self.offsets[k] + r * n + c
-        mirror = r != c
-        cols_t = (self.offsets[k] + c * n + r)[mirror]
-        A = sp.csr_matrix(
-            (
-                np.append(v, v[mirror]),
-                (np.append(rows, rows[mirror]), np.append(cols, cols_t)),
-            ),
-            shape=(self.m, self.offsets[-1]),
-        )
-        self._set_operator(A)
+        self._set_operator(_upper_operator(self.block_sizes, self.m, rows, k, r, c, flat[:, 3]))
 
     @classmethod
     def _from_operator(
-        cls, block_sizes, A, B, b, c_free, C=None, objective_offset: float = 0.0
+        cls, block_sizes, A, B, b, c_free, c=None, objective_offset: float = 0.0
     ) -> BlockProblem:
         bp = cls.__new__(cls)
-        bp._set_data(block_sizes, B, b, c_free, C, objective_offset)
+        bp._set_data(block_sizes, B, b, c_free, c, objective_offset)
         bp._set_operator(A)
         return bp
 
-    def _set_data(self, block_sizes, B, b, c_free, C, objective_offset) -> None:
+    def _set_data(self, block_sizes, B, b, c_free, c, objective_offset) -> None:
         self.block_sizes = tuple(int(n) for n in block_sizes)
         if any(n < 1 for n in self.block_sizes):
             raise ValueError("block sizes must be positive")
@@ -213,24 +212,9 @@ class BlockProblem:
         self.n_free = self.B.shape[1]
         if self.c_free.shape != (self.n_free,):
             raise ValueError("c_free length does not match B")
-        if C is None:
-            self.C = None
-        else:
-            if len(C) != len(self.block_sizes):
-                raise ValueError("need one cost matrix per block")
-            mats = []
-            for n, Ck in zip(self.block_sizes, C):
-                arr = np.asarray(Ck, dtype=float)
-                if arr.shape != (n, n):
-                    raise ValueError("cost block shape mismatch")
-                mats.append(0.5 * (arr + arr.T))
-            self.C = tuple(mats)
+        self.c = np.zeros(self.offsets[-1]) if c is None else np.asarray(c, dtype=float)
         self.objective_offset = float(objective_offset)
-        self.cost_norm = float(np.linalg.norm(self.c_free))
-        if self.C is not None:
-            self.cost_norm += float(
-                np.sqrt(sum(np.sum(Ck**2) for Ck in self.C))
-            )
+        self.cost_norm = float(np.linalg.norm(self.c_free)) + float(np.linalg.norm(self.c))
 
     def _set_operator(self, A) -> None:
         # the presolve and export_sdpa rely on canonical CSR
@@ -244,11 +228,6 @@ class BlockProblem:
     def total_dimension(self) -> int:
         return sum(self.block_sizes)
 
-    def cost_blocks(self) -> tuple[np.ndarray, ...]:
-        if self.C is not None:
-            return self.C
-        return tuple(np.zeros((n, n)) for n in self.block_sizes)
-
     def _split(self, flat: np.ndarray) -> list[np.ndarray]:
         """The n_k x n_k blocks of a stacked vector, as views into it."""
         o = self.offsets
@@ -258,7 +237,7 @@ class BlockProblem:
         ]
 
     def apply_A(self, mats) -> np.ndarray:
-        return self.A @ np.concatenate([np.ravel(mat) for mat in mats])
+        return self.A @ _flat(mats)
 
     def apply_At(self, y) -> list[np.ndarray]:
         return self._split(self.A.T @ y)
@@ -325,21 +304,37 @@ class BlockProblem:
         return out
 
 
+def _upper_operator(block_sizes, m: int, rows, k, r, c, v) -> sp.csr_matrix:
+    """A from upper-triangle entries: row, block k, (r, c) in it and value,
+    one array each.  Duplicate entries add up; off-diagonal ones are
+    mirrored."""
+    if np.any((k < 0) | (k >= len(block_sizes))):
+        raise ValueError("entry references an unknown block")
+    sizes = np.array(block_sizes, dtype=np.int64)
+    offsets = np.cumsum(np.append(0, sizes**2))
+    n = sizes[k]
+    if np.any((r < 0) | (r > c) | (c >= n)):
+        raise ValueError("entry outside the upper triangle")
+    cols = offsets[k] + r * n + c
+    mirror = r != c
+    cols_t = (offsets[k] + c * n + r)[mirror]
+    return sp.csr_matrix(
+        (
+            np.append(v, v[mirror]),
+            (np.append(rows, rows[mirror]), np.append(cols, cols_t)),
+        ),
+        shape=(m, offsets[-1]),
+    )
+
+
 def standardize(problem: SdpProblem) -> BlockProblem:
     """Convert assembled equality data into solver-ready standard form."""
-    eqs = problem.equalities
-    counts = [len(eq.free_entries) for eq in eqs]
-    flat = np.array([e for eq in eqs for e in eq.free_entries]).reshape(-1, 2)
-    rows = np.repeat(np.arange(len(eqs)), counts)
-    B = sp.csr_matrix(
-        (flat[:, 1], (rows, flat[:, 0].astype(np.int64))),
-        shape=(len(eqs), problem.free_count),
-    )
-    return BlockProblem(
-        [blk.dimension for blk in problem.blocks],
-        [eq.block_entries for eq in eqs],
-        B,
-        np.array([eq.rhs for eq in eqs], dtype=float),
+    sizes = [blk.dimension for blk in problem.blocks]
+    return BlockProblem._from_operator(
+        sizes,
+        _upper_operator(sizes, len(problem.rhs), *problem.gram_entries),
+        problem.B,
+        problem.rhs,
         np.asarray(problem.objective_free, dtype=float),
     )
 
@@ -358,7 +353,7 @@ def _equilibrated(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray]:
         sp.diags(1.0 / s) @ bp.B,
         bp.b / s,
         bp.c_free,
-        C=bp.C,
+        bp.c,
         objective_offset=bp.objective_offset,
     )
     return scaled, s
@@ -463,9 +458,7 @@ def reduce_free_variables(
     A_piv = bp.A[piv]
     A_red = sp.csr_matrix(bp.A[kept_rows] - F @ A_piv)
     A_red.eliminate_zeros()
-    cost = [
-        Ck - Gk for Ck, Gk in zip(bp.cost_blocks(), bp._split(A_piv.T @ g))
-    ]
+    cost = bp.c - A_piv.T @ g
     b_red = bp.b[kept_rows] - F @ bp.b[piv]
     offset = float(g @ bp.b[piv]) + bp.objective_offset
 
@@ -490,7 +483,7 @@ def reduce_free_variables(
         sp.csr_matrix((len(b_red), 0)),
         b_red,
         np.zeros(0),
-        C=cost,
+        cost,
         objective_offset=offset,
     )
     return reduced, red
@@ -519,11 +512,8 @@ def _with_trace_bound(bp: BlockProblem, bound: float) -> BlockProblem:
     A = sp.vstack([sp.hstack([bp.A, sp.csr_matrix((bp.m, 1))]), cap])
     B = sp.vstack([bp.B, sp.csr_matrix((1, bp.n_free))])
     b = np.append(bp.b, bound)
-    C = None
-    if bp.C is not None:
-        C = list(bp.C) + [np.zeros((1, 1))]
     return BlockProblem._from_operator(
-        bp.block_sizes + (1,), A, B, b, bp.c_free, C=C,
+        bp.block_sizes + (1,), A, B, b, bp.c_free, np.append(bp.c, 0.0),
         objective_offset=bp.objective_offset,
     )
 
@@ -581,19 +571,12 @@ def _step_length(lam, deltas) -> float:
 
 
 def _primal_objective(bp: BlockProblem, X, u) -> float:
-    value = float(bp.c_free @ u) + bp.objective_offset
-    if bp.C is not None:
-        value += sum(float(np.sum(Ck * Xk)) for Ck, Xk in zip(bp.C, X))
-    return value
+    return float(bp.c_free @ u) + bp.objective_offset + float(bp.c @ _flat(X))
 
 
 def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, float]:
     r_p = bp.b - bp.apply_A(X) - bp.B @ u
-    At = bp.apply_At(y)
-    C = bp.cost_blocks()
-    dual_sq = 0.0
-    for Ck, Sk, Ak in zip(C, S, At):
-        dual_sq += float(np.sum((Ck - Sk - Ak) ** 2))
+    dual_sq = float(np.sum((bp.c - _flat(S) - bp.A.T @ y) ** 2))
     r_f = bp.c_free - bp.B.T @ y
     dual_sq += float(np.sum(r_f**2))
     pobj = _primal_objective(bp, X, u)
@@ -856,7 +839,7 @@ def solve_block_problem(
             flat[cols] = st.ravel()
         return flat
 
-    C = gather(np.concatenate([Ck.ravel() for Ck in bp.cost_blocks()]))
+    C = gather(bp.c)
 
     # identity-scaled cold start with magnitudes taken from the data rows;
     # the last row is the trace cap, whose right-hand side is a
@@ -1122,16 +1105,12 @@ def export_sdpa(problem) -> str:
     nz = np.flatnonzero(bp.c_free)
     add(0, free_blk, nz + 1, nz + 1, -bp.c_free[nz])
     add(0, free_blk, f + nz + 1, f + nz + 1, bp.c_free[nz])
-    if bp.C is not None:
-        for k, Ck in enumerate(bp.C):
-            r, c = np.triu_indices(len(Ck))
-            keep = Ck[r, c] != 0.0
-            add(0, k + 1, r[keep] + 1, c[keep] + 1, -Ck[r, c][keep])
-    coo = bp.A.tocoo()
+    # matrix 0 is the negated PSD cost, matrix i + 1 row i of A
+    coo = sp.vstack([sp.csr_matrix(-bp.c), bp.A]).tocoo()
     k = np.searchsorted(bp.offsets, coo.col, side="right") - 1
     r, c = np.divmod(coo.col - bp.offsets[k], np.array(bp.block_sizes)[k])
     keep = r <= c
-    add(coo.row[keep] + 1, k[keep] + 1, r[keep] + 1, c[keep] + 1, coo.data[keep])
+    add(coo.row[keep], k[keep] + 1, r[keep] + 1, c[keep] + 1, coo.data[keep])
     coo = bp.B.tocoo()
     rows, cols = coo.row + 1, coo.col + 1
     add(rows, free_blk, cols, cols, coo.data)

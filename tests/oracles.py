@@ -4,8 +4,9 @@ Each oracle takes a deliberately different algorithmic route than the library
 code it checks: recursive Horner evaluation, simplicial-elimination chordality
 testing, exhaustive parity-vector enumeration, and a projection-splitting SDP
 solver.  The term-sparsity front end (graph rules, Gram supports, the
-elimination-order check and coefficient matching) runs on arrays in the
-library; its plain loop versions are kept here as references.
+elimination-order check and coefficient matching) and the residuals of
+certificate recovery run on arrays in the library; their plain loop versions
+are kept here as references.
 """
 
 from __future__ import annotations
@@ -131,6 +132,28 @@ def gram_rows_loop(blocks, multipliers) -> dict:
                     alpha = tuple(map(add, base, delta))
                     target.setdefault(alpha, []).append((block_id, r, c, coef))
     return rows
+
+
+def recover_residuals_loop(problem, block_values, free_values, tolerance: float = 1e-6):
+    """``recover``'s identity residuals and its residual flag, by a loop over
+    the entries of each equality record."""
+    mats = [0.5 * (np.asarray(m) + np.asarray(m).T) for m in block_values]
+    residuals = {"lie": 0.0, "w": 0.0, "wv": 0.0}
+    coef_scale = 1.0
+    for eq in problem.equalities:
+        total = -eq.rhs
+        for block_id, r, c, coef in eq.block_entries:
+            total += coef * mats[block_id][r, c] * (1.0 if r == c else 2.0)
+            coef_scale = max(coef_scale, abs(coef))
+        for col, coef in eq.free_entries:
+            total += coef * free_values[col]
+            coef_scale = max(coef_scale, abs(coef))
+        residuals[eq.identity] = max(residuals[eq.identity], abs(total))
+    worst = max(residuals.values())
+    flags = []
+    if worst > tolerance * coef_scale:
+        flags.append(f"identity residual {worst:.3e} exceeds tolerance")
+    return residuals, flags
 
 
 # -- sign symmetries -----------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from mpisos import systems
 from mpisos.graphs import MonomialGraph, supp_of_graph
 from mpisos.poly import DynamicalSystem, Polynomial, SupportSet, exponent_keys, radix_weights
-from mpisos.relax import Box, GramBlock, _gram_rows, assemble
+from mpisos.relax import IDENTITIES, Box, GramBlock, _gram_rows, assemble
 from mpisos.sparsity import RelaxationConfig, _graph_from_rule, _v_hit_set, build_chain
 
 from oracles import graph_from_rule_loop, gram_rows_loop, supp_of_graph_loop
@@ -117,4 +117,14 @@ def test_gram_rows_with_exponents_past_int64_keys():
         GramBlock("c", 1, 1, ((0,) * DIM,)),
         GramBlock("b", 0, 0, ((0,) * DIM, unit(2), (2,) * DIM)),
     ]
-    assert _gram_rows(blocks, (one, p), DIM) == gram_rows_loop(blocks, (one, p))
+    # keys reach 141**20: 2 * 40 for the Gram products, 60 for p
+    weights = radix_weights(DIM, 140)
+    ident, keys, block, r, c, coef = _gram_rows(blocks, (one, p), weights)
+    labels = list(zip(ident.tolist(), keys.tolist()))
+    assert labels == sorted(labels)
+    rows: dict = {name: {} for name in IDENTITIES}
+    alphas = (keys[:, None] // weights % 141).tolist()
+    entries = zip(block.tolist(), r.tolist(), c.tolist(), coef.tolist())
+    for i, alpha, entry in zip(ident.tolist(), alphas, entries):
+        rows[IDENTITIES[i]].setdefault(tuple(alpha), []).append(entry)
+    assert rows == gram_rows_loop(blocks, (one, p))

@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import recover_residuals_loop
+
 from mpisos.poly import Polynomial, lie_polynomial, monomial_basis
 from mpisos.relax import (
     Box,
@@ -298,6 +300,32 @@ class TestRecovery:
         assert not cert.ok
         assert any("eigenvalue" in f for f in cert.flags)
         assert any("residual" in f for f in cert.flags)
+
+    @pytest.mark.parametrize("case", [0, 1, 2, "negative-eigenvalue"])
+    def test_residuals_match_loop_reference(self, case):
+        # the three problems of test_equalities_encode_polynomial_identities
+        # at a random, non-symmetric point, and the perturbed point of
+        # test_flags_negative_eigenvalue
+        if case == "negative-eigenvalue":
+            p = _assemble(lorenz(), d=2, s=1, l=1)
+            mats, free = _feasible_point(p)
+            k = next(i for i, b in enumerate(p.blocks) if b.certificate == "a")
+            mats[k][0, 0] = -1.0
+        else:
+            model, config = [
+                (lorenz(), dict(s=1, l=2)),
+                (coupled_cubic(), dict(mode="ss")),
+                (semi_coupled_cubic(), dict(mode="fd")),
+            ][case]
+            p = _assemble(model, d=2, **config)
+            rng = np.random.default_rng(7)
+            mats = [rng.normal(size=(b.dimension, b.dimension)) for b in p.blocks]
+            free = rng.normal(size=p.free_count)
+        residuals, flags = recover_residuals_loop(p, mats, free)
+        cert = recover(p, mats, free)
+        assert cert.residuals == pytest.approx(residuals, rel=1e-12, abs=1e-12)
+        assert [f for f in cert.flags if "residual" in f] == flags
+        assert flags
 
     def test_flags_asymmetric_block(self):
         p = _assemble(lorenz(), d=2, s=1, l=1)
