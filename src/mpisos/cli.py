@@ -377,14 +377,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.out_csv:
         _append_csv(args.out_csv, RUN_CSV_HEADER, [report.csv_row()])
     if args.export_sdpa:
-        try:
-            with open(args.export_sdpa, "w", encoding="utf-8") as fh:
-                fh.write(export_sdpa(problem))
-        except OSError as exc:
-            raise CliError(f"cannot write {args.export_sdpa}: {exc}") from exc
+        _emit(args.export_sdpa, export_sdpa(problem))
     if args.grid:
-        _write_grid(args.grid, loaded, cert.w, counts)
+        _write_grid(None if args.grid == "-" else args.grid, loaded, cert.w, counts)
     return 0
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 # -- compare -----------------------------------------------------------------
@@ -501,15 +509,7 @@ def cmd_random_model(args: argparse.Namespace) -> int:
             "rejected_draws": model.attempts - 1,
         },
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        print(text)
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -523,15 +523,7 @@ def cmd_export_sdpa(args: argparse.Namespace) -> int:
         problem = assemble(loaded.system, loaded.box, config)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    text = export_sdpa(problem)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, export_sdpa(problem))
     return 0
 
 
@@ -544,21 +536,14 @@ def _grid_counts(loaded: LoadedProblem, resolution) -> tuple[int, ...]:
         raise CliError(str(exc)) from exc
 
 
-def _write_grid(path: str, loaded: LoadedProblem, w, counts) -> None:
+def _write_grid(path: str | None, loaded: LoadedProblem, w, counts) -> None:
     points, values = outer_approx_grid(w, loaded.box, counts)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(list(loaded.variables) + ["w"])
     for point, value in zip(points, values):
         writer.writerow([f"{x:.12g}" for x in point] + [f"{value:.12g}"])
-    if path == "-":
-        sys.stdout.write(buf.getvalue())
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+    _emit(path, buf.getvalue())
 
 
 # -- argument plumbing -------------------------------------------------------

@@ -19,15 +19,16 @@ coefficient-matching equalities each one is pinned by a chain of pivot
 rows, and the presolve refuses a problem where one is not.  The method is a
 primal-dual path follower with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step on the PSD blocks alone, so its Newton system is
-the Schur complement M, positive definite and dense (problems here stay at
-a few thousand constraints), factored once per iteration by a double
-Cholesky.  Where double refinement on it falls short in the endgame,
-GMRES-IR in long double carries the solves to the tolerances.  The iterates
-and every term of the Newton direction are one (k, n, n) stack per block
-size, gathered from a stacked vector by the blocks' columns of A and
-scattered back before each product with A, so Cholesky, SVD, eigvalsh, the
-sandwich products and the Schur complement's <A_ik, W_k A_jk W_k> run once
-per block size, not once per block; M is formed in bounded chunks of pairs.
+the Schur complement M, positive definite and dense (m x m doubles; an
+n=20 ts maximal network relaxation has m = 13713 before the presolve),
+factored once per iteration by a double Cholesky.  Where double refinement
+on it falls short in the endgame, GMRES-IR in long double carries the solves
+to the tolerances.  The iterates and every term of the Newton direction
+are one (k, n, n) stack per block size, gathered from a stacked vector by
+the blocks' columns of A and scattered back before each product with A,
+so Cholesky, SVD, eigvalsh, the sandwich products and the Schur
+complement's <A_ik, W_k A_jk W_k> run once per block size, not once per
+block; M is formed in bounded chunks of pairs.
 A block size takes one of two forms of W_k A_jk W_k, chosen once per problem:
 two dense n^3 products, or, for large blocks whose A_jk are sparse,
 products with only the rows of W_k in A_jk's row support, contracted over
@@ -146,65 +147,32 @@ def _flat(mats) -> np.ndarray:
 class BlockProblem:
     """Standard-form data with one stacked sparse constraint operator.
 
-    ``A`` is an m x sum(n_k^2) CSR matrix.  Block k owns the columns
-    ``offsets[k]:offsets[k+1]`` and holds the full symmetric matrix A_ik in
-    row-major order, so ``A @ concat(X_k.ravel())`` gives the block part of
-    every equality.  The constructor takes one list of upper-triangle
-    entries ``(k, r, c, coef)`` per equality; duplicate entries add up and
-    off-diagonal ones are mirrored.  ``B``, the free-variable columns, is
-    stored as m x f CSR; the constructor takes it dense or sparse.
+    ``A`` is an m x sum(n_k^2) matrix, stored as canonical CSR.  Block k owns
+    the columns ``offsets[k]:offsets[k+1]`` and holds the full symmetric
+    matrix A_ik in row-major order, so ``A @ concat(X_k.ravel())`` gives the
+    block part of every equality; ``_upper_operator`` builds it from
+    upper-triangle entries.  ``B``, the free-variable columns, is stored as
+    m x f CSR; the constructor takes it dense or sparse.
 
     The objective is c . concat(X_k.ravel()) + c_free . u +
-    objective_offset.  The constructor takes the PSD cost as one matrix
-    C_k per block, symmetrized, and stores it flat as ``c``; it defaults to
-    zero, which is what direct assembly produces.  Eliminating pinned free
+    objective_offset, the PSD cost c flat over A's columns.  It defaults to
+    zero, which is what direct assembly produces; eliminating pinned free
     variables moves their weights into c and the offset.
     """
 
     def __init__(
-        self,
-        block_sizes,
-        equality_entries,
-        B,
-        b,
-        c_free,
-        C=None,
-        objective_offset: float = 0.0,
+        self, block_sizes, A, B, b, c_free, c=None, objective_offset: float = 0.0
     ) -> None:
-        cost = None
-        if C is not None:
-            mats = [np.asarray(Ck, dtype=float) for Ck in C]
-            if len(mats) != len(block_sizes):
-                raise ValueError("need one cost matrix per block")
-            if any(Ck.shape != (n, n) for n, Ck in zip(block_sizes, mats)):
-                raise ValueError("cost block shape mismatch")
-            cost = _flat([0.5 * (Ck + Ck.T) for Ck in mats])
-        self._set_data(block_sizes, B, b, c_free, cost, objective_offset)
-        if len(equality_entries) != self.m:
-            raise ValueError("need one entry list per equality")
-        flat = np.array(
-            [e for row in equality_entries for e in row], dtype=float
-        ).reshape(-1, 4)
-        rows = np.repeat(np.arange(self.m), [len(row) for row in equality_entries])
-        k, r, c = flat[:, :3].astype(np.int64).T
-        self._set_operator(_upper_operator(self.block_sizes, self.m, rows, k, r, c, flat[:, 3]))
-
-    @classmethod
-    def _from_operator(
-        cls, block_sizes, A, B, b, c_free, c=None, objective_offset: float = 0.0
-    ) -> BlockProblem:
-        bp = cls.__new__(cls)
-        bp._set_data(block_sizes, B, b, c_free, c, objective_offset)
-        bp._set_operator(A)
-        return bp
-
-    def _set_data(self, block_sizes, B, b, c_free, c, objective_offset) -> None:
         self.block_sizes = tuple(int(n) for n in block_sizes)
         if any(n < 1 for n in self.block_sizes):
             raise ValueError("block sizes must be positive")
         self.offsets = np.cumsum([0] + [n * n for n in self.block_sizes])
         self.m = len(b)
         self.b = np.asarray(b, dtype=float)
+        # the presolve and export_sdpa rely on canonical CSR
+        self.A = _canonical(A)
+        if self.A.shape != (self.m, self.offsets[-1]):
+            raise ValueError("A must be m x sum(n_k^2)")
         if not sp.issparse(B):
             B = np.asarray(B, dtype=float).reshape(self.m, -1)
         self.B = _canonical(B)
@@ -215,12 +183,8 @@ class BlockProblem:
         self.c = np.zeros(self.offsets[-1]) if c is None else np.asarray(c, dtype=float)
         self.objective_offset = float(objective_offset)
         self.cost_norm = float(np.linalg.norm(self.c_free)) + float(np.linalg.norm(self.c))
-
-    def _set_operator(self, A) -> None:
-        # the presolve and export_sdpa rely on canonical CSR
-        self.A = A = _canonical(A)
         self.constraint_norms = np.sqrt(
-            np.asarray(A.multiply(A).sum(axis=1)).ravel()
+            np.asarray(self.A.multiply(self.A).sum(axis=1)).ravel()
             + np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel()
         )
 
@@ -330,7 +294,7 @@ def _upper_operator(block_sizes, m: int, rows, k, r, c, v) -> sp.csr_matrix:
 def standardize(problem: SdpProblem) -> BlockProblem:
     """Convert assembled equality data into solver-ready standard form."""
     sizes = [blk.dimension for blk in problem.blocks]
-    return BlockProblem._from_operator(
+    return BlockProblem(
         sizes,
         _upper_operator(sizes, len(problem.rhs), *problem.gram_entries),
         problem.B,
@@ -347,7 +311,7 @@ def _equilibrated(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray]:
     and free variables are untouched.
     """
     s = np.maximum(bp.constraint_norms, 1e-12)
-    scaled = BlockProblem._from_operator(
+    scaled = BlockProblem(
         bp.block_sizes,
         sp.diags(1.0 / s) @ bp.A,
         sp.diags(1.0 / s) @ bp.B,
@@ -364,18 +328,19 @@ class FreeReduction:
 
     Pivot rows pin every free variable, so their values follow from the
     block values; the pivot-row multipliers follow from dual feasibility
-    of the free columns.  Both are triangular solves.
+    of the free columns.  Both are triangular solves on ``lu_pet``, the
+    factor of B_PE^T, where B_PE holds the pivot rows' eliminated columns.
+    Substituted rows that cancelled to nothing are in neither
+    ``pivot_rows`` nor ``kept_rows`` and carry multiplier 0.
     """
 
-    def __init__(self, original, pivot_rows, elim_cols, kept_rows):
+    def __init__(self, original, pivot_rows, elim_cols, kept_rows, lu_pet):
         self.original = original
-        self.pivot_rows = np.asarray(pivot_rows, dtype=np.int64)
-        self.elim_cols = np.asarray(elim_cols, dtype=np.int64)
-        self.kept_rows = np.asarray(kept_rows, dtype=np.int64)
-        B_e = original.B[:, self.elim_cols]
-        self._B_pe = sp.csc_matrix(B_e[self.pivot_rows])
-        self._lu_pe = spla.splu(self._B_pe)
-        self._B_ke = B_e[self.kept_rows]
+        self.pivot_rows = pivot_rows
+        self.elim_cols = elim_cols
+        self.kept_rows = kept_rows
+        self._lu_pet = lu_pet
+        self._B_ke = original.B[kept_rows][:, elim_cols]
 
     def recover(self, X, y_red):
         bp = self.original
@@ -383,9 +348,9 @@ class FreeReduction:
         u = np.zeros(bp.n_free)
         y = np.zeros(bp.m)
         y[self.kept_rows] = y_red
-        u[self.elim_cols] = self._lu_pe.solve(bp.b[piv] - bp.apply_A(X)[piv])
+        u[self.elim_cols] = self._lu_pet.solve(bp.b[piv] - bp.apply_A(X)[piv], trans="T")
         c_e = bp.c_free[self.elim_cols]
-        y[piv] = self._lu_pe.solve(c_e - self._B_ke.T @ y_red, trans="T")
+        y[piv] = self._lu_pet.solve(c_e - self._B_ke.T @ y_red)
         return u, y
 
 
@@ -439,58 +404,42 @@ def reduce_free_variables(
             f"{np.flatnonzero(live_col).tolist()}"
         )
 
-    kept_rows = np.nonzero(live_row)[0]
-    red = FreeReduction(bp, pivot_rows, elim_cols, kept_rows)
-    piv = red.pivot_rows
-
-    # F = B_KE inv(B_PE); in elimination order B_PE is lower triangular, so
-    # both F and the substituted rows keep the sparsity of short chains.  A
-    # dense right-hand side is solved in one call, where a sparse one would
-    # be solved column by column.
-    if len(kept_rows):
-        rhs = red._B_ke.T.toarray()
-        Ft = spla.spsolve(sp.csc_matrix(red._B_pe.T), rhs)
-        F = sp.csr_matrix(np.reshape(Ft, rhs.shape).T)
-    else:
-        F = sp.csr_matrix((0, len(elim_cols)))
-    g = red._lu_pe.solve(bp.c_free[red.elim_cols], trans="T")
+    piv = np.array(pivot_rows, dtype=np.int64)
+    elim = np.array(elim_cols, dtype=np.int64)
+    kept = np.flatnonzero(live_row)
+    B_e = bp.B[:, elim]
+    # F = B_KE inv(B_PE) and g = inv(B_PE)^T c_E, both from one factor of
+    # B_PE^T, which recovery reuses; in elimination order B_PE is lower
+    # triangular, so F and the substituted rows keep the sparsity of short
+    # chains.  B_KE^T is solved dense, in one call, and untransposed, which
+    # SuperLU does about twice as fast on many columns.
+    lu_pet = spla.splu(sp.csc_matrix(B_e[piv].T))
+    F = sp.csr_matrix(lu_pet.solve(B_e[kept].T.toarray()).T)
+    g = lu_pet.solve(bp.c_free[elim])
 
     A_piv = bp.A[piv]
-    A_red = sp.csr_matrix(bp.A[kept_rows] - F @ A_piv)
+    A_red = sp.csr_matrix(bp.A[kept] - F @ A_piv)
     A_red.eliminate_zeros()
-    cost = bp.c - A_piv.T @ g
-    b_red = bp.b[kept_rows] - F @ bp.b[piv]
-    offset = float(g @ bp.b[piv]) + bp.objective_offset
-
+    b_red = bp.b[kept] - F @ bp.b[piv]
     # a substituted row can cancel to nothing; with a nonzero right-hand
     # side that means the equalities were inconsistent to begin with
-    empty = np.diff(A_red.indptr) == 0
-    if np.any(empty):
-        bad = np.abs(b_red[empty]) > 1e-9 * (1.0 + np.abs(bp.b).max())
-        if np.any(bad):
-            raise ValueError("free-variable elimination exposed an inconsistency")
-        keep = ~empty
-        A_red = A_red[keep]
-        b_red = b_red[keep]
-        red.kept_rows = red.kept_rows[keep]
-        # dropped rows carry multiplier zero, so recovery only balances
-        # the surviving rows against the eliminated columns
-        red._B_ke = red._B_ke[keep]
-
-    reduced = BlockProblem._from_operator(
+    keep = np.diff(A_red.indptr) > 0
+    if np.any(np.abs(b_red[~keep]) > 1e-9 * (1.0 + np.abs(bp.b).max())):
+        raise ValueError("free-variable elimination exposed an inconsistency")
+    reduced = BlockProblem(
         bp.block_sizes,
-        A_red,
-        sp.csr_matrix((len(b_red), 0)),
-        b_red,
+        A_red[keep],
+        sp.csr_matrix((int(keep.sum()), 0)),
+        b_red[keep],
         np.zeros(0),
-        cost,
-        objective_offset=offset,
+        bp.c - A_piv.T @ g,
+        objective_offset=float(g @ bp.b[piv]) + bp.objective_offset,
     )
-    return reduced, red
+    return reduced, FreeReduction(bp, piv, elim, kept[keep], lu_pet)
 
 
-def _with_trace_bound(bp: BlockProblem, bound: float) -> BlockProblem:
-    """Append the constraint sum_k tr(X_k) + s = bound with a slack s >= 0.
+def _with_trace_bound(bp: BlockProblem) -> BlockProblem:
+    """Append the constraint sum_k tr(X_k) + s = _TRACE_CAP with a slack s >= 0.
 
     The assembled relaxations have unbounded optimal faces (multiplier
     blocks can grow along zero-objective rays), which leaves the dual
@@ -511,8 +460,8 @@ def _with_trace_bound(bp: BlockProblem, bound: float) -> BlockProblem:
     )
     A = sp.vstack([sp.hstack([bp.A, sp.csr_matrix((bp.m, 1))]), cap])
     B = sp.vstack([bp.B, sp.csr_matrix((1, bp.n_free))])
-    b = np.append(bp.b, bound)
-    return BlockProblem._from_operator(
+    b = np.append(bp.b, _TRACE_CAP)
+    return BlockProblem(
         bp.block_sizes + (1,), A, B, b, bp.c_free, np.append(bp.c, 0.0),
         objective_offset=bp.objective_offset,
     )
@@ -615,8 +564,7 @@ def _support_plan(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray) -> 
     in the upper and in the lower triangle, and their values; Ph's rows up
     to the chunk's last pair, as a view, where Ph is Pg's upper triangle
     with off-diagonal entries doubled, so that <A_ik, U> = Ph U for
-    symmetric U; and the weights 0, 1 or 2 of the chunk's own pairs
-    against its slots."""
+    symmetric U."""
     # with each row's columns sorted, a pair's rows of R come in order
     Pg.sort_indices()
     q = np.repeat(np.arange(len(p_slot)), np.diff(Pg.indptr))
@@ -651,8 +599,7 @@ def _support_plan(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray) -> 
         view = sp.csr_matrix(
             (Ph.data[:hi], Ph.indices[:hi], Ph.indptr[: phi + 1]), shape=(phi, Pg.shape[1])
         )
-        weight = (1 + np.sign(s0 + np.arange(w) - p_slot[plo:phi, None])).astype(np.int8)
-        plan.append((s0, w, plo, r, g, cells.astype(np.int32), v[lo:hi], view, weight))
+        plan.append((s0, w, plo, r, g, cells.astype(np.int32), v[lo:hi], view))
     return plan
 
 
@@ -674,14 +621,14 @@ def _schur_dense(Wc, tables, flat: np.ndarray) -> None:
 
 
 def _schur_support(Wc, tables, flat: np.ndarray) -> None:
-    """Add one size class's part of M, one triangle weighted, by the support
+    """Add one size class's part of M, one triangle of pairs, by the support
     form (see ``_schur``)."""
     n, _, _, row, place, eqs, plan = tables
     k = len(Wc)
     Wf = Wc.reshape(k * n, n)
     size = plan[0][1] * k * n * n
     U_buf, Ut_buf = np.empty((2, size))
-    for s0, w, plo, r, g, cells, vals, Ph, weight in plan:
+    for s0, w, plo, r, g, cells, vals, Ph in plan:
         # a padding row of G is row 0 of the first block's W, and the zeros
         # of A_RR around it cancel it exactly
         G = Wf[g].reshape(w, k, r, n)
@@ -691,11 +638,11 @@ def _schur_support(Wc, tables, flat: np.ndarray) -> None:
         np.matmul(np.swapaxes(G, -1, -2), A_RR @ G, out=U)
         Ut = Ut_buf[: w * k * n * n].reshape(-1, w)
         np.copyto(Ut.T, U.reshape(w, -1))
-        # pairs in earlier slots meet every slot of the chunk at weight 2,
-        # the chunk's own pairs its earlier slots at 2 and their own at 1
+        # pairs in earlier slots meet the chunk's slots at weight 2, as the
+        # transposed products are never formed; the chunk's own pairs meet
+        # them at weight 1, in both orders
         Q = Ph @ Ut
         Q[:plo] *= 2.0
-        Q[plo:] *= weight
         phi = len(Q)
         idx = eqs[place[:phi], s0 : s0 + w] + row[:phi, None]
         np.add.at(flat, idx.ravel(), Q.ravel())
@@ -719,11 +666,13 @@ def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
     - support: slots ordered by |R|, R the rows holding A_jk's entries (also
       its columns: A_jk is symmetric); U = W_k[:, R] A_jk[R, R] W_k[R, :]
       from the gathered rows G = W_k[R, :], n^2 |R| + n |R|^2 flops per
-      slot.  As <A_ik, W A_jk W> = <A_jk, W A_ik W>, Q holds only pairs up
-      to the chunk against slots no later than their own: weight 2 for
-      earlier slots, 1 for a pair's own; the symmetrization below then
-      completes M.  What does not depend on W, from the gather rows to the
-      weights, is planned once per problem (``_support_plan``).
+      slot.  As <A_ik, W A_jk W> = <A_jk, W A_ik W>, Q holds only the
+      pairs up to the chunk's last against its slots: weight 2 for pairs in
+      earlier slots, whose transposes no chunk forms, and weight 1 for the
+      chunk's own pairs, which meet each other in both orders; the
+      symmetrization below then completes M.  What does not depend on W,
+      from the gather rows to the A_RR places, is planned once per problem
+      (``_support_plan``).
 
     A class takes the support form when its dense chunks are narrow, fewer
     than _SUPPORT_WIDTH slots, so the dense form's n x n by n x w products
@@ -821,7 +770,7 @@ def solve_block_problem(
     # them all leaves the positive definite Schur complement as the whole
     # Newton system, smaller by one row per free variable
     bp, reduction = timed("presolve", reduce_free_variables, bp)
-    bp = timed("scaling", _with_trace_bound, bp, _TRACE_CAP)
+    bp = timed("scaling", _with_trace_bound, bp)
     # assembled identities mix coefficients across several orders of
     # magnitude; unit row norms keep the Schur system solvable all the way
     # to the central-path endgame

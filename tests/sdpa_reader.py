@@ -3,12 +3,15 @@
 Reads .dat-s text produced by the exporter and folds the trailing
 negative diagonal block (the split free variables) back into the
 standard form with a dense coupling matrix, so round-trip tests can
-rebuild an equivalent problem.
+rebuild an equivalent problem with ``entry_problem``, which hand-written
+fixtures use as well.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from mpisos.sdp import BlockProblem, _upper_operator
 
 
 def parse_sdpa(text: str):
@@ -101,3 +104,16 @@ def fold_free_pairs(m, sizes, rhs, entries):
                 if value != want:
                     raise ValueError("free-variable halves do not mirror")
     return psd_sizes, equalities, B, rhs, c_free, C
+
+
+def entry_problem(sizes, equalities, B, b, c_free, C=None) -> BlockProblem:
+    """A ``BlockProblem`` from one list of upper-triangle entries
+    (k, r, c, coef) per equality and, optionally, one symmetric cost matrix
+    per block.  The operator is built by ``_upper_operator``, as
+    ``standardize`` builds it, so its validation and mirroring apply."""
+    flat = np.array([e for row in equalities for e in row], dtype=float).reshape(-1, 4)
+    rows = np.repeat(np.arange(len(equalities)), [len(row) for row in equalities])
+    k, r, c = flat[:, :3].astype(np.int64).T
+    A = _upper_operator(sizes, len(equalities), rows, k, r, c, flat[:, 3])
+    cost = None if C is None else np.concatenate([np.ravel(Ck) for Ck in C])
+    return BlockProblem(sizes, A, B, b, c_free, cost)

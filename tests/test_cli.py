@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from sdpa_reader import fold_free_pairs, parse_sdpa
+from sdpa_reader import entry_problem, fold_free_pairs, parse_sdpa
 
 from mpisos.cli import (
     COMPARE_CSV_HEADER,
@@ -19,7 +19,7 @@ from mpisos.cli import (
     resolve_config,
 )
 from mpisos.relax import assemble
-from mpisos.sdp import BlockProblem, solve_block_problem
+from mpisos.sdp import solve_block_problem
 
 LORENZ = {
     "name": "lorenz",
@@ -194,7 +194,7 @@ class TestRun:
         out = capsys.readouterr().out
         reported = float(out.split("objective: ")[1].split("\n")[0])
         folded = fold_free_pairs(*parse_sdpa(sdpa_path.read_text()))
-        resolved = solve_block_problem(BlockProblem(*folded))
+        resolved = solve_block_problem(entry_problem(*folded))
         assert resolved.objective == pytest.approx(reported, rel=1e-6, abs=1e-6)
 
     def test_grid_artifact(self, lorenz_file, tmp_path):
@@ -365,6 +365,17 @@ class TestExportAndGrid:
         assert main(["export-sdpa", lorenz_file]) == 0
         streamed = capsys.readouterr().out
         assert streamed == out.read_text()
+
+    def test_unwritable_path_is_actionable(self, lorenz_file, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "out")
+        for argv in [
+            ["export-sdpa", lorenz_file, "--out", bad],
+            ["random-model", "6", "0", "--out", bad],
+            ["run", lorenz_file, "--export-sdpa", bad],
+            ["run", lorenz_file, "--grid", bad, "--resolution", "3"],
+        ]:
+            assert main(argv) == 2, argv
+            assert f"error: cannot write {bad}: " in capsys.readouterr().err
 
     def test_bad_resolution_is_actionable(self, lorenz_file, monkeypatch, capsys):
         # the flag is checked when the arguments are parsed, before any solve

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from oracles import admm_sdp
-from sdpa_reader import fold_free_pairs, parse_sdpa
+from sdpa_reader import entry_problem, fold_free_pairs, parse_sdpa
 
 from mpisos import sdp
 from mpisos.relax import Box, assemble
@@ -38,7 +38,7 @@ from mpisos.systems import extended_lorenz, lorenz, random_network_model
 
 def eigenvalue_problem() -> BlockProblem:
     """minimize t subject to [[t, 1], [1, t]] PSD; optimum t = 1."""
-    return BlockProblem(
+    return entry_problem(
         [2],
         [
             [(0, 0, 0, 1.0)],
@@ -53,7 +53,7 @@ def eigenvalue_problem() -> BlockProblem:
 
 def sos_problem() -> BlockProblem:
     """Gram feasibility of x^2 + 1 on the basis (1, x)."""
-    return BlockProblem(
+    return entry_problem(
         [2],
         [
             [(0, 0, 0, 1.0)],
@@ -82,7 +82,7 @@ def epigraph_problem(C, A_list, b) -> BlockProblem:
     B = np.zeros((1 + len(A_list), 1))
     B[0, 0] = -1.0
     rhs = np.concatenate([[0.0], b])
-    return BlockProblem([n], entries, B, rhs, np.array([1.0]))
+    return entry_problem([n], entries, B, rhs, np.array([1.0]))
 
 
 class TestSolver:
@@ -173,7 +173,7 @@ class TestSolver:
         assert sol.timings["schur"] > 0.0
 
     def test_infeasible_flagged(self):
-        bp = BlockProblem(
+        bp = entry_problem(
             [1],
             [[(0, 0, 0, 1.0)]],
             B=np.zeros((1, 0)),
@@ -197,7 +197,7 @@ class TestSolver:
 
     def test_block_problem_validation(self):
         with pytest.raises(ValueError):
-            BlockProblem(
+            entry_problem(
                 [2],
                 [[(1, 0, 0, 1.0)]],
                 B=np.zeros((1, 0)),
@@ -205,7 +205,7 @@ class TestSolver:
                 c_free=np.zeros(0),
             )
         with pytest.raises(ValueError):
-            BlockProblem(
+            entry_problem(
                 [2],
                 [[(0, 1, 0, 1.0)]],
                 B=np.zeros((1, 0)),
@@ -213,13 +213,17 @@ class TestSolver:
                 c_free=np.zeros(0),
             )
         with pytest.raises(ValueError):
-            BlockProblem(
+            entry_problem(
                 [2],
                 [[(0, 0, 0, 1.0)]],
                 B=np.zeros((1, 1)),
                 b=np.array([1.0]),
                 c_free=np.zeros(2),
             )
+        # A needs one row per equality and n^2 columns per block
+        for shape in [(1, 3), (2, 4)]:
+            with pytest.raises(ValueError, match="sum"):
+                BlockProblem([2], sp.csr_matrix(shape), np.zeros((1, 0)), np.ones(1), np.zeros(0))
 
 
 class TestExport:
@@ -258,7 +262,7 @@ class TestExport:
         assert np.array_equal(B, bp.B.toarray())
         assert np.array_equal(c_free, bp.c_free)
         assert C is None
-        rebuilt = BlockProblem(sizes, equalities, B, b, c_free)
+        rebuilt = entry_problem(sizes, equalities, B, b, c_free)
         assert rebuilt.A.shape == bp.A.shape
         assert (rebuilt.A != bp.A).nnz == 0
 
@@ -269,7 +273,7 @@ class TestExport:
         )
         direct = solve(p)
         text = export_sdpa(p)
-        rebuilt = BlockProblem(*fold_free_pairs(*parse_sdpa(text)))
+        rebuilt = entry_problem(*fold_free_pairs(*parse_sdpa(text)))
         again = solve_block_problem(rebuilt)
         assert again.status == "optimal"
         assert again.objective == pytest.approx(direct.objective, rel=1e-6)
@@ -277,13 +281,13 @@ class TestExport:
     def test_round_trip_psd_cost(self):
         # the PSD cost leaves as matrix 0, negated, upper triangle only
         C = [np.array([[2.0, 0.5], [0.5, 0.0]])]
-        bp = BlockProblem(
+        bp = entry_problem(
             [2], [[(0, 0, 0, 1.0)], [(0, 1, 1, 1.0)]],
             B=np.zeros((2, 0)), b=np.ones(2), c_free=np.zeros(0), C=C,
         )
         text = export_sdpa(bp)
         assert text.splitlines()[4:6] == ["0 1 1 1 -2", "0 1 1 2 -0.5"]
-        rebuilt = BlockProblem(*fold_free_pairs(*parse_sdpa(text)))
+        rebuilt = entry_problem(*fold_free_pairs(*parse_sdpa(text)))
         assert np.array_equal(rebuilt.c, bp.c)
         # min 2 X_00 + X_01 with unit diagonal: X_01 = -1
         assert solve_block_problem(rebuilt).objective == pytest.approx(1.0, rel=1e-6)
@@ -365,7 +369,7 @@ def duplicate_entry_problem():
         [(1, 0, 2, 2.0), (0, 1, 1, 1.0), (1, 0, 2, -3.0), (1, 1, 1, 4.0)],
         [(1, 1, 2, 1.5), (1, 1, 2, 1.5), (0, 0, 0, 1.0), (0, 0, 0, 1.0)],
     ]
-    bp = BlockProblem(
+    bp = entry_problem(
         sizes, entries, B=np.zeros((3, 0)), b=np.ones(3), c_free=np.zeros(0)
     )
     return bp, sizes, entries
@@ -398,12 +402,48 @@ class TestOperator:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def cancelling_problem(rhs_1: float) -> BlockProblem:
+    """Row 0 pins u and row 1 is twice row 0, so substituting u cancels row
+    1 to nothing, its right-hand side too when rhs_1 = 2.  Row 2 then reads
+    X_00 + X_11 = 1, so min u = 1 - X_00 under X_01 = 0.25 is
+    (1 - sqrt(3) / 2) / 2."""
+    return entry_problem(
+        [2],
+        [[(0, 0, 0, 1.0)], [(0, 0, 0, 2.0)], [(0, 1, 1, 1.0)], [(0, 0, 1, 0.5)]],
+        B=np.array([[1.0], [2.0], [-1.0], [0.0]]),
+        b=np.array([1.0, rhs_1, 0.0, 0.25]),
+        c_free=np.array([1.0]),
+    )
+
+
+def pivots_only_problem() -> BlockProblem:
+    """Every row is a pivot: row 0 pins u, which leaves row 1 pinning v."""
+    return entry_problem(
+        [2],
+        [[(0, 0, 0, 1.0)], [(0, 1, 1, 1.0), (0, 0, 1, 1.0)]],
+        B=np.array([[1.0, 0.0], [1.0, -1.0]]),
+        b=np.array([1.0, 0.0]),
+        c_free=np.array([1.0, 1.0]),
+    )
+
+
 class TestPresolve:
-    @pytest.mark.parametrize("d, mode", [(2, "ts"), (3, "fd")])
-    def test_reduction_is_exact(self, d, mode):
-        bp = standardize(lorenz_problem(d, mode))
+    @pytest.mark.parametrize("case", ["2-ts", "3-fd", "cancelled-row", "pivots-only"])
+    def test_reduction_is_exact(self, case):
+        if case == "cancelled-row":
+            bp = cancelling_problem(2.0)
+        elif case == "pivots-only":
+            bp = pivots_only_problem()
+        else:
+            d, mode = case.split("-")
+            bp = standardize(lorenz_problem(int(d), mode))
         red_bp, red = reduce_free_variables(bp)
         assert red is not None
+        # rows in neither set cancelled under substitution and left
+        dropped = np.setdiff1d(np.arange(bp.m), np.r_[red.pivot_rows, red.kept_rows])
+        assert dropped.tolist() == ([1] if case == "cancelled-row" else [])
+        assert red_bp.m == len(red.kept_rows)
+        assert (red_bp.m == 0) == (case == "pivots-only")
         rng = np.random.default_rng(7)
         X = random_blocks(rng, bp.block_sizes)
         y_red = rng.normal(size=red_bp.m)
@@ -417,6 +457,8 @@ class TestPresolve:
         r_red = red_bp.b - red_bp.apply_A(X)
         assert worst(r_full[red.pivot_rows]) <= tol
         assert worst(r_full[red.kept_rows] - r_red) <= tol
+        assert worst(r_full[dropped]) <= tol
+        assert not np.any(y[dropped])
         assert _primal_objective(bp, X, u) == pytest.approx(
             _primal_objective(red_bp, X, np.zeros(0)), rel=0, abs=tol
         )
@@ -461,7 +503,7 @@ class TestPresolve:
         B[3, 1] = 1.0
         B[4, 0] = 1.0  # pins u in place of row 0
         B[5, 2] = -1.0  # pins w in the first scan
-        bp = BlockProblem(
+        bp = entry_problem(
             [1],
             [[(0, 0, 0, float(i + 1))] for i in range(6)],
             B=B,
@@ -474,9 +516,19 @@ class TestPresolve:
         assert red.kept_rows.tolist() == [0, 3]
         assert red_bp.m == 2
 
+    def test_cancelled_row(self):
+        # a consistent cancelled row leaves the solution as it was; an
+        # inconsistent one is refused
+        sol = solve_block_problem(cancelling_problem(2.0))
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx((1.0 - np.sqrt(3.0) / 2.0) / 2.0, abs=1e-6)
+        assert sol.y[1] == 0.0
+        with pytest.raises(ValueError, match="inconsistency"):
+            reduce_free_variables(cancelling_problem(3.0))
+
     def test_unpinned_free_variables_rejected(self):
         # both free variables appear in both rows, so no row pins either
-        bp = BlockProblem(
+        bp = entry_problem(
             [1],
             [[(0, 0, 0, 1.0)], [(0, 0, 0, 2.0)]],
             B=np.array([[1.0, 1.0], [1.0, -1.0]]),
@@ -502,10 +554,10 @@ class TestScaling:
 
     def test_trace_cap_row(self):
         bp = standardize(lorenz_problem(2))
-        capped = _with_trace_bound(bp, 7.0)
+        capped = _with_trace_bound(bp)
         assert capped.block_sizes == bp.block_sizes + (1,)
         assert capped.m == bp.m + 1
-        assert capped.b[-1] == 7.0
+        assert capped.b[-1] == sdp._TRACE_CAP
         assert np.array_equal(capped.b[:-1], bp.b)
         assert not np.any(capped.B[-1].toarray())
         X = random_blocks(np.random.default_rng(4), bp.block_sizes)
@@ -558,7 +610,7 @@ def dense_schur(sizes, A, W) -> np.ndarray:
 def presolved(p) -> BlockProblem:
     """An assembled relaxation as the interior-point loop sees it."""
     bp, _ = reduce_free_variables(standardize(p))
-    bp, _ = _equilibrated(_with_trace_bound(bp, 1e6))
+    bp, _ = _equilibrated(_with_trace_bound(bp))
     return bp
 
 
@@ -623,13 +675,13 @@ class TestSchur:
                 [(0, 0, 2, 1.0), (0, 1, 1, 4.0), (1, 0, 0, -1.0), (2, 1, 1, 2.0)],
                 [(3, 0, 0, -2.0), (3, 1, 2, 0.5), (0, 2, 2, 1.0)],
             ]
-            bp = BlockProblem(
+            bp = entry_problem(
                 sizes, entries, B=np.zeros((5, 0)), b=np.ones(5), c_free=np.zeros(0)
             )
             A = dense_operator(sizes, entries)
         elif case == "support-hand-built":
             sizes, entries = support_form_entries()
-            bp = BlockProblem(
+            bp = entry_problem(
                 sizes, entries, B=np.zeros((30, 0)), b=np.ones(30), c_free=np.zeros(0)
             )
             A = dense_operator(sizes, entries)
@@ -668,7 +720,7 @@ class TestSchur:
             1: False, 21: True, 56: True
         }
         sizes, entries = support_form_entries()
-        bp = BlockProblem(sizes, entries, B=np.zeros((30, 0)), b=np.ones(30), c_free=np.zeros(0))
+        bp = entry_problem(sizes, entries, B=np.zeros((30, 0)), b=np.ones(30), c_free=np.zeros(0))
         assert forms(bp) == {2: False, 65: True}
         for mode, extension in [("ts", "maximal"), ("ts", "min-degree"), ("ss", "maximal")]:
             bp = presolved(network_problem(8, 0, mode, extension))
@@ -788,7 +840,7 @@ class TestBlockOrder:
         assert len(bp.block_sizes) == 31 and len(set(bp.block_sizes)) > 2
         perm = np.random.default_rng(3).permutation(len(bp.block_sizes))
         new_index = np.argsort(perm)
-        shuffled = BlockProblem(
+        shuffled = entry_problem(
             [bp.block_sizes[k] for k in perm],
             [
                 [(int(new_index[k]), r, c, v) for k, r, c, v in eq.block_entries]
