@@ -22,8 +22,11 @@ predictor-corrector step on the PSD blocks alone, so its Newton system is
 the Schur complement M, positive definite and dense (m x m doubles; an
 n=20 ts maximal network relaxation has m = 13713 before the presolve),
 factored once per iteration by a double Cholesky.  Where double refinement
-on it falls short in the endgame, GMRES-IR in long double carries the solves
-to the tolerances.  The iterates and every term of the Newton direction
+on it falls short in the endgame, GMRES-IR carries the solves to the
+tolerances against the exact Schur operator: its products with A run in
+long double, and its W_k Z W_k accumulate double-BLAS products in long
+double through an error-free split, for blocks of size _SPLIT_MIN and up
+(``_ExactSchur``).  The iterates and every term of the Newton direction
 are one (k, n, n) stack per block size, gathered from a stacked vector by
 the blocks' columns of A and scattered back before each product with A,
 so Cholesky, SVD, eigvalsh, the sandwich products and the Schur
@@ -38,6 +41,7 @@ one triangle of pairs.  Either way M comes out exactly symmetric.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -62,6 +66,9 @@ _REFINE_STEPS = 3
 _GMRES_RESTARTS = 3
 _GMRES_STEPS = 20
 _NEAR_OPTIMAL_FACTOR = 1e3
+# a size class of blocks this large forms the exact Schur operator's W Z W
+# from double products (_ExactSchur)
+_SPLIT_MIN = 16
 # doubles per temporary of one chunk of pair slots in _schur
 _SCHUR_BUDGET = 1 << 16
 # a class whose dense chunks hold fewer slots may take the support form
@@ -214,6 +221,22 @@ class BlockProblem:
         return [
             (n, ks, (self.offsets[ks][:, None] + np.arange(n * n)).ravel()) for n, ks in classes
         ]
+
+    def _gather(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The (k, n, n) stacks of ``_size_classes`` of a stacked vector."""
+        return [flat[cols].reshape(len(ks), n, n) for n, ks, cols in self._size_classes]
+
+    def _scatter(self, stacks) -> np.ndarray:
+        """The stacked vector of one (k, n, n) stack per size class."""
+        flat = np.empty(self.offsets[-1], dtype=stacks[0].dtype)
+        for (_, _, cols), st in zip(self._size_classes, stacks):
+            flat[cols] = st.ravel()
+        return flat
+
+    @cached_property
+    def _A_ld(self) -> sp.csr_matrix:
+        """``A`` in long double, for GMRES-IR's exact Schur operator."""
+        return self.A.astype(np.longdouble)
 
     @cached_property
     def _schur_tables(self) -> list[tuple]:
@@ -706,18 +729,98 @@ def _schur_factor(M: np.ndarray) -> tuple:
             delta = max(10.0 * delta, 1e-14)
 
 
+def _head(x: np.ndarray, axis: int) -> np.ndarray:
+    """The head of a (k, n, n) stack, in double: each row (axis -1) or column
+    (axis -2) of each matrix rounded to a multiple of 2^(e + c - 53), where
+    2^e bounds its largest entry and c = ceil((53 + log2 n) / 2).  The
+    products of a row head with a column head are integers in one unit, at
+    most 2^(106 - 2c) each, so their n-term sum, at most 2^53, is exact in
+    double, in any order (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59,
+    2012)."""
+    c = math.ceil((53 + math.log2(x.shape[-1])) / 2)
+    xd = np.asarray(x, dtype=float)
+    # the unit is sigma's ulp, and |x| < 2^e < sigma / 3 keeps x + sigma in
+    # sigma's binade, so (x + sigma) - sigma is x rounded to the unit, exactly
+    sigma = np.ldexp(0.75, np.frexp(np.abs(xd).max(axis=axis, keepdims=True))[1] + c)
+    return (xd + sigma) - sigma
+
+
+def _split_w(W: np.ndarray) -> tuple:
+    """A stack W's row head Wr, W - Wr, its column head Wc and W - Wc."""
+    Wr, Wc = _head(W, -1), _head(W, -2)
+    return Wr, W - Wr, Wc, W - Wc
+
+
+def _sandwich(W: np.ndarray, split: tuple, Z: np.ndarray) -> np.ndarray:
+    """W Z W in long double from double products, for a double (k, n, n)
+    stack W, its ``_split_w`` and a long-double stack Z.
+
+    With Z1 the column head of Z and Z2 = fl(Z - Z1), W Z is Wr Z1, exact,
+    plus W Z2 + (W - Wr) Z1, whose terms are 2^(c - 53) times smaller, so
+    their rounding in double costs about 2^(c - 106) of |W| |Z|, against
+    2^-64 for the product in long double (c = 30 at n = 56); T W likewise,
+    from T's row head."""
+    Wr, Wr_rest, Wc, Wc_rest = split
+    Z1 = _head(Z, -2)
+    Z2 = (Z - Z1).astype(float)
+    T = (Wr @ Z1).astype(np.longdouble) + (W @ Z2 + Wr_rest @ Z1)
+    T1 = _head(T, -1)
+    T2 = (T - T1).astype(float)
+    return (T1 @ Wc).astype(np.longdouble) + (T2 @ W + T1 @ Wc_rest)
+
+
+class _ExactSchur:
+    """GMRES-IR's exact Schur operator v -> A (W (x) W) A^T v, never rounded
+    to a matrix, for the (k, n, n) stacks W of ``bp._size_classes``.
+
+    The sparse products with A run in long double.  A size class of blocks
+    of size _SPLIT_MIN and up forms each W_k Z_k W_k from six double-BLAS
+    products, summed in long double (``_sandwich``); smaller classes form it
+    in long double, where numpy has no BLAS: the split's numpy calls cost a
+    fixed 30-60 us per class and call.  Time per class and call, long double
+    against split, on one thread of an Intel Xeon: n=12 with 3 blocks
+    0.05/0.07 ms; n=16 with 1 block 0.05/0.05 ms and with 3 blocks 0.13/0.10
+    ms; n=5 with 36 blocks 0.05/0.18 ms; n=21 with 9 blocks 1.07/0.43 ms;
+    n=56 with 3 blocks 4.8/0.8-1.2 ms.  W's split is made on the first call,
+    so once per interior-point iteration and only in those that reach GMRES."""
+
+    def __init__(self, bp: BlockProblem, W) -> None:
+        self.bp = bp
+        self.W = W
+
+    @cached_property
+    def _splits(self) -> list:
+        return [
+            _split_w(Wc) if n >= _SPLIT_MIN else None
+            for (n, _, _), Wc in zip(self.bp._size_classes, self.W)
+        ]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        bp = self.bp
+        WZW = [
+            Wc @ Zc @ Wc if split is None else _sandwich(Wc, split, Zc)
+            for Wc, split, Zc in zip(self.W, self._splits, bp._gather(bp._A_ld.T @ v))
+        ]
+        return bp._A_ld @ bp._scatter(WZW)
+
+
 def _schur_solve(M, factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
     """Solve M x = rhs; return x, the GMRES steps and the relative residual.
     Double refinement on the factor goes first.  Where it misses _SOLVE_TOL,
     GMRES-IR (Carson & Higham, SIAM J. Sci. Comput. 2017, 2018) goes on:
     flexible GMRES in long double against ``apply_exact``, the Schur operator
-    never rounded to a matrix, right-preconditioned by the factor."""
+    never rounded to a matrix (``_ExactSchur``, which accumulates double-BLAS
+    products in long double), right-preconditioned by the factor.  The
+    factor was checked finite once, in ``_schur_factor``; a non-finite rhs
+    raises ``ValueError`` here, so the solves skip scipy's finite checks."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("Schur right-hand side must be finite")
     scale = 1.0 + float(np.linalg.norm(rhs))
     target = _SOLVE_TOL * scale
     x = np.zeros_like(rhs)
     resid = rhs
     for _ in range(_REFINE_STEPS + 1):
-        x += sla.cho_solve(factor, resid)
+        x += sla.cho_solve(factor, resid, check_finite=False)
         resid = rhs - M @ x
         res = float(np.linalg.norm(resid))
         if res <= target:
@@ -737,8 +840,8 @@ def _schur_solve(M, factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
             steps += 1
             # the factor preconditions V[j]'s high and low double parts
             hi = V[j].astype(float)
-            Z[j] = sla.cho_solve(factor, hi)
-            Z[j] += sla.cho_solve(factor, (V[j] - hi).astype(float))
+            Z[j] = sla.cho_solve(factor, hi, check_finite=False)
+            Z[j] += sla.cho_solve(factor, (V[j] - hi).astype(float), check_finite=False)
             w = apply_exact(Z[j])
             for _ in range(2):  # classical Gram-Schmidt, twice
                 h = V[: j + 1] @ w
@@ -778,16 +881,7 @@ def solve_block_problem(
     m = bp.m
     N = max(bp.total_dimension, 1)
     classes = bp._size_classes
-
-    def gather(flat):
-        return [flat[cols].reshape(len(ks), n, n) for n, ks, cols in classes]
-
-    def scatter(stacks):
-        flat = np.empty(bp.offsets[-1], dtype=stacks[0].dtype)
-        for (_, _, cols), st in zip(classes, stacks):
-            flat[cols] = st.ravel()
-        return flat
-
+    gather, scatter = bp._gather, bp._scatter
     C = gather(bp.c)
 
     # identity-scaled cold start with magnitudes taken from the data rows;
@@ -819,8 +913,6 @@ def solve_block_problem(
 
     trace: list[IterationRecord] = []
     M = np.zeros((m, m))
-    # GMRES-IR's exact Schur operator, in long double
-    A_ld = bp.A.astype(np.longdouble)
     best = None
     best_score = np.inf
     best_iteration = 0
@@ -884,10 +976,7 @@ def solve_block_problem(
         timed("schur", _schur, bp, W, M)
         factor = timed("factor", _schur_factor, M)
         solves = {"krylov_steps": 0, "newton_residual": 0.0}
-
-        def apply_exact(v):
-            Z = gather(A_ld.T @ v)
-            return A_ld @ scatter([Wc @ Zc @ Wc for Wc, Zc in zip(W, Z)])
+        apply_exact = _ExactSchur(bp, W)
 
         def kkt_solve(rhs):
             sol, steps, res = timed("solve", _schur_solve, M, factor, apply_exact, rhs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,14 +19,17 @@ from mpisos.sdp import (
     SdpSolution,
     SolverBreakdown,
     SolverTolerances,
+    _ExactSchur,
     _chol_lower,
     _equilibrated,
     _max_step,
     _nt_scaling,
     _primal_objective,
+    _sandwich,
     _schur,
     _schur_factor,
     _schur_solve,
+    _split_w,
     _with_trace_bound,
     export_sdpa,
     reduce_free_variables,
@@ -757,6 +762,60 @@ class TestSchurSolve:
             eigs.max() * np.linalg.norm(x) + np.linalg.norm(rhs)
         )
         assert backward <= 1e-18
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63, reason="long double is not 64-bit extended"
+    )
+    @pytest.mark.parametrize("n", [1, 5, 21, 56])
+    def test_split_sandwich_within_long_double_error(self, n):
+        # W with cond ~ 1e12 and Z with bits beyond double: on rows of W Z W,
+        # the double-product split errs no more than the product formed in
+        # long double, both measured against exact rational arithmetic
+        rng = np.random.default_rng(n)
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        W = (Q * (rng.uniform(1.0, 2.0) * np.logspace(0.0, -12.0, n))) @ Q.T
+        W = 0.5 * (W + W.T)
+        Z = rng.normal(size=(n, n)).astype(np.longdouble)
+        Z += rng.normal(size=(n, n)).astype(np.longdouble) * np.longdouble(2.0**-60)
+        rows = np.arange(n) if n <= 5 else rng.choice(n, size=4, replace=False)
+
+        def exact(a):
+            return np.array(
+                [Fraction(*v.as_integer_ratio()) for v in a.ravel()], dtype=object
+            ).reshape(a.shape)
+
+        want = exact(W[rows]) @ exact(Z) @ exact(W)
+
+        def error(got):
+            return max(abs(float(g - w)) for g, w in zip(exact(got[rows]).ravel(), want.ravel()))
+
+        split = _sandwich(W[None], _split_w(W[None]), Z[None])[0]
+        assert error(split) <= error(W @ Z @ W)
+
+    def test_exact_operator_matches_long_double(self, monkeypatch):
+        # a real iterate of lorenz d=3 fd, whose n=20 class takes the split
+        seen = []
+        schur = sdp._schur
+
+        def recording(bp, W, M):
+            seen.append((bp, W))
+            schur(bp, W, M)
+
+        monkeypatch.setattr(sdp, "_schur", recording)
+        solve(lorenz_problem(3, "fd"))
+        bp, W = seen[-1]
+        op = _ExactSchur(bp, W)
+        v = np.random.default_rng(2).normal(size=bp.m).astype(np.longdouble)
+        got = op(v)
+        assert [n for (n, _, _), s in zip(bp._size_classes, op._splits) if s is not None] == [20]
+        Z = bp._gather(bp._A_ld.T @ v)
+        want = bp._A_ld @ bp._scatter([Wc @ Zc @ Wc for Wc, Zc in zip(W, Z)])
+        assert np.linalg.norm(got - want) <= 1e-17 * np.linalg.norm(want)
+
+    def test_non_finite_rhs_raises(self):
+        M = np.diag([2.0, 3.0, 4.0])
+        with pytest.raises(ValueError):
+            _schur_solve(M, _schur_factor(M), lambda v: M @ v, np.array([1.0, np.nan, 0.0]))
 
     def test_trace_records_krylov_steps(self):
         sol = solve(lorenz_problem(3, "fd"))
