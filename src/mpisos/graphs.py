@@ -43,10 +43,6 @@ class MonomialGraph:
         return MonomialGraph(node_tuple, norm)
 
     @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -173,23 +169,22 @@ def approx_smallest_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
 def maximal_cliques(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
     """Maximal cliques of a chordal graph via its elimination order.
 
-    For each node the candidate clique is the node plus its later neighbours;
-    inclusion-maximal candidates are kept.  Cliques come back as sorted index
-    tuples, ordered by their smallest member then lexicographically.
+    For each node v the candidate clique C_v is v plus its later neighbours.
+    C_v fails to be maximal exactly when some node u has v as its earliest
+    later neighbour and one more later neighbour than v, so that C_v < C_u
+    (Blair and Peyton 1993); the other candidates are kept.  Cliques come
+    back as sorted index tuples, ordered by their smallest member then
+    lexicographically.
     """
     position = {v: k for k, v in enumerate(graph.elimination_order)}
-    adj = graph.adjacency()
-    candidates: list[frozenset[int]] = []
-    for v in graph.elimination_order:
-        later = {u for u in adj[v] if position[u] > position[v]}
-        candidates.append(frozenset({v} | later))
-    kept: list[frozenset[int]] = []
-    for cand in candidates:
-        if any(cand < other for other in candidates if other is not cand):
-            continue
-        if cand not in kept:
-            kept.append(cand)
-    cliques = sorted((tuple(sorted(c)) for c in kept), key=lambda c: (c[0], c))
+    later = [{u for u in nb if position[u] > position[v]} for v, nb in enumerate(graph.adjacency())]
+    kept = set(range(len(graph.nodes)))
+    for later_u in later:
+        if later_u:
+            v = min(later_u, key=position.__getitem__)
+            if len(later_u) == len(later[v]) + 1:
+                kept.discard(v)
+    cliques = sorted((tuple(sorted(later[v] | {v})) for v in kept), key=lambda c: (c[0], c))
     covered = set().union(*map(set, cliques)) if cliques else set()
     if covered != set(range(len(graph.nodes))):
         raise ValueError("clique cover does not cover all nodes; malformed elimination order")

@@ -31,11 +31,11 @@ are one (k, n, n) stack per block size, gathered from a stacked vector by
 the blocks' columns of A and scattered back before each product with A,
 so Cholesky, SVD, eigvalsh, the sandwich products and the Schur
 complement's <A_ik, W_k A_jk W_k> run once per block size, not once per
-block; M is formed in bounded chunks of pairs.
-A block size takes one of two forms of W_k A_jk W_k, chosen once per problem:
-two dense n^3 products, or, for large blocks whose A_jk are sparse,
-products with only the rows of W_k in A_jk's row support, contracted over
-one triangle of pairs.  Either way M comes out exactly symmetric.
+block; M is formed in bounded chunks of pairs.  A chunk forms W_k A_jk W_k
+one of two ways, chosen once per block size: two dense n^3 products, or, for
+large blocks whose A_jk are sparse, products with only the rows of W_k in
+A_jk's row support.  Every chunk is contracted over one triangle of pairs,
+and M comes out exactly symmetric.
 ``SdpSolution.timings`` records the wall time of each phase.
 """
 
@@ -239,13 +239,16 @@ class BlockProblem:
         return self.A.astype(np.longdouble)
 
     @cached_property
+    def _A_ld_T(self) -> sp.csr_matrix:
+        """The transpose of ``_A_ld``, as CSR."""
+        return self._A_ld.T.tocsr()
+
+    @cached_property
     def _schur_tables(self) -> list[tuple]:
-        """Per size class, the tables of ``_schur``: n; on the dense form,
-        Pg, the class's columns of ``A`` in the rows of its pairs, ordered
-        by slot, and the slot of each entry of Pg, else None twice; each
-        pair's row times m and its block's place in ks; the (k, e) rows in
-        the blocks' slots, 0 in padding; and the ``_support_plan`` of a
-        class that ``_support_pays`` puts on the support form, else None."""
+        """Per size class, the tables of ``_schur``: each pair's row times m
+        and its block's place in ks; the (k, e) rows in the blocks' slots, 0
+        in padding; the class's form of U, ``_support_u`` if
+        ``_support_pays``, else ``_dense_u``; and its ``_schur_chunks``."""
         sizes = np.array(self.block_sizes)
         nb = len(sizes)
         coo = self.A.tocoo()
@@ -281,13 +284,10 @@ class BlockProblem:
             place = np.searchsorted(ks, p_blk[qs])
             eqs = np.zeros((len(ks), slot[qs].max(initial=-1) + 1), dtype=np.int64)
             eqs[place, slot[qs]] = p_row[qs]
-            Pg = pairs[qs][:, cols]
-            if on_support[ks[0]]:
-                plan = _support_plan(n, len(ks), Pg, slot[qs], place)
-                out.append((n, None, None, p_row[qs] * self.m, place, eqs, plan))
-            else:
-                pg_slot = np.repeat(slot[qs], np.diff(Pg.indptr))
-                out.append((n, Pg, pg_slot, p_row[qs] * self.m, place, eqs, None))
+            support = on_support[ks[0]]
+            chunks = _schur_chunks(n, len(ks), pairs[qs][:, cols], slot[qs], place, support)
+            form = _support_u if support else _dense_u
+            out.append((p_row[qs] * self.m, place, eqs, form, chunks))
         return out
 
 
@@ -578,97 +578,85 @@ def _support_pays(n: int, k: int, r_size: np.ndarray) -> bool:
     return 4.0 * float(np.mean(n * n * r_size + n * r_size**2)) <= 2.0 * n**3
 
 
-def _support_plan(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray) -> list:
-    """The support form's plan of a size class, from its Pg and its pairs'
-    slots and places.  Per chunk of slots: its first slot s0 and width w;
-    plo, the pairs in earlier slots; r, the chunk's largest |R|; the rows of
-    the class's stacked W that form G, (w, k, r) rows padded with row 0;
-    the places of the chunk's A_jk entries in its (w, k, r, r) A_RR stack,
-    in the upper and in the lower triangle, and their values; Ph's rows up
-    to the chunk's last pair, as a view, where Ph is Pg's upper triangle
-    with off-diagonal entries doubled, so that <A_ik, U> = Ph U for
-    symmetric U."""
+def _schur_chunks(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray, support: bool) -> list:
+    """The chunks of a size class in ``_schur``, from Pg, the class's columns
+    of A in the rows of its pairs, ordered by slot, the pairs' slots and
+    places, and the class's form.  Per chunk of slots: its first slot s0 and
+    width w; plo, the pairs in earlier slots; Ph's rows up to the chunk's
+    last pair, as a view, where Ph is Pg's upper triangle with off-diagonal
+    entries doubled, so that <A_ik, U> = Ph U for symmetric U; and the
+    arguments of the form after w: the places of the chunk's A_jk entries
+    in the stack the form pads and their values, and on the support form
+    the rows of the class's stacked W that form G, (w, k, r) rows padded
+    with row 0, r the chunk's largest |R|."""
     # with each row's columns sorted, a pair's rows of R come in order
     Pg.sort_indices()
     q = np.repeat(np.arange(len(p_slot)), np.diff(Pg.indptr))
     a, b = np.divmod(Pg.indices % (n * n), n)
-    first = np.ones(len(q), dtype=bool)
-    first[1:] = (q[1:] != q[:-1]) | (a[1:] != a[:-1])
-    skey = q[first] * n + a[first]
-    sup_pair, sup_row = np.divmod(skey, n)
-    sup_ptr = np.searchsorted(sup_pair, np.arange(len(p_slot) + 1))
-    # a row of R, and an entry, sit at (slot * k + place) in the class's slots
-    at = p_slot * k + place
-    sup_at, sup_pos = at[sup_pair], np.arange(len(skey)) - sup_ptr[sup_pair]
     up = a <= b
-    q, a, b, v = q[up], a[up], b[up], Pg.data[up]
-    pa = np.searchsorted(skey, q * n + a) - sup_ptr[q]
-    pb = np.searchsorted(skey, q * n + b) - sup_ptr[q]
-    indptr = np.searchsorted(q, np.arange(len(p_slot) + 1))
-    Ph = sp.csr_matrix((np.where(a == b, v, 2.0 * v), Pg.indices[up], indptr), shape=Pg.shape)
+    v = np.where(a == b, Pg.data, 2.0 * Pg.data)[up]
+    indptr = np.searchsorted(q[up], np.arange(len(p_slot) + 1))
+    Ph = sp.csr_matrix((v, Pg.indices[up], indptr), shape=Pg.shape)
+    if support:
+        first = np.ones(len(q), dtype=bool)
+        first[1:] = (q[1:] != q[:-1]) | (a[1:] != a[:-1])
+        skey = q[first] * n + a[first]
+        sup_pair, sup_row = np.divmod(skey, n)
+        sup_ptr = np.searchsorted(sup_pair, np.arange(len(p_slot) + 1))
+        # a row of R, and an entry, sit at (slot * k + place) in the class's slots
+        at = p_slot * k + place
+        sup_at, sup_pos = at[sup_pair], np.arange(len(skey)) - sup_ptr[sup_pair]
+        pa = np.searchsorted(skey, q * n + a) - sup_ptr[q]
+        pb = np.searchsorted(skey, q * n + b) - sup_ptr[q]
     e = int(p_slot.max(initial=-1)) + 1
     width = _chunk_width(k, n, len(p_slot))
-    plan = []
+    chunks = []
     for s0 in range(0, e, width):
         w = min(width, e - s0)
         plo, phi = np.searchsorted(p_slot, [s0, s0 + w])
-        r = int(np.diff(sup_ptr[plo : phi + 1]).max())
-        j = slice(sup_ptr[plo], sup_ptr[phi])
-        g = np.zeros(w * k * r, dtype=np.int32)
-        g[(sup_at[j] - s0 * k) * r + sup_pos[j]] = place[sup_pair[j]] * n + sup_row[j]
-        lo, hi = indptr[plo], indptr[phi]
-        cell = (at[q[lo:hi]] - s0 * k) * r * r
-        cells = np.array([cell + pa[lo:hi] * r + pb[lo:hi], cell + pb[lo:hi] * r + pa[lo:hi]])
-        view = sp.csr_matrix(
-            (Ph.data[:hi], Ph.indices[:hi], Ph.indptr[: phi + 1]), shape=(phi, Pg.shape[1])
-        )
-        plan.append((s0, w, plo, r, g, cells.astype(np.int32), v[lo:hi], view))
-    return plan
+        lo, hi = Pg.indptr[plo], Pg.indptr[phi]
+        if support:
+            r = int(np.diff(sup_ptr[plo : phi + 1]).max())
+            j = slice(sup_ptr[plo], sup_ptr[phi])
+            g = np.zeros(w * k * r, dtype=np.int32)
+            g[(sup_at[j] - s0 * k) * r + sup_pos[j]] = place[sup_pair[j]] * n + sup_row[j]
+            # the (w, k, r, r) stack of the chunk's A_jk[R, R]
+            cells = (at[q[lo:hi]] - s0 * k) * r * r + pa[lo:hi] * r + pb[lo:hi]
+            args = (cells.astype(np.int32), Pg.data[lo:hi], g)
+        else:
+            # the (k, n, n, w) stack of the chunk's A_jk
+            args = (Pg.indices[lo:hi] * w + p_slot[q[lo:hi]] - s0, Pg.data[lo:hi])
+        ptr = Ph.indptr[: phi + 1]
+        view = sp.csr_matrix((Ph.data[: ptr[-1]], Ph.indices[: ptr[-1]], ptr), (phi, Ph.shape[1]))
+        chunks.append((s0, w, plo, view, args))
+    return chunks
 
 
-def _schur_dense(Wc, tables, flat: np.ndarray) -> None:
-    """Add one size class's part of M by the dense sandwich (see ``_schur``)."""
-    n, Pg, slot, row, place, eqs, _ = tables
-    k, e = len(Wc), eqs.shape[1]
-    width = _chunk_width(k, n, len(row))
-    for s0 in range(0, e, width):
-        w = min(width, e - s0)
-        lo, hi = np.searchsorted(slot, [s0, s0 + w])
-        Pt = np.zeros((k, n, n, w))
-        Pt.reshape(-1)[Pg.indices[lo:hi] * w + slot[lo:hi] - s0] = Pg.data[lo:hi]
-        T = (Wc @ Pt.reshape(k, n, n * w)).reshape(k, n, n, w)
-        # W_k is symmetric: row a of W_k A W_k is W_k times row a of T
-        np.matmul(Wc[:, None], T, out=Pt)
-        idx = eqs[place, s0 : s0 + w] + row[:, None]
-        np.add.at(flat, idx.ravel(), (Pg @ Pt.reshape(-1, w)).ravel())
+def _dense_u(Wc, w: int, cells, vals) -> np.ndarray:
+    """U = W_k A_jk W_k over a chunk's w slots, as the (k n n, w) array
+    that Ph multiplies, by two n^3 products per slot on the zero-padded
+    stack of its A_jk (see ``_schur``)."""
+    k, n = Wc.shape[:2]
+    U = np.zeros((k, n, n, w))
+    U.reshape(-1)[cells] = vals
+    T = (Wc @ U.reshape(k, n, n * w)).reshape(k, n, n, w)
+    # W_k is symmetric: row a of W_k A W_k is W_k times row a of T
+    np.matmul(Wc[:, None], T, out=U)
+    return U.reshape(-1, w)
 
 
-def _schur_support(Wc, tables, flat: np.ndarray) -> None:
-    """Add one size class's part of M, one triangle of pairs, by the support
-    form (see ``_schur``)."""
-    n, _, _, row, place, eqs, plan = tables
-    k = len(Wc)
-    Wf = Wc.reshape(k * n, n)
-    size = plan[0][1] * k * n * n
-    U_buf, Ut_buf = np.empty((2, size))
-    for s0, w, plo, r, g, cells, vals, Ph in plan:
-        # a padding row of G is row 0 of the first block's W, and the zeros
-        # of A_RR around it cancel it exactly
-        G = Wf[g].reshape(w, k, r, n)
-        A_RR = np.zeros((w, k, r, r))
-        A_RR.reshape(-1)[cells] = vals
-        U = U_buf[: w * k * n * n].reshape(w, k, n, n)
-        np.matmul(np.swapaxes(G, -1, -2), A_RR @ G, out=U)
-        Ut = Ut_buf[: w * k * n * n].reshape(-1, w)
-        np.copyto(Ut.T, U.reshape(w, -1))
-        # pairs in earlier slots meet the chunk's slots at weight 2, as the
-        # transposed products are never formed; the chunk's own pairs meet
-        # them at weight 1, in both orders
-        Q = Ph @ Ut
-        Q[:plo] *= 2.0
-        phi = len(Q)
-        idx = eqs[place[:phi], s0 : s0 + w] + row[:phi, None]
-        np.add.at(flat, idx.ravel(), Q.ravel())
+def _support_u(Wc, w: int, cells, vals, g) -> np.ndarray:
+    """U as in ``_dense_u``, from the gathered rows G = W_k[R, :] of each
+    slot's row support R (see ``_schur``)."""
+    k, n = Wc.shape[:2]
+    # a padding row of G is row 0 of the first block's W, and the zeros of
+    # A_RR around it cancel it exactly
+    G = Wc.reshape(k * n, n)[g].reshape(w, k, -1, n)
+    r = G.shape[2]
+    A_RR = np.zeros((w, k, r, r))
+    A_RR.reshape(-1)[cells] = vals
+    U = np.swapaxes(G, -1, -2) @ (A_RR @ G)
+    return np.ascontiguousarray(U.reshape(w, -1).T)
 
 
 def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
@@ -678,24 +666,25 @@ def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
     A pair is one (row i, block k) with A_ik != 0; block k's pairs fill its
     slots j = 0, 1, ...  Per class, chunks of slots keep each temporary
     within _SCHUR_BUDGET doubles (or one slot), bounding the memory of large
-    blocks and letting the allocator reuse them rather than fault them in;
-    ``np.add.at`` adds a chunk's <A_ik, W_k A_jk W_k> into M at
-    (i, j), as two blocks' pairs can meet there.  A class takes one of two
-    forms, chosen once per problem in ``_schur_tables``:
+    blocks and letting the allocator reuse them rather than fault them in.
+    A chunk forms U = W_k A_jk W_k for its slots by the class's form, chosen
+    once per problem in ``_schur_tables``:
 
-    - dense: slots in row order; Pt stacks the chunk's A_jk, zero-padded,
-      U = W_k Pt W_k by two n^3 products per slot overwrites it, and
-      Q = Pg U holds every pair against every slot of the chunk.
-    - support: slots ordered by |R|, R the rows holding A_jk's entries (also
-      its columns: A_jk is symmetric); U = W_k[:, R] A_jk[R, R] W_k[R, :]
-      from the gathered rows G = W_k[R, :], n^2 |R| + n |R|^2 flops per
-      slot.  As <A_ik, W A_jk W> = <A_jk, W A_ik W>, Q holds only the
-      pairs up to the chunk's last against its slots: weight 2 for pairs in
-      earlier slots, whose transposes no chunk forms, and weight 1 for the
-      chunk's own pairs, which meet each other in both orders; the
-      symmetrization below then completes M.  What does not depend on W,
-      from the gather rows to the A_RR places, is planned once per problem
-      (``_support_plan``).
+    - dense (``_dense_u``): slots in row order; two n^3 products per slot on
+      the stack of the chunk's A_jk, zero-padded.
+    - support (``_support_u``): slots ordered by |R|, R the rows holding
+      A_jk's entries (also its columns: A_jk is symmetric);
+      U = W_k[:, R] A_jk[R, R] W_k[R, :] from the gathered rows
+      G = W_k[R, :], n^2 |R| + n |R|^2 flops per slot.
+
+    Every chunk then contracts one triangle of pairs: as
+    <A_ik, W A_jk W> = <A_jk, W A_ik W>, Q = Ph U holds only the pairs up to
+    the chunk's last against its slots, at weight 2 for pairs in earlier
+    slots, whose transposes no chunk forms, and at weight 1 for the chunk's
+    own pairs, which meet each other in both orders.  ``np.add.at`` adds Q
+    into M at (i, j), as two blocks' pairs can meet there, and the
+    symmetrization below completes M.  What does not depend on W is planned
+    once per problem (``_schur_chunks``).
 
     A class takes the support form when its dense chunks are narrow, fewer
     than _SUPPORT_WIDTH slots, so the dense form's n x n by n x w products
@@ -707,9 +696,13 @@ def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
     n=10 network relaxations stays dense."""
     M.fill(0.0)
     flat = M.reshape(-1)
-    for Wc, tables in zip(W, bp._schur_tables):
-        form = _schur_dense if tables[-1] is None else _schur_support
-        form(Wc, tables, flat)
+    for Wc, (row, place, eqs, form, chunks) in zip(W, bp._schur_tables):
+        for s0, w, plo, Ph, args in chunks:
+            Q = Ph @ form(Wc, w, *args)
+            Q[:plo] *= 2.0
+            phi = len(Q)
+            idx = eqs[place[:phi], s0 : s0 + w] + row[:phi, None]
+            np.add.at(flat, idx.ravel(), Q.ravel())
     M += M.T
     M *= 0.5
 
@@ -799,7 +792,7 @@ class _ExactSchur:
         bp = self.bp
         WZW = [
             Wc @ Zc @ Wc if split is None else _sandwich(Wc, split, Zc)
-            for Wc, split, Zc in zip(self.W, self._splits, bp._gather(bp._A_ld.T @ v))
+            for Wc, split, Zc in zip(self.W, self._splits, bp._gather(bp._A_ld_T @ v))
         ]
         return bp._A_ld @ bp._scatter(WZW)
 
@@ -938,7 +931,8 @@ def solve_block_problem(
             best_iteration = it
         if score < best_score:
             best_score = score
-            best = ([Xk.copy() for Xk in X], y.copy(), [Sk.copy() for Sk in S])
+            # each iteration rebinds X, y and S to new arrays
+            best = (X, y, S)
 
         record = IterationRecord(
             iteration=it,

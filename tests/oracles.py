@@ -2,11 +2,11 @@
 
 Each oracle takes a deliberately different algorithmic route than the library
 code it checks: recursive Horner evaluation, simplicial-elimination chordality
-testing, exhaustive parity-vector enumeration, and a projection-splitting SDP
-solver.  The term-sparsity front end (graph rules, Gram supports, the
-elimination-order check and coefficient matching) and the residuals of
-certificate recovery run on arrays in the library; their plain loop versions
-are kept here as references.
+testing, pairwise comparison of candidate cliques, exhaustive parity-vector
+enumeration, and a projection-splitting SDP solver.  The term-sparsity front
+end (graph rules, Gram supports, the elimination-order check and coefficient
+matching) and the residuals of certificate recovery run on arrays in the
+library; their plain loop versions are kept here as references.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from operator import add
 
 import numpy as np
 
-from mpisos.graphs import MonomialGraph
+from mpisos.graphs import ChordalGraph, MonomialGraph
 from mpisos.poly import SupportSet, monomial_basis, support
 from mpisos.sparsity import multiplier_basis_degree
 
@@ -87,6 +87,20 @@ def later_neighbours_are_cliques(n: int, edges, order) -> bool:
                 if (min(later[a], later[b]), max(later[a], later[b])) not in edge_set:
                     return False
     return True
+
+
+def maximal_cliques_pairwise(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
+    """Maximal cliques of a chordal graph: each node plus its later
+    neighbours is a candidate, and a candidate inside another is dropped, by
+    comparing every pair.  Ordered as ``maximal_cliques`` orders them."""
+    position = {v: k for k, v in enumerate(graph.elimination_order)}
+    adj = graph.adjacency()
+    candidates = [
+        frozenset({v} | {u for u in adj[v] if position[u] > position[v]})
+        for v in graph.elimination_order
+    ]
+    kept = {c for c in candidates if not any(c < other for other in candidates)}
+    return tuple(sorted((tuple(sorted(c)) for c in kept), key=lambda c: (c[0], c)))
 
 
 # -- term-sparsity loops -------------------------------------------------------

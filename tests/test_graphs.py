@@ -13,7 +13,10 @@ from mpisos.graphs import (
     supp_of_graph,
 )
 
-from oracles import is_chordal, later_neighbours_are_cliques
+from mpisos.sparsity import build_chain
+from mpisos.systems import lorenz, random_network_model
+
+from oracles import is_chordal, later_neighbours_are_cliques, maximal_cliques_pairwise
 
 
 def line_nodes(n: int) -> tuple[tuple[int, ...], ...]:
@@ -156,6 +159,27 @@ def test_clique_cover_covers_every_edge(case):
     cliques = maximal_cliques(ext)
     for i, j in ext.edges:
         assert any(i in c and j in c for c in cliques)
+
+
+# -- maximal cliques vs the pairwise reference ------------------------------------
+
+@pytest.mark.parametrize("extension", ["maximal", "min-degree"])
+def test_cliques_match_pairwise_reference_on_chains(extension):
+    # every extended graph of the v- and w-chains of three networks and of
+    # lorenz, against the pairwise comparison of candidates
+    systems = [random_network_model(n, 0).system for n in (8, 10, 12)] + [lorenz().system]
+    for system in systems:
+        chain = build_chain(system, d=2, s=2, l=2, extension=extension)
+        for ext in (g for step in chain.v_extended + chain.w_extended for g in step):
+            assert maximal_cliques(ext) == maximal_cliques_pairwise(ext)
+
+
+@given(edge_strategy)
+def test_cliques_match_pairwise_reference(case):
+    n, raw = case
+    g = graph(n, {tuple(sorted(e)) for e in raw})
+    for ext in (approx_smallest_chordal_extension(g), maximal_chordal_extension(g)):
+        assert maximal_cliques(ext) == maximal_cliques_pairwise(ext)
 
 
 # -- elimination orders vs the pairwise reference ---------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -663,9 +664,23 @@ class TestSchur:
     CASES = [
         "lorenz-ts-presolved", "hand-built", "support-hand-built", "extlorenz-fd-presolved"
     ]
+    # the form each class takes: as chosen, or forced dense or support
+    # wherever a class has pairs, so that both forms of U feed the one
+    # contraction on every case
+    FORMS = {
+        "chosen": None,
+        "all-dense": lambda n, k, r_size: False,
+        "all-support": lambda n, k, r_size: len(r_size) > 0,
+    }
+    CASE_FORMS = [
+        pytest.param(case, form, id=case if form == "chosen" else f"{case}-{form}")
+        for form, case in product(FORMS, CASES)
+    ]
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_matches_dense_reference(self, case):
+    @pytest.mark.parametrize("case, form", CASE_FORMS)
+    def test_matches_dense_reference(self, case, form, monkeypatch):
+        if self.FORMS[form] is not None:
+            monkeypatch.setattr(sdp, "_support_pays", self.FORMS[form])
         if case == "hand-built":
             # duplicate and off-diagonal entries, a 1x1 block, a row that
             # touches one block only and a block that one row skips; block 3
@@ -709,17 +724,20 @@ class TestSchur:
         assert np.abs(M - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(M, M.T)
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_matches_dense_reference_in_small_chunks(self, case, monkeypatch):
-        # every class with more than one slot then takes several chunks, and
-        # every class whose flops allow it takes the support form, whose
-        # one-triangle weights then cross chunk boundaries
+    @pytest.mark.parametrize("case, form", CASE_FORMS)
+    def test_matches_dense_reference_in_small_chunks(self, case, form, monkeypatch):
+        # every class with more than one slot then takes several chunks,
+        # whose one-triangle weights cross chunk boundaries, and on the
+        # chosen form every class whose flops allow it takes the support form
         monkeypatch.setattr(sdp, "_SCHUR_BUDGET", 8)
-        self.test_matches_dense_reference(case)
+        self.test_matches_dense_reference(case, form, monkeypatch)
 
     def test_support_form_choice(self):
         def forms(bp):
-            return {n: sup is not None for n, *_, sup in bp._schur_tables}
+            return {
+                n: form is sdp._support_u
+                for (n, _, _), (*_, form, _) in zip(bp._size_classes, bp._schur_tables)
+            }
 
         assert forms(presolved(extended_lorenz_problem(3, "fd"))) == {
             1: False, 21: True, 56: True
@@ -808,7 +826,7 @@ class TestSchurSolve:
         v = np.random.default_rng(2).normal(size=bp.m).astype(np.longdouble)
         got = op(v)
         assert [n for (n, _, _), s in zip(bp._size_classes, op._splits) if s is not None] == [20]
-        Z = bp._gather(bp._A_ld.T @ v)
+        Z = bp._gather(bp._A_ld_T @ v)
         want = bp._A_ld @ bp._scatter([Wc @ Zc @ Wc for Wc, Zc in zip(W, Z)])
         assert np.linalg.norm(got - want) <= 1e-17 * np.linalg.norm(want)
 
