@@ -20,13 +20,16 @@ rows, and the presolve refuses a problem where one is not.  The method is a
 primal-dual path follower with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step on the PSD blocks alone, so its Newton system is
 the Schur complement M, positive definite and dense (m x m doubles; an
-n=20 ts maximal network relaxation has m = 13713 before the presolve),
-factored once per iteration by a double Cholesky.  Where double refinement
-on it falls short in the endgame, GMRES-IR carries the solves to the
-tolerances against the exact Schur operator: its products with A run in
-long double, and its W_k Z W_k accumulate double-BLAS products in long
-double through an error-free split, for blocks of size _SPLIT_MIN and up
-(``_ExactSchur``).  The iterates and every term of the Newton direction
+n=20 ts maximal network relaxation has m = 13713 before the presolve).  M
+is the only m x m array the method holds: it is symmetrized in place, tile
+by tile, and factored once per iteration by a double Cholesky in its own
+buffer, the factor over its lower triangle, while its strict upper triangle
+and a copy of its diagonal still define M for refinement's products with
+it.  Where double refinement on it falls short in the endgame, GMRES-IR
+carries the solves to the tolerances against the exact Schur operator: its
+products with A run in long double, and its W_k Z W_k accumulate
+double-BLAS products in long double through an error-free split, for
+blocks of size _SPLIT_MIN and up (``_ExactSchur``).  The iterates and every term of the Newton direction
 are one (k, n, n) stack per block size, gathered from a stacked vector by
 the blocks' columns of A and scattered back before each product with A,
 so Cholesky, SVD, eigvalsh, the sandwich products and the Schur
@@ -71,6 +74,8 @@ _NEAR_OPTIMAL_FACTOR = 1e3
 _SPLIT_MIN = 16
 # doubles per temporary of one chunk of pair slots in _schur
 _SCHUR_BUDGET = 1 << 16
+# the side of the square tiles _mirror symmetrizes M in
+_TILE = 256
 # a class whose dense chunks hold fewer slots may take the support form
 _SUPPORT_WIDTH = 16
 # the timed phases of solve_block_problem: free-variable presolve, trace cap
@@ -211,7 +216,7 @@ class BlockProblem:
         return self.A @ _flat(mats)
 
     def apply_At(self, y) -> list[np.ndarray]:
-        return self._split(self.A.T @ y)
+        return self._split(self._A_T @ y)
 
     @cached_property
     def _size_classes(self) -> list[tuple]:
@@ -232,6 +237,12 @@ class BlockProblem:
         for (_, _, cols), st in zip(self._size_classes, stacks):
             flat[cols] = st.ravel()
         return flat
+
+    @cached_property
+    def _A_T(self) -> sp.csr_matrix:
+        """The transpose of ``A``, as CSR: ``A.T`` builds a new CSC object
+        on every call."""
+        return self.A.T.tocsr()
 
     @cached_property
     def _A_ld(self) -> sp.csr_matrix:
@@ -548,7 +559,7 @@ def _primal_objective(bp: BlockProblem, X, u) -> float:
 
 def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, float]:
     r_p = bp.b - bp.apply_A(X) - bp.B @ u
-    dual_sq = float(np.sum((bp.c - _flat(S) - bp.A.T @ y) ** 2))
+    dual_sq = float(np.sum((bp.c - _flat(S) - bp._A_T @ y) ** 2))
     r_f = bp.c_free - bp.B.T @ y
     dual_sq += float(np.sum(r_f**2))
     pobj = _primal_objective(bp, X, u)
@@ -682,9 +693,10 @@ def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
     the chunk's last against its slots, at weight 2 for pairs in earlier
     slots, whose transposes no chunk forms, and at weight 1 for the chunk's
     own pairs, which meet each other in both orders.  ``np.add.at`` adds Q
-    into M at (i, j), as two blocks' pairs can meet there, and the
-    symmetrization below completes M.  What does not depend on W is planned
-    once per problem (``_schur_chunks``).
+    into M at (i, j), as two blocks' pairs can meet there, and ``_mirror``
+    completes M, averaging M and M^T in place one pair of tiles at a time,
+    so M is the only m x m array this takes.  What does not depend on W is
+    planned once per problem (``_schur_chunks``).
 
     A class takes the support form when its dense chunks are narrow, fewer
     than _SUPPORT_WIDTH slots, so the dense form's n x n by n x w products
@@ -703,23 +715,67 @@ def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
             phi = len(Q)
             idx = eqs[place[:phi], s0 : s0 + w] + row[:phi, None]
             np.add.at(flat, idx.ravel(), Q.ravel())
-    M += M.T
-    M *= 0.5
+    _mirror(M, average=True)
+
+
+def _mirror(M: np.ndarray, average: bool) -> None:
+    """Make M symmetric in place, one pair of _TILE x _TILE tiles at a time,
+    so with no m x m temporary.  With ``average`` each pair of entries takes
+    (M_ij + M_ji) / 2, bit for bit what M += M.T; M *= 0.5 gives; without
+    it the strict lower triangle takes the strict upper one's values."""
+    m = len(M)
+    for i in range(0, m, _TILE):
+        for j in range(i, m, _TILE):
+            U = M[i : i + _TILE, j : j + _TILE]
+            L = M[j : j + _TILE, i : i + _TILE]
+            if average:
+                U += L.T
+                U *= 0.5
+            if i == j:
+                lower = np.tril_indices(len(U), -1)
+                U[lower] = U.T[lower]
+            else:
+                L[...] = U.T
 
 
 def _schur_factor(M: np.ndarray) -> tuple:
     """Cholesky of M + delta diag(M), the diagonally scaled M plus delta I,
     for the first delta of 0, 1e-14, 1e-13, ... that succeeds: the factor
-    only preconditions ``_schur_solve``, so it must exist however bad M gets."""
-    shift = np.abs(np.diag(M)) + np.finfo(float).tiny
+    only preconditions ``_schur_solve``, so it must exist however bad M gets.
+
+    The factor is made in M's own buffer: LAPACK's dpotrf on the Fortran
+    view M.T writes it over M's lower triangle and leaves the strict upper
+    one, which with the kept d = diag(M) still defines M
+    (``_schur_product``).  A failed attempt leaves the lower triangle partly
+    overwritten, so a retry first restores it from the upper one.  Returns
+    (M.T, d): the factor in dpotrs's upper form, and d."""
+    d = M.diagonal().copy()
+    if not np.isfinite(d).all():
+        raise ValueError("Schur matrix must be finite")
+    shift = np.abs(d) + np.finfo(float).tiny
     delta = 0.0
     while True:
-        shifted = M.copy()
-        shifted.flat[:: len(M) + 1] += delta * shift
-        try:
-            return sla.cho_factor(shifted, overwrite_a=True)
-        except sla.LinAlgError:
-            delta = max(10.0 * delta, 1e-14)
+        factor, info = sla.lapack.dpotrf(M.T, lower=0, clean=0, overwrite_a=1)
+        if info == 0:
+            return factor, d
+        delta = max(10.0 * delta, 1e-14)
+        _mirror(M, average=False)
+        M.flat[:: len(M) + 1] = d + delta * shift
+        # no delta helps an infinite or NaN entry off the diagonal
+        if not np.isfinite(M.sum()):
+            raise ValueError("Schur matrix must be finite")
+
+
+def _schur_product(factor: tuple, x: np.ndarray) -> np.ndarray:
+    """M x from ``_schur_factor``'s (c, d): dsymv reads the triangle of c
+    that still holds M, with the factor's diagonal in place of d."""
+    c, d = factor
+    return sla.blas.dsymv(1.0, c, x, lower=1) - c.diagonal() * x + d * x
+
+
+def _factor_solve(factor: tuple, v: np.ndarray) -> np.ndarray:
+    """(M + delta diag(M))^-1 v from ``_schur_factor``'s factor."""
+    return sla.lapack.dpotrs(factor[0], v, lower=0)[0]
 
 
 def _head(x: np.ndarray, axis: int) -> np.ndarray:
@@ -797,15 +853,18 @@ class _ExactSchur:
         return bp._A_ld @ bp._scatter(WZW)
 
 
-def _schur_solve(M, factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
+def _schur_solve(factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
     """Solve M x = rhs; return x, the GMRES steps and the relative residual.
-    Double refinement on the factor goes first.  Where it misses _SOLVE_TOL,
-    GMRES-IR (Carson & Higham, SIAM J. Sci. Comput. 2017, 2018) goes on:
-    flexible GMRES in long double against ``apply_exact``, the Schur operator
-    never rounded to a matrix (``_ExactSchur``, which accumulates double-BLAS
-    products in long double), right-preconditioned by the factor.  The
-    factor was checked finite once, in ``_schur_factor``; a non-finite rhs
-    raises ``ValueError`` here, so the solves skip scipy's finite checks."""
+    ``factor`` is ``_schur_factor``'s (c, d), which holds both the factor
+    and M, so M is not passed.  Double refinement goes first: its solves run
+    on the factor (dpotrs) and its products with M on the kept triangle
+    (``_schur_product``).  Where it misses _SOLVE_TOL, GMRES-IR (Carson &
+    Higham, SIAM J. Sci. Comput. 2017, 2018) goes on: flexible GMRES in long
+    double against ``apply_exact``, the Schur operator never rounded to a
+    matrix (``_ExactSchur``, which accumulates double-BLAS products in long
+    double), right-preconditioned by the factor.  The factor was checked
+    finite once, in ``_schur_factor``; a non-finite rhs raises
+    ``ValueError`` here, as LAPACK and BLAS do not check."""
     if not np.isfinite(rhs).all():
         raise ValueError("Schur right-hand side must be finite")
     scale = 1.0 + float(np.linalg.norm(rhs))
@@ -813,8 +872,8 @@ def _schur_solve(M, factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
     x = np.zeros_like(rhs)
     resid = rhs
     for _ in range(_REFINE_STEPS + 1):
-        x += sla.cho_solve(factor, resid, check_finite=False)
-        resid = rhs - M @ x
+        x += _factor_solve(factor, resid)
+        resid = rhs - _schur_product(factor, x)
         res = float(np.linalg.norm(resid))
         if res <= target:
             return x, 0, res / scale
@@ -833,8 +892,8 @@ def _schur_solve(M, factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
             steps += 1
             # the factor preconditions V[j]'s high and low double parts
             hi = V[j].astype(float)
-            Z[j] = sla.cho_solve(factor, hi, check_finite=False)
-            Z[j] += sla.cho_solve(factor, (V[j] - hi).astype(float), check_finite=False)
+            Z[j] = _factor_solve(factor, hi)
+            Z[j] += _factor_solve(factor, (V[j] - hi).astype(float))
             w = apply_exact(Z[j])
             for _ in range(2):  # classical Gram-Schmidt, twice
                 h = V[: j + 1] @ w
@@ -915,7 +974,7 @@ def solve_block_problem(
     for it in range(1, tol.max_iterations + 1):
         iterations = it
         r_p = bp.b - bp.A @ scatter(X)
-        r_d = [Cc - Sc - Ac for Cc, Sc, Ac in zip(C, S, gather(bp.A.T @ y))]
+        r_d = [Cc - Sc - Ac for Cc, Sc, Ac in zip(C, S, gather(bp._A_T @ y))]
         mu = sum(float(np.sum(Xc * Sc)) for Xc, Sc in zip(X, S)) / N
         pobj = sum(float(np.sum(Cc * Xc)) for Cc, Xc in zip(C, X)) + bp.objective_offset
         dobj = float(bp.b @ y) + bp.objective_offset
@@ -966,14 +1025,15 @@ def solve_block_problem(
 
         # M is positive definite (full-rank constraints, PD scaling) and
         # exactly symmetric, so refinement runs against the matrix that was
-        # factored, up to _schur_factor's shift
+        # factored, up to _schur_factor's shift; the factor overwrites M's
+        # lower triangle, and the next iteration's _schur all of M
         timed("schur", _schur, bp, W, M)
         factor = timed("factor", _schur_factor, M)
         solves = {"krylov_steps": 0, "newton_residual": 0.0}
         apply_exact = _ExactSchur(bp, W)
 
         def kkt_solve(rhs):
-            sol, steps, res = timed("solve", _schur_solve, M, factor, apply_exact, rhs)
+            sol, steps, res = timed("solve", _schur_solve, factor, apply_exact, rhs)
             solves["krylov_steps"] += steps
             solves["newton_residual"] = max(solves["newton_residual"], res)
             return np.asarray(sol, dtype=float)
@@ -986,7 +1046,7 @@ def solve_block_problem(
             TK = [2.0 * Kc / (lc[:, :, None] + lc[:, None, :]) for lc, Kc in zip(lam, K)]
             RTKRt = [Rc @ TKc @ np.swapaxes(Rc, -1, -2) for Rc, TKc in zip(R, TK)]
             dy = kkt_solve(r_p - bp.A @ scatter(RTKRt) + A_WrdW)
-            dS = [rdc - Ac for rdc, Ac in zip(r_d, gather(bp.A.T @ dy))]
+            dS = [rdc - Ac for rdc, Ac in zip(r_d, gather(bp._A_T @ dy))]
             dShat = [np.swapaxes(Rc, -1, -2) @ dSc @ Rc for Rc, dSc in zip(R, dS)]
             dXhat = [TKc - dsh for TKc, dsh in zip(TK, dShat)]
             dX = [Rc @ dxh @ np.swapaxes(Rc, -1, -2) for Rc, dxh in zip(R, dXhat)]
@@ -1002,7 +1062,7 @@ def solve_block_problem(
                     break
                 dy2 = kkt_solve(r_lin)
                 dy = dy + dy2
-                for c, Ac in enumerate(gather(bp.A.T @ dy2)):
+                for c, Ac in enumerate(gather(bp._A_T @ dy2)):
                     half = np.swapaxes(R[c], -1, -2) @ Ac @ R[c]
                     dXhat[c] = dXhat[c] + half
                     dShat[c] = dShat[c] - half

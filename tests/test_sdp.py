@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -23,12 +24,15 @@ from mpisos.sdp import (
     _ExactSchur,
     _chol_lower,
     _equilibrated,
+    _factor_solve,
     _max_step,
+    _mirror,
     _nt_scaling,
     _primal_objective,
     _sandwich,
     _schur,
     _schur_factor,
+    _schur_product,
     _schur_solve,
     _split_w,
     _with_trace_bound,
@@ -750,30 +754,111 @@ class TestSchur:
             assert not any(forms(bp).values())
 
 
+def spectrum_matrix(eigs, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric matrix with eigenvalues eigs under a random rotation, exact
+    in long double, and its rounding to double."""
+    Q = np.linalg.qr(rng.normal(size=(len(eigs), len(eigs))))[0]
+    Q = Q.astype(np.longdouble)
+    M_exact = (Q * eigs.astype(np.longdouble)) @ Q.T
+    M_exact = 0.5 * (M_exact + M_exact.T)
+    return M_exact, M_exact.astype(float)
+
+
+def few_tiny(m: int) -> np.ndarray:
+    """Three eigenvalues of 1e-20 and m - 3 from 1 to 10."""
+    return np.r_[np.full(3, 1e-20), np.linspace(1.0, 10.0, m - 3)]
+
+
+class TestSchurInPlace:
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 673])
+    def test_mirror_matches_whole_matrix_symmetrization(self, m):
+        M = np.random.default_rng(m).normal(size=(m, m))
+        want = M.copy()
+        want += want.T
+        want *= 0.5
+        _mirror(M, average=True)
+        assert np.array_equal(M, want)
+
+    def test_mirror_allocates_no_matrix(self):
+        M = np.random.default_rng(0).normal(size=(1000, 1000))
+        tracemalloc.start()
+        try:
+            _mirror(M, average=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M.nbytes / 4
+
+    @staticmethod
+    def check_factor(M0, M, factor, rng):
+        """The factor lies in M's buffer; M's strict upper triangle and the
+        kept diagonal are M0's; solves are those of M0 + delta diag(M0) for
+        _schur_factor's delta, the first that factors; products are M0's."""
+        assert np.shares_memory(factor[0], M)
+        assert np.array_equal(np.triu(M, 1), np.triu(M0, 1))
+        assert np.array_equal(factor[1], np.diag(M0))
+        shift = np.abs(np.diag(M0)) + np.finfo(float).tiny
+        for delta in [0.0] + [10.0**e for e in range(-14, 0)]:
+            try:
+                ref = sla.cho_factor(M0 + np.diag(delta * shift))
+                break
+            except sla.LinAlgError:
+                pass
+        v = rng.normal(size=len(M0))
+        want = sla.cho_solve(ref, v)
+        assert np.linalg.norm(_factor_solve(factor, v) - want) <= 1e-12 * np.linalg.norm(want)
+        want = M0 @ v
+        assert np.linalg.norm(_schur_product(factor, v) - want) <= 1e-15 * np.linalg.norm(want)
+        return delta
+
+    def test_factor_in_place(self):
+        bp = presolved(extended_lorenz_problem(3, "fd"))
+        rng = np.random.default_rng(7)
+        W = []
+        for n, ks, _ in bp._size_classes:
+            G = rng.normal(size=(len(ks), n, n))
+            W.append(G @ np.swapaxes(G, -1, -2) / n + 0.1 * np.eye(n))
+        M = np.empty((bp.m, bp.m))
+        _schur(bp, W, M)
+        M0 = M.copy()
+        tracemalloc.start()
+        try:
+            factor = _schur_factor(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bp.m == 673
+        assert peak < 0.05 * M.nbytes
+        self.check_factor(M0, M, factor, rng)
+
+    def test_shift_retry_restores_the_matrix(self):
+        # positive definite in long double, not in double: the first dpotrf
+        # fails near the last column, with the lower triangle of both tiles
+        # of M overwritten, which the retry restores before shifting
+        rng = np.random.default_rng(5)
+        _, M = spectrum_matrix(few_tiny(300), rng)
+        with pytest.raises(sla.LinAlgError):
+            sla.cho_factor(M)
+        M0 = M.copy()
+        factor = _schur_factor(M)
+        assert self.check_factor(M0, M, factor, rng) > 0.0
+
+
 class TestSchurSolve:
     @pytest.mark.parametrize(
         "eigs",
-        [
-            np.r_[np.full(3, 1e-20), np.linspace(1.0, 10.0, 37)],
-            np.logspace(0.0, -20.0, 40),
-        ],
+        [few_tiny(40), np.logspace(0.0, -20.0, 40)],
         ids=["few-tiny", "log-uniform"],
     )
     def test_backward_error_past_double_precision(self, eigs):
         # SPD with cond ~ 1e20, exact in long double; rounded to double it
         # is no longer positive definite
         rng = np.random.default_rng(5)
-        Q = np.linalg.qr(rng.normal(size=(len(eigs), len(eigs))))[0]
-        Q = Q.astype(np.longdouble)
-        M_exact = (Q * eigs.astype(np.longdouble)) @ Q.T
-        M_exact = 0.5 * (M_exact + M_exact.T)
-        M = M_exact.astype(float)
+        M_exact, M = spectrum_matrix(eigs, rng)
         with pytest.raises(sla.LinAlgError):
             sla.cho_factor(M)
         rhs = rng.normal(size=len(eigs))
-        x, steps, _ = _schur_solve(
-            M, _schur_factor(M), lambda v: M_exact @ v, rhs
-        )
+        x, steps, _ = _schur_solve(_schur_factor(M), lambda v: M_exact @ v, rhs)
         assert steps > 0
         x = np.asarray(x, dtype=np.longdouble)
         backward = np.linalg.norm(rhs - M_exact @ x) / (
@@ -833,7 +918,7 @@ class TestSchurSolve:
     def test_non_finite_rhs_raises(self):
         M = np.diag([2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
-            _schur_solve(M, _schur_factor(M), lambda v: M @ v, np.array([1.0, np.nan, 0.0]))
+            _schur_solve(_schur_factor(M.copy()), lambda v: M @ v, np.array([1.0, np.nan, 0.0]))
 
     def test_trace_records_krylov_steps(self):
         sol = solve(lorenz_problem(3, "fd"))
