@@ -18,10 +18,17 @@ Every free variable is eliminated before the interior-point method: in the
 coefficient-matching equalities each one is pinned by a chain of pivot
 rows, and the presolve refuses a problem where one is not.  The method is a
 primal-dual path follower with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step on the PSD blocks alone, so its Newton system is
-the Schur complement M, positive definite and dense (m x m doubles; an
-n=20 ts maximal network relaxation has m = 13713 before the presolve).  M
-is the only m x m array the method holds: it is symmetrized in place, tile
+predictor-corrector step on the PSD blocks alone.  The predictor's step
+lengths are measured all the way to the boundary of the cone, at most 1,
+and set the centering; the corrector then steps 0.9 + 0.09 min(predictor
+steps) of the way, close to the boundary after long predictor steps and
+central after short ones (SDPT3's rule: Toh, Todd & Tutuncu, Optim.
+Methods Softw. 11, 1999).  The blocks are solved in a canonical order,
+sorted by size and data, so the solution does not depend on the order
+they come in.  With no free variables left, the Newton system is the
+Schur complement M, positive definite and dense (m x m doubles; an n=20
+ts maximal network relaxation has m = 13713 before the presolve).  M is
+the only m x m array the method holds: it is symmetrized in place, tile
 by tile, and factored once per iteration by a double Cholesky in its own
 buffer, the factor over its lower triangle, while its strict upper triangle
 and a copy of its diagonal still define M for refinement's products with
@@ -58,8 +65,6 @@ from .relax import SdpProblem
 
 # scaled-space values below this count as zero when capping step lengths
 _STEP_EIG_FLOOR = 1e-13
-# each step goes this fraction of the way to the boundary of the cone
-_STEP_FRACTION = 0.99
 # the aggregate trace cap every problem is solved under (_with_trace_bound)
 _TRACE_CAP = 1e6
 _DIVERGENCE_LIMIT = 1e10
@@ -78,9 +83,9 @@ _SCHUR_BUDGET = 1 << 16
 _TILE = 256
 # a class whose dense chunks hold fewer slots may take the support form
 _SUPPORT_WIDTH = 16
-# the timed phases of solve_block_problem: free-variable presolve, trace cap
-# and equilibration, Schur build, its factorization, Schur solves, NT
-# scaling and step lengths
+# the timed phases of solve_block_problem: canonical block order and
+# free-variable presolve, trace cap and equilibration, Schur build, its
+# factorization, Schur solves, NT scaling and step lengths
 _PHASES = ("presolve", "scaling", "schur", "factor", "solve", "nt_scaling", "step_length")
 
 
@@ -118,6 +123,8 @@ class IterationRecord:
     step_primal: float = 0.0
     step_dual: float = 0.0
     sigma: float = 0.0
+    # the fraction of the way to the boundary the corrector stepped
+    step_fraction: float = 0.0
     # this iteration's GMRES steps and largest relative Schur-solve residual
     krylov_steps: int = 0
     newton_residual: float = 0.0
@@ -337,6 +344,33 @@ def standardize(problem: SdpProblem) -> BlockProblem:
     )
 
 
+def _canonical_order(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray]:
+    """bp with its blocks sorted by size, then by their CSC columns of A and
+    their part of c as bytes, and the order: block j of the result is block
+    order[j] of bp.  Where the optimum is not unique, rounding that depends
+    on a block's place in its size class picks the point on the optimal face
+    the method ends at; solving in this order makes the solution the same
+    whatever order the blocks came in."""
+    A, o = bp.A.tocsc(), bp.offsets
+
+    def key(k):
+        lo, hi = A.indptr[o[k]], A.indptr[o[k + 1]]
+        return (
+            bp.block_sizes[k],
+            (A.indptr[o[k] : o[k + 1] + 1] - lo).tobytes(),
+            A.indices[lo:hi].tobytes(),
+            A.data[lo:hi].tobytes(),
+            bp.c[o[k] : o[k + 1]].tobytes(),
+        )
+
+    order = np.array(sorted(range(len(bp.block_sizes)), key=key), dtype=np.int64)
+    cols = np.concatenate([np.arange(o[k], o[k + 1]) for k in order])
+    sizes = [bp.block_sizes[k] for k in order]
+    return BlockProblem(
+        sizes, A[:, cols], bp.B, bp.b, bp.c_free, bp.c[cols], bp.objective_offset
+    ), order
+
+
 def _equilibrated(bp: BlockProblem) -> tuple[BlockProblem, np.ndarray]:
     """Rescale rows to unit norm.
 
@@ -544,13 +578,10 @@ def _max_step(lam: np.ndarray, delta_hat: np.ndarray) -> float:
     return -1.0 / nu
 
 
-def _step_length(lam, deltas) -> float:
-    """The fraction-to-boundary step along the scaled block directions."""
-    return min(
-        1.0,
-        _STEP_FRACTION
-        * min(_max_step(lamk, dk) for lamk, dk in zip(lam, deltas)),
-    )
+def _step_length(lam, deltas, fraction: float) -> float:
+    """The step ``fraction`` of the way to the boundary of the cone along
+    the scaled block directions, at most 1."""
+    return min(1.0, fraction * min(_max_step(lamk, dk) for lamk, dk in zip(lam, deltas)))
 
 
 def _primal_objective(bp: BlockProblem, X, u) -> float:
@@ -732,8 +763,7 @@ def _mirror(M: np.ndarray, average: bool) -> None:
                 U += L.T
                 U *= 0.5
             if i == j:
-                lower = np.tril_indices(len(U), -1)
-                U[lower] = U.T[lower]
+                np.copyto(U, U.T, where=np.tri(len(U), k=-1, dtype=bool))
             else:
                 L[...] = U.T
 
@@ -920,6 +950,7 @@ def solve_block_problem(
         return out
 
     tol = tol or SolverTolerances()
+    bp, order = timed("presolve", _canonical_order, bp)
     original = bp
     # coefficient-matching equalities pin every free variable; eliminating
     # them all leaves the positive definite Schur complement as the whole
@@ -1070,11 +1101,11 @@ def solve_block_problem(
                     dS[c] = dS[c] - Ac
             return dy, dX, dS, dXhat, dShat
 
-        # predictor: drive mu to zero
+        # predictor: drive mu to zero, with steps all the way to the boundary
         K_aff = [-(lc**2)[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
         dy_a, dX_a, dS_a, dXh_a, dSh_a = direction(K_aff)
-        ap = timed("step_length", _step_length, lam, dXh_a)
-        ad = timed("step_length", _step_length, lam, dSh_a)
+        ap = timed("step_length", _step_length, lam, dXh_a, 1.0)
+        ad = timed("step_length", _step_length, lam, dSh_a, 1.0)
         mu_aff = sum(
             float(np.sum((Xc + ap * dXc) * (Sc + ad * dSc)))
             for Xc, dXc, Sc, dSc in zip(X, dX_a, S, dS_a)
@@ -1091,19 +1122,23 @@ def solve_block_problem(
         use_cross = min(ap, ad) >= 0.01 and np.sqrt(cross_sq) <= 1e2 * mu * N
         if not use_cross:
             sigma = max(sigma, 0.8)
+        # long predictor steps let the corrector go close to the boundary,
+        # short ones keep it central
+        gamma = 0.9 + 0.09 * min(ap, ad)
 
         # corrector: recentre and fold in the second-order term
         K_corr = [(sigma * mu - lc**2)[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
         if use_cross:
             K_corr = [Kc - 0.5 * (c + np.swapaxes(c, -1, -2)) for Kc, c in zip(K_corr, cross)]
         dy, dX, dS, dXh, dSh = direction(K_corr)
-        ap = timed("step_length", _step_length, lam, dXh)
-        ad = timed("step_length", _step_length, lam, dSh)
+        ap = timed("step_length", _step_length, lam, dXh, gamma)
+        ad = timed("step_length", _step_length, lam, dSh, gamma)
 
         X = [0.5 * ((Xc + ap * dXc) + np.swapaxes(Xc + ap * dXc, -1, -2)) for Xc, dXc in zip(X, dX)]
         S = [0.5 * ((Sc + ad * dSc) + np.swapaxes(Sc + ad * dSc, -1, -2)) for Sc, dSc in zip(S, dS)]
         y = y + ad * dy
-        trace.append(replace(record, step_primal=ap, step_dual=ad, sigma=sigma, **solves))
+        steps = dict(step_primal=ap, step_dual=ad, sigma=sigma, step_fraction=gamma)
+        trace.append(replace(record, **steps, **solves))
 
     if status == "max_iter" and best is not None:
         X, y, S = best
@@ -1138,7 +1173,7 @@ def solve_block_problem(
         status=status,
         objective=_primal_objective(original, X, u),
         dual_objective=float(original.b @ y) + original.objective_offset + dual_shift,
-        block_values=[Xk.copy() for Xk in X],
+        block_values=[X[j].copy() for j in np.argsort(order)],
         free_values=u.copy(),
         y=y.copy(),
         residuals=residuals,

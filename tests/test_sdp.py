@@ -35,6 +35,7 @@ from mpisos.sdp import (
     _schur_product,
     _schur_solve,
     _split_w,
+    _step_length,
     _with_trace_bound,
     export_sdpa,
     reduce_free_variables,
@@ -992,32 +993,62 @@ class TestStackedKernels:
             _chol_lower(mats, "primal", [])
 
 
+class TestStepRule:
+    def test_step_length(self):
+        # scaled by lam, block 0's direction is diag(-2, -0.5): it meets the
+        # boundary at a = 0.5; the other directions are PSD or reach it later
+        lam = [np.array([[1.0, 4.0], [2.0, 3.0]]), np.array([[5.0]])]
+        deltas = [np.array([np.diag([-2.0, -2.0]), np.eye(2)]), np.array([[[-1.0]]])]
+        for fraction in (1.0, 0.99, 0.9, 0.3):
+            assert _step_length(lam, deltas, fraction) == pytest.approx(0.5 * fraction, rel=1e-14)
+        # a maximum step of 2: long fractions are capped at a full step
+        short = [d / 4 for d in deltas]
+        assert _step_length(lam, short, 0.3) == pytest.approx(0.6, rel=1e-14)
+        assert _step_length(lam, short, 0.9) == 1.0
+        # a direction that never leaves the cone
+        inside = [np.abs(d) for d in deltas]
+        assert _step_length(lam, inside, 0.9) == 1.0
+
+    def test_corrector_fraction_follows_the_predictor(self):
+        # the step rule takes 20 iterations here, a fixed fraction of 0.99
+        # of the way to the boundary 30
+        sol = solve(network_problem(8, 0, "ts"))
+        assert sol.status == "optimal"
+        assert sol.iterations <= 22
+        assert all(0.9 <= rec.step_fraction <= 0.99 for rec in sol.trace[:-1])
+        assert sol.trace[-1].step_fraction == 0.0
+
+
 class TestBlockOrder:
     def test_shuffled_blocks_give_the_same_solution(self):
-        # the solver groups blocks by size without moving them; a problem
-        # with its blocks in another order must give the same solution,
-        # each block in its own place
+        # the solver sorts the blocks into a canonical order and hands them
+        # back in the order they came in; a problem with its blocks in
+        # another order must give bit for bit the same solution, each block
+        # in its own place
         p = lorenz_problem(2)
         bp = standardize(p)
         assert len(bp.block_sizes) == 31 and len(set(bp.block_sizes)) > 2
-        perm = np.random.default_rng(3).permutation(len(bp.block_sizes))
-        new_index = np.argsort(perm)
-        shuffled = entry_problem(
-            [bp.block_sizes[k] for k in perm],
-            [
-                [(int(new_index[k]), r, c, v) for k, r, c, v in eq.block_entries]
-                for eq in p.equalities
-            ],
-            bp.B,
-            bp.b,
-            bp.c_free,
-        )
-        a, b = solve_block_problem(bp), solve_block_problem(shuffled)
-        assert a.status == b.status == "optimal"
-        assert a.iterations == b.iterations
-        assert b.objective == pytest.approx(a.objective, rel=1e-9)
-        for j, k in enumerate(perm):
-            assert np.allclose(b.block_values[j], a.block_values[k], rtol=0, atol=1e-6)
+        a = solve_block_problem(bp)
+        assert a.status == "optimal"
+        for seed in range(4):
+            perm = np.random.default_rng(seed).permutation(len(bp.block_sizes))
+            new_index = np.argsort(perm)
+            shuffled = entry_problem(
+                [bp.block_sizes[k] for k in perm],
+                [
+                    [(int(new_index[k]), r, c, v) for k, r, c, v in eq.block_entries]
+                    for eq in p.equalities
+                ],
+                bp.B,
+                bp.b,
+                bp.c_free,
+            )
+            b = solve_block_problem(shuffled)
+            assert b.status == "optimal"
+            assert b.iterations == a.iterations
+            assert b.objective == a.objective
+            for j, k in enumerate(perm):
+                assert np.array_equal(b.block_values[j], a.block_values[k])
 
 
 def objective(model, **config) -> float:
