@@ -18,6 +18,7 @@ the constraint set must be a box; anything else is rejected at assembly.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -458,12 +459,15 @@ def recover(
 def grid_counts(resolution, dim: int) -> tuple[int, ...]:
     """Per-axis point counts of a grid over ``dim`` axes.
 
-    ``resolution`` is either one integer for all axes or a sequence with one
-    count per axis; each count must be at least 2 and the grid may hold at
-    most 20 million points.  Raises ``ValueError`` otherwise.
+    ``resolution`` is either one integer (any ``numbers.Integral`` but a
+    bool) for all axes or a sequence with one count per axis; each count
+    must be at least 2 and the grid may hold at most 20 million points.
+    Raises ``ValueError`` otherwise, and ``TypeError`` for a bool.
     """
-    if isinstance(resolution, int):
-        counts = (resolution,) * dim
+    if isinstance(resolution, bool):
+        raise TypeError("resolution must be an integer or a sequence of integers")
+    if isinstance(resolution, numbers.Integral):
+        counts = (int(resolution),) * dim
     else:
         counts = tuple(int(r) for r in resolution)
         if len(counts) != dim:

@@ -46,12 +46,20 @@ one of two ways, chosen once per block size: two dense n^3 products, or, for
 large blocks whose A_jk are sparse, products with only the rows of W_k in
 A_jk's row support.  Every chunk is contracted over one triangle of pairs,
 and M comes out exactly symmetric.
+
+Every iterate is mapped back to the original problem, unscaled and
+unreduced: the cap's slack and row dropped, the row scaling undone and the
+free variables recovered.  The original problem's residuals end the solve
+``optimal``, pick the best iterate and fill every ``IterationRecord``; a
+solve that stalls or runs out of iterations returns its best point, as
+``near_optimal`` within _NEAR_OPTIMAL_FACTOR of the tolerances.
 ``SdpSolution.timings`` records the wall time of each phase.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -104,21 +112,26 @@ class SolverTolerances:
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
-        if self.gap <= 0 or self.feasibility <= 0:
+        if not (self.gap > 0 and self.feasibility > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
+        n = self.max_iterations
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError("max_iterations must be a positive integer")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
+    # mu is the scaled problem's <X, S> / N; the objectives and residuals
+    # are the original problem's, as on ``SdpSolution``
     mu: float
     primal_objective: float
     dual_objective: float
     primal_infeasibility: float
     dual_infeasibility: float
     relative_gap: float
+    # the scaled problem's |r_p . y| + sum_k |<X_k, R_dk>|, which bounds how
+    # far primal_objective can fall below dual_objective
     duality_slack: float
     step_primal: float = 0.0
     step_dual: float = 0.0
@@ -132,6 +145,7 @@ class IterationRecord:
 
 @dataclass
 class SdpSolution:
+    # the status, objectives and residuals are the original problem's
     status: str
     objective: float
     dual_objective: float
@@ -250,6 +264,11 @@ class BlockProblem:
         """The transpose of ``A``, as CSR: ``A.T`` builds a new CSC object
         on every call."""
         return self.A.T.tocsr()
+
+    @cached_property
+    def _B_T(self) -> sp.csr_matrix:
+        """The transpose of ``B``, as CSR."""
+        return self.B.T.tocsr()
 
     @cached_property
     def _A_ld(self) -> sp.csr_matrix:
@@ -399,26 +418,29 @@ class FreeReduction:
     of the free columns.  Both are triangular solves on ``lu_pet``, the
     factor of B_PE^T, where B_PE holds the pivot rows' eliminated columns.
     Substituted rows that cancelled to nothing are in neither
-    ``pivot_rows`` nor ``kept_rows`` and carry multiplier 0.
+    ``pivot_rows`` nor ``kept_rows`` and carry multiplier 0.  ``A_piv`` is
+    the presolve's pivot rows of A.
     """
 
-    def __init__(self, original, pivot_rows, elim_cols, kept_rows, lu_pet):
+    def __init__(self, original, pivot_rows, elim_cols, kept_rows, lu_pet, A_piv):
         self.original = original
         self.pivot_rows = pivot_rows
         self.elim_cols = elim_cols
         self.kept_rows = kept_rows
         self._lu_pet = lu_pet
-        self._B_ke = original.B[kept_rows][:, elim_cols]
+        self._A_piv = A_piv
+        self._B_ke_T = original.B[kept_rows][:, elim_cols].T.tocsr()
 
-    def recover(self, X, y_red):
+    def recover(self, x: np.ndarray, y_red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u and y from the stacked blocks x and the kept rows' y_red."""
         bp = self.original
         piv = self.pivot_rows
         u = np.zeros(bp.n_free)
         y = np.zeros(bp.m)
         y[self.kept_rows] = y_red
-        u[self.elim_cols] = self._lu_pet.solve(bp.b[piv] - bp.apply_A(X)[piv], trans="T")
+        u[self.elim_cols] = self._lu_pet.solve(bp.b[piv] - self._A_piv @ x, trans="T")
         c_e = bp.c_free[self.elim_cols]
-        y[piv] = self._lu_pet.solve(c_e - self._B_ke.T @ y_red)
+        y[piv] = self._lu_pet.solve(c_e - self._B_ke_T @ y_red)
         return u, y
 
 
@@ -503,7 +525,7 @@ def reduce_free_variables(
         bp.c - A_piv.T @ g,
         objective_offset=float(g @ bp.b[piv]) + bp.objective_offset,
     )
-    return reduced, FreeReduction(bp, piv, elim, kept[keep], lu_pet)
+    return reduced, FreeReduction(bp, piv, elim, kept[keep], lu_pet, A_piv)
 
 
 def _with_trace_bound(bp: BlockProblem) -> BlockProblem:
@@ -584,25 +606,20 @@ def _step_length(lam, deltas, fraction: float) -> float:
     return min(1.0, fraction * min(_max_step(lamk, dk) for lamk, dk in zip(lam, deltas)))
 
 
-def _primal_objective(bp: BlockProblem, X, u) -> float:
-    return float(bp.c_free @ u) + bp.objective_offset + float(bp.c @ _flat(X))
-
-
-def _residuals(bp: BlockProblem, X, u, y, S, dual_shift: float) -> dict[str, float]:
-    r_p = bp.b - bp.apply_A(X) - bp.B @ u
-    dual_sq = float(np.sum((bp.c - _flat(S) - bp._A_T @ y) ** 2))
-    r_f = bp.c_free - bp.B.T @ y
-    dual_sq += float(np.sum(r_f**2))
-    pobj = _primal_objective(bp, X, u)
+def _residuals(bp: BlockProblem, x, u, y, s, dual_shift: float) -> tuple[dict, float, float]:
+    """bp's relative residuals at the stacked blocks x and slacks s, free
+    values u and multipliers y, and its primal and dual objectives there;
+    the dual one adds ``dual_shift``."""
+    r_p = bp.b - bp.A @ x - bp.B @ u
+    r_d = np.append(bp.c - s - bp._A_T @ y, bp.c_free - bp._B_T @ y)
+    pobj = float(bp.c_free @ u) + bp.objective_offset + float(bp.c @ x)
     dobj = float(bp.b @ y) + bp.objective_offset + dual_shift
-    gap = sum(float(np.sum(Xk * Sk)) for Xk, Sk in zip(X, S))
     return {
-        "primal_infeasibility": float(np.linalg.norm(r_p))
-        / (1.0 + float(np.linalg.norm(bp.b))),
-        "dual_infeasibility": np.sqrt(dual_sq) / (1.0 + bp.cost_norm),
+        "primal_infeasibility": float(np.linalg.norm(r_p) / (1.0 + np.linalg.norm(bp.b))),
+        "dual_infeasibility": float(np.linalg.norm(r_d) / (1.0 + bp.cost_norm)),
         "relative_gap": (pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
-        "complementarity": gap / max(bp.total_dimension, 1),
-    }
+        "complementarity": float(x @ s) / max(bp.total_dimension, 1),
+    }, pobj, dobj
 
 
 def _chunk_width(k: int, n: int, pairs: int) -> int:
@@ -989,10 +1006,15 @@ def solve_block_problem(
     # the cap's slack, the last 1x1 block, starts on its row: the cap holds
     X[0][-1, 0, 0] = max(_TRACE_CAP - tau_p * (N - 1), tau_p)
     y = np.zeros(m)
-    # primal infeasibility is measured on the unscaled data rows, as the
-    # final status is: recovery meets the pivot rows exactly and leaves the
-    # kept rows' residuals as they are
-    pinf_scale = row_scale[:m_data] / (1.0 + float(np.linalg.norm(original.b)))
+
+    def on_original(x, y, s):
+        """Stacked x and s and scaled y mapped back to the original problem:
+        x, u, y, the cap's multiplier and the original's ``_residuals``."""
+        y = y / row_scale
+        x, s, y_cap, y = x[:-1], s[:-1], float(y[-1]), y[:-1]
+        u, y = (np.zeros(0), y) if reduction is None else reduction.recover(x, y)
+        # the dual objective keeps the cap row's term, inert cap or not
+        return (x, u, y, y_cap, *_residuals(original, x, u, y, s, _TRACE_CAP * y_cap))
 
     trace: list[IterationRecord] = []
     M = np.zeros((m, m))
@@ -1000,29 +1022,26 @@ def solve_block_problem(
     best_score = np.inf
     best_iteration = 0
     status = "max_iter"
-    iterations = 0
+    limits = np.array([tol.feasibility, tol.feasibility, tol.gap])
 
     for it in range(1, tol.max_iterations + 1):
-        iterations = it
-        r_p = bp.b - bp.A @ scatter(X)
+        x = scatter(X)
+        r_p = bp.b - bp.A @ x
         r_d = [Cc - Sc - Ac for Cc, Sc, Ac in zip(C, S, gather(bp._A_T @ y))]
         mu = sum(float(np.sum(Xc * Sc)) for Xc, Sc in zip(X, S)) / N
-        pobj = sum(float(np.sum(Cc * Xc)) for Cc, Xc in zip(C, X)) + bp.objective_offset
-        dobj = float(bp.b @ y) + bp.objective_offset
-        pinf = float(np.linalg.norm(pinf_scale * r_p[:m_data]))
-        dinf = np.sqrt(sum(float(np.sum(rd**2)) for rd in r_d)) / (1.0 + original.cost_norm)
-        relgap = (pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         slack = abs(float(r_p @ y)) + sum(
             float(np.abs(np.sum(Xc * rdc, axis=(1, 2))).sum()) for Xc, rdc in zip(X, r_d)
         )
-
-        score = max(pinf, dinf, abs(relgap))
+        point = on_original(x, y, scatter(S))
+        residuals, pobj, dobj = point[-3:]
+        pinf, dinf, relgap, _ = residuals.values()
+        # the largest residual over its tolerance, NaN if one is NaN
+        score = float(np.max(np.abs([pinf, dinf, relgap]) / limits))
         if score < 0.99 * best_score:
             best_iteration = it
         if score < best_score:
             best_score = score
-            # each iteration rebinds X, y and S to new arrays
-            best = (X, y, S)
+            best = point
 
         record = IterationRecord(
             iteration=it,
@@ -1034,19 +1053,17 @@ def solve_block_problem(
             relative_gap=relgap,
             duality_slack=slack,
         )
+        trace.append(record)
 
-        if pinf <= tol.feasibility and dinf <= tol.feasibility and abs(relgap) <= tol.gap:
-            trace.append(record)
+        if score <= 1.0:
             status = "optimal"
             break
         if it - best_iteration >= 30:
             # no meaningful progress for 30 iterations: the central path has
             # collapsed numerically, keep the best iterate seen so far
-            trace.append(record)
             break
         norms = [float(np.abs(Xc).max()) for Xc in X]
         if max(float(np.abs(y).max(initial=0.0)), max(norms)) > _DIVERGENCE_LIMIT:
-            trace.append(record)
             status = "infeasible_flag"
             break
 
@@ -1138,48 +1155,27 @@ def solve_block_problem(
         S = [0.5 * ((Sc + ad * dSc) + np.swapaxes(Sc + ad * dSc, -1, -2)) for Sc, dSc in zip(S, dS)]
         y = y + ad * dy
         steps = dict(step_primal=ap, step_dual=ad, sigma=sigma, step_fraction=gamma)
-        trace.append(replace(record, **steps, **solves))
+        trace[-1] = replace(record, **steps, **solves)
 
-    if status == "max_iter" and best is not None:
-        X, y, S = best
-    X, S = bp._split(scatter(X)), bp._split(scatter(S))
-    # map back to the original data and judge the final status against it;
-    # presolve and scaling leave the PSD blocks, and so X and S, untouched
-    y = y / row_scale
-    cap_fraction = sum(float(np.trace(Xk)) for Xk in X[:-1]) / _TRACE_CAP
-    cap_multiplier = float(y[-1])
-    # keep the cap row's contribution to the dual objective: dropping it
-    # would misstate the gap by |y_T| * cap even when the cap is inert
-    dual_shift = _TRACE_CAP * cap_multiplier
-    X, S, y = X[:-1], S[:-1], y[:-1]
-    u = np.zeros(0)
-    if reduction is not None:
-        u, y = reduction.recover(X, y)
-    residuals = _residuals(original, X, u, y, S, dual_shift)
-    if status != "infeasible_flag":
-        feas = max(
-            residuals["primal_infeasibility"], residuals["dual_infeasibility"]
-        )
-        gap = abs(residuals["relative_gap"])
-        if feas <= tol.feasibility and gap <= tol.gap:
-            status = "optimal"
-        elif status == "optimal" or max(
-            feas / tol.feasibility, gap / tol.gap
-        ) <= _NEAR_OPTIMAL_FACTOR:
+    if status == "max_iter":
+        # stalled or out of iterations: return the best point, all-NaN
+        # scores leaving none, and call it near_optimal if it came close
+        point = best or point
+        if best_score <= _NEAR_OPTIMAL_FACTOR:
             status = "near_optimal"
-        else:
-            status = "max_iter"
+    x, u, y, y_cap, residuals, pobj, dobj = point
+    X = original._split(x)
     return SdpSolution(
         status=status,
-        objective=_primal_objective(original, X, u),
-        dual_objective=float(original.b @ y) + original.objective_offset + dual_shift,
+        objective=pobj,
+        dual_objective=dobj,
         block_values=[X[j].copy() for j in np.argsort(order)],
-        free_values=u.copy(),
-        y=y.copy(),
+        free_values=u,
+        y=y,
         residuals=residuals,
-        iterations=iterations,
-        trace_cap_fraction=cap_fraction,
-        trace_cap_multiplier=cap_multiplier,
+        iterations=it,
+        trace_cap_fraction=sum(float(np.trace(Xk)) for Xk in X) / _TRACE_CAP,
+        trace_cap_multiplier=y_cap,
         trace=trace,
         timings={**timings, "total": time.perf_counter() - start},
     )

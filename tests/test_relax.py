@@ -356,6 +356,10 @@ class TestGrid:
         pts, vals = outer_approx_grid(two, Box.symmetric(2), 5)
         assert len(pts) == 25
         assert np.all(vals == 2.0)
+        # any integral resolution, numpy's among them
+        for res in (np.int64(5), np.uint8(5)):
+            again, _ = outer_approx_grid(two, Box.symmetric(2), res)
+            assert np.array_equal(again, pts)
         zero = Polynomial.constant(2, 0.0)
         pts, vals = outer_approx_grid(zero, Box.symmetric(2), 5)
         assert len(pts) == 0
@@ -382,3 +386,7 @@ class TestGrid:
             outer_approx_grid(w, Box.symmetric(2), (5,))
         with pytest.raises(ValueError):
             outer_approx_grid(w, Box.symmetric(3), 300)
+        with pytest.raises(ValueError):
+            outer_approx_grid(w, Box.symmetric(2), np.int64(1))
+        with pytest.raises(TypeError):
+            outer_approx_grid(w, Box.symmetric(2), True)

@@ -28,7 +28,6 @@ from mpisos.sdp import (
     _max_step,
     _mirror,
     _nt_scaling,
-    _primal_objective,
     _sandwich,
     _schur,
     _schur_factor,
@@ -205,6 +204,15 @@ class TestSolver:
             SolverTolerances(gap=0.0)
         with pytest.raises(ValueError):
             SolverTolerances(max_iterations=0)
+        # NaN compares false both ways, so no solve could end optimal
+        with pytest.raises(ValueError):
+            SolverTolerances(gap=float("nan"))
+        with pytest.raises(ValueError):
+            SolverTolerances(feasibility=float("nan"))
+        for count in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError):
+                SolverTolerances(max_iterations=count)
+        assert SolverTolerances(max_iterations=np.int64(3)).max_iterations == 3
 
     def test_block_problem_validation(self):
         with pytest.raises(ValueError):
@@ -458,11 +466,15 @@ class TestPresolve:
         rng = np.random.default_rng(7)
         X = random_blocks(rng, bp.block_sizes)
         y_red = rng.normal(size=red_bp.m)
-        u, y = red.recover(X, y_red)
+        x = np.concatenate([Xk.ravel() for Xk in X])
+        u, y = red.recover(x, y_red)
         tol = 1e-10
 
         def worst(v):
             return float(np.abs(v).max(initial=0.0))
+
+        def objective(p, u):
+            return float(p.c @ x + p.c_free @ u) + p.objective_offset
 
         r_full = bp.b - bp.apply_A(X) - bp.B @ u
         r_red = red_bp.b - red_bp.apply_A(X)
@@ -470,8 +482,8 @@ class TestPresolve:
         assert worst(r_full[red.kept_rows] - r_red) <= tol
         assert worst(r_full[dropped]) <= tol
         assert not np.any(y[dropped])
-        assert _primal_objective(bp, X, u) == pytest.approx(
-            _primal_objective(red_bp, X, np.zeros(0)), rel=0, abs=tol
+        assert objective(bp, u) == pytest.approx(
+            objective(red_bp, np.zeros(0)), rel=0, abs=tol
         )
         r_free = bp.c_free - bp.B.T @ y
         assert worst(r_free[red.elim_cols]) <= tol
@@ -931,11 +943,52 @@ class TestSchurSolve:
 
 
 class TestOriginalSpaceStatus:
+    def test_records_measure_the_original_problem(self):
+        # every iterate is judged on the original problem inside the loop,
+        # so the solve stops at the first record that meets the tolerances
+        # and that record is the returned point
+        problem = lorenz_problem(2)
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        # the dual objective keeps the trace cap's term, about 1e-9 of it here
+        cap_term = sdp._TRACE_CAP * sol.trace_cap_multiplier
+        b = standardize(problem).b
+        assert sol.dual_objective == pytest.approx(float(b @ sol.y) + cap_term, rel=1e-13)
+        last = sol.trace[-1]
+        assert last.primal_infeasibility == sol.residuals["primal_infeasibility"]
+        assert last.dual_infeasibility == sol.residuals["dual_infeasibility"]
+        assert last.relative_gap == sol.residuals["relative_gap"]
+        assert last.primal_objective == sol.objective
+        assert last.dual_objective == sol.dual_objective
+        tol = SolverTolerances()
+
+        def meets(rec):
+            feas = max(rec.primal_infeasibility, rec.dual_infeasibility)
+            return feas <= tol.feasibility and abs(rec.relative_gap) <= tol.gap
+
+        assert meets(last)
+        assert not any(meets(rec) for rec in sol.trace[:-1])
+
+    @pytest.mark.parametrize("cap, status", [(16, "near_optimal"), (4, "max_iter")])
+    def test_capped_solve_returns_its_best_point(self, cap, status):
+        # lorenz d=2 ts ends optimal at iteration 19; at 16 the relative gap
+        # is within 1e3 of its tolerance; of the first 4 records the third
+        # is the best, and far from the tolerances
+        sol = solve(lorenz_problem(2), SolverTolerances(max_iterations=cap))
+        assert sol.status == status
+        assert sol.iterations == len(sol.trace) == cap
+        best = min(
+            sol.trace,
+            key=lambda r: max(r.primal_infeasibility, r.dual_infeasibility, abs(r.relative_gap)),
+        )
+        assert (best is sol.trace[-1]) == (cap == 16)
+        assert best.primal_infeasibility == sol.residuals["primal_infeasibility"]
+        assert best.relative_gap == sol.residuals["relative_gap"]
+        assert best.primal_objective == sol.objective
+
     def test_network_n8_ts_reaches_optimal(self):
-        # the loop stops on primal infeasibility of the unscaled rows and
-        # the reported dual residual comes from the iterate's own slack, so
-        # the final verdict agrees with the loop's and no cell is left
-        # stopping just short of the tolerances
+        # the loop judges the unscaled, unreduced problem itself, so no cell
+        # is left stopping just short of the tolerances
         model = random_network_model(8, 200000)
         p = assemble(
             model.system,
