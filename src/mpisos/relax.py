@@ -459,19 +459,19 @@ def recover(
 def grid_counts(resolution, dim: int) -> tuple[int, ...]:
     """Per-axis point counts of a grid over ``dim`` axes.
 
-    ``resolution`` is either one integer (any ``numbers.Integral`` but a
-    bool) for all axes or a sequence with one count per axis; each count
-    must be at least 2 and the grid may hold at most 20 million points.
-    Raises ``ValueError`` otherwise, and ``TypeError`` for a bool.
+    ``resolution`` is either one integer for all axes or a sequence with
+    one count per axis, each count any ``numbers.Integral`` but a bool; each
+    count must be at least 2 and the grid may hold at most 20 million
+    points.  Raises ``ValueError`` otherwise, and ``TypeError`` for a bool.
     """
-    if isinstance(resolution, bool):
+    entries = resolution if np.iterable(resolution) else (resolution,) * dim
+    if any(isinstance(r, bool) for r in entries):
         raise TypeError("resolution must be an integer or a sequence of integers")
-    if isinstance(resolution, numbers.Integral):
-        counts = (int(resolution),) * dim
-    else:
-        counts = tuple(int(r) for r in resolution)
-        if len(counts) != dim:
-            raise ValueError("resolution must give one count per axis")
+    if not all(isinstance(r, numbers.Integral) for r in entries):
+        raise ValueError("resolution counts must be integers")
+    counts = tuple(int(r) for r in entries)
+    if len(counts) != dim:
+        raise ValueError("resolution must give one count per axis")
     if any(c < 2 for c in counts):
         raise ValueError("need at least 2 points per axis")
     total = 1

@@ -44,8 +44,8 @@ complement's <A_ik, W_k A_jk W_k> run once per block size, not once per
 block; M is formed in bounded chunks of pairs.  A chunk forms W_k A_jk W_k
 one of two ways, chosen once per block size: two dense n^3 products, or, for
 large blocks whose A_jk are sparse, products with only the rows of W_k in
-A_jk's row support.  Every chunk is contracted over one triangle of pairs,
-and M comes out exactly symmetric.
+A_jk's row support.  Each couple of pairs is contracted in one chunk and
+added once, to M's upper triangle, which is then copied over the lower one.
 
 Every iterate is mapped back to the original problem, unscaled and
 unreduced: the cap's slack and row dropped, the row scaling undone and the
@@ -87,7 +87,7 @@ _NEAR_OPTIMAL_FACTOR = 1e3
 _SPLIT_MIN = 16
 # doubles per temporary of one chunk of pair slots in _schur
 _SCHUR_BUDGET = 1 << 16
-# the side of the square tiles _mirror symmetrizes M in
+# the side of the square tiles _mirror copies M's upper triangle in
 _TILE = 256
 # a class whose dense chunks hold fewer slots may take the support form
 _SUPPORT_WIDTH = 16
@@ -172,11 +172,6 @@ def _canonical(mat) -> sp.csr_matrix:
     return mat
 
 
-def _flat(mats) -> np.ndarray:
-    """The stacked vector of a list of blocks, each raveled row-major."""
-    return np.concatenate([np.ravel(mat) for mat in mats])
-
-
 class BlockProblem:
     """Standard-form data with one stacked sparse constraint operator.
 
@@ -200,8 +195,10 @@ class BlockProblem:
         if any(n < 1 for n in self.block_sizes):
             raise ValueError("block sizes must be positive")
         self.offsets = np.cumsum([0] + [n * n for n in self.block_sizes])
-        self.m = len(b)
         self.b = np.asarray(b, dtype=float)
+        if self.b.ndim != 1:
+            raise ValueError("b must be a vector")
+        self.m = len(self.b)
         # the presolve and export_sdpa rely on canonical CSR
         self.A = _canonical(A)
         if self.A.shape != (self.m, self.offsets[-1]):
@@ -214,6 +211,8 @@ class BlockProblem:
         if self.c_free.shape != (self.n_free,):
             raise ValueError("c_free length does not match B")
         self.c = np.zeros(self.offsets[-1]) if c is None else np.asarray(c, dtype=float)
+        if self.c.shape != (self.offsets[-1],):
+            raise ValueError("c must have sum(n_k^2) entries")
         self.objective_offset = float(objective_offset)
         self.cost_norm = float(np.linalg.norm(self.c_free)) + float(np.linalg.norm(self.c))
         self.constraint_norms = np.sqrt(
@@ -234,7 +233,7 @@ class BlockProblem:
         ]
 
     def apply_A(self, mats) -> np.ndarray:
-        return self.A @ _flat(mats)
+        return self.A @ np.concatenate([np.ravel(mat) for mat in mats])
 
     def apply_At(self, y) -> list[np.ndarray]:
         return self._split(self._A_T @ y)
@@ -282,10 +281,8 @@ class BlockProblem:
 
     @cached_property
     def _schur_tables(self) -> list[tuple]:
-        """Per size class, the tables of ``_schur``: each pair's row times m
-        and its block's place in ks; the (k, e) rows in the blocks' slots, 0
-        in padding; the class's form of U, ``_support_u`` if
-        ``_support_pays``, else ``_dense_u``; and its ``_schur_chunks``."""
+        """Per size class, the tables of ``_schur``: the class's form of U,
+        ``_support_u`` if ``_support_pays``, else ``_dense_u``, and its chunks."""
         sizes = np.array(self.block_sizes)
         nb = len(sizes)
         coo = self.A.tocoo()
@@ -319,12 +316,10 @@ class BlockProblem:
         for n, ks, cols in self._size_classes:
             qs = by_slot[sizes[p_blk[by_slot]] == n]
             place = np.searchsorted(ks, p_blk[qs])
-            eqs = np.zeros((len(ks), slot[qs].max(initial=-1) + 1), dtype=np.int64)
-            eqs[place, slot[qs]] = p_row[qs]
             support = on_support[ks[0]]
-            chunks = _schur_chunks(n, len(ks), pairs[qs][:, cols], slot[qs], place, support)
-            form = _support_u if support else _dense_u
-            out.append((p_row[qs] * self.m, place, eqs, form, chunks))
+            Pg = pairs[qs][:, cols]
+            chunks = _schur_chunks(n, len(ks), Pg, slot[qs], place, p_row[qs], self.m, support)
+            out.append((_support_u if support else _dense_u, chunks))
         return out
 
 
@@ -637,17 +632,23 @@ def _support_pays(n: int, k: int, r_size: np.ndarray) -> bool:
     return 4.0 * float(np.mean(n * n * r_size + n * r_size**2)) <= 2.0 * n**3
 
 
-def _schur_chunks(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray, support: bool) -> list:
+def _schur_chunks(n: int, k: int, Pg, p_slot, place, p_row, m: int, support: bool) -> list:
     """The chunks of a size class in ``_schur``, from Pg, the class's columns
-    of A in the rows of its pairs, ordered by slot, the pairs' slots and
-    places, and the class's form.  Per chunk of slots: its first slot s0 and
-    width w; plo, the pairs in earlier slots; Ph's rows up to the chunk's
-    last pair, as a view, where Ph is Pg's upper triangle with off-diagonal
-    entries doubled, so that <A_ik, U> = Ph U for symmetric U; and the
-    arguments of the form after w: the places of the chunk's A_jk entries
-    in the stack the form pads and their values, and on the support form
-    the rows of the class's stacked W that form G, (w, k, r) rows padded
-    with row 0, r the chunk's largest |R|."""
+    of A in the rows of its pairs, ordered by slot, the pairs' slots, places
+    and rows, m and the class's form.  Per chunk of slots: its width w; Ph's
+    rows up to the chunk's last pair, as a view, where Ph is Pg's upper
+    triangle with off-diagonal entries doubled, so that <A_ik, U> = Ph U for
+    symmetric U; the flat positions in M of Q = Ph U, raveled; and the
+    form's arguments after w: the places of the chunk's A_jk entries in the
+    stack the form pads and their values, and on the support form the rows
+    of the class's stacked W that form G, (w, k, r) rows padded with row 0,
+    r the chunk's largest |R|.
+
+    Q[p, t] couples pair p with the pair in slot t of p's block.  Where
+    slot(p) <= t, which holds for one copy of each couple, it goes to M's
+    upper triangle, at (min row, max row); the other copy of a couple inside
+    the chunk goes to the mirror position, which ``_mirror`` overwrites, and
+    a padding slot (row 0) adds exact zeros wherever it lands."""
     # with each row's columns sorted, a pair's rows of R come in order
     Pg.sort_indices()
     q = np.repeat(np.arange(len(p_slot)), np.diff(Pg.indptr))
@@ -668,11 +669,19 @@ def _schur_chunks(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray, sup
         pa = np.searchsorted(skey, q * n + a) - sup_ptr[q]
         pb = np.searchsorted(skey, q * n + b) - sup_ptr[q]
     e = int(p_slot.max(initial=-1)) + 1
+    # the rows of the pairs in each block's slots, 0 in padding
+    eqs = np.zeros((k, e), dtype=np.int64)
+    eqs[place, p_slot] = p_row
     width = _chunk_width(k, n, len(p_slot))
     chunks = []
     for s0 in range(0, e, width):
         w = min(width, e - s0)
         plo, phi = np.searchsorted(p_slot, [s0, s0 + w])
+        row_p, row_t = p_row[:phi, None], eqs[place[:phi], s0 : s0 + w]
+        top, bottom = np.minimum(row_p, row_t), np.maximum(row_p, row_t)
+        upper = p_slot[:phi, None] <= np.arange(s0, s0 + w)
+        pos = np.where(upper, top * m + bottom, bottom * m + top)
+        pos = pos.astype(np.int32 if m * m < 2**31 else np.int64).ravel()
         lo, hi = Pg.indptr[plo], Pg.indptr[phi]
         if support:
             r = int(np.diff(sup_ptr[plo : phi + 1]).max())
@@ -687,7 +696,7 @@ def _schur_chunks(n: int, k: int, Pg, p_slot: np.ndarray, place: np.ndarray, sup
             args = (Pg.indices[lo:hi] * w + p_slot[q[lo:hi]] - s0, Pg.data[lo:hi])
         ptr = Ph.indptr[: phi + 1]
         view = sp.csr_matrix((Ph.data[: ptr[-1]], Ph.indices[: ptr[-1]], ptr), (phi, Ph.shape[1]))
-        chunks.append((s0, w, plo, view, args))
+        chunks.append((w, view, pos, args))
     return chunks
 
 
@@ -738,13 +747,10 @@ def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
 
     Every chunk then contracts one triangle of pairs: as
     <A_ik, W A_jk W> = <A_jk, W A_ik W>, Q = Ph U holds only the pairs up to
-    the chunk's last against its slots, at weight 2 for pairs in earlier
-    slots, whose transposes no chunk forms, and at weight 1 for the chunk's
-    own pairs, which meet each other in both orders.  ``np.add.at`` adds Q
-    into M at (i, j), as two blocks' pairs can meet there, and ``_mirror``
-    completes M, averaging M and M^T in place one pair of tiles at a time,
-    so M is the only m x m array this takes.  What does not depend on W is
-    planned once per problem (``_schur_chunks``).
+    the chunk's last against its slots.  ``np.add.at`` adds each couple of
+    pairs once into M's upper triangle, where two blocks' pairs can meet, at
+    positions planned once per problem (``_schur_chunks``), and ``_mirror``
+    copies it over the lower one, so M is the only m x m array this takes.
 
     A class takes the support form when its dense chunks are narrow, fewer
     than _SUPPORT_WIDTH slots, so the dense form's n x n by n x w products
@@ -756,33 +762,23 @@ def _schur(bp: BlockProblem, W, M: np.ndarray) -> None:
     n=10 network relaxations stays dense."""
     M.fill(0.0)
     flat = M.reshape(-1)
-    for Wc, (row, place, eqs, form, chunks) in zip(W, bp._schur_tables):
-        for s0, w, plo, Ph, args in chunks:
-            Q = Ph @ form(Wc, w, *args)
-            Q[:plo] *= 2.0
-            phi = len(Q)
-            idx = eqs[place[:phi], s0 : s0 + w] + row[:phi, None]
-            np.add.at(flat, idx.ravel(), Q.ravel())
-    _mirror(M, average=True)
+    for Wc, (form, chunks) in zip(W, bp._schur_tables):
+        for w, Ph, pos, args in chunks:
+            np.add.at(flat, pos, (Ph @ form(Wc, w, *args)).ravel())
+    _mirror(M)
 
 
-def _mirror(M: np.ndarray, average: bool) -> None:
-    """Make M symmetric in place, one pair of _TILE x _TILE tiles at a time,
-    so with no m x m temporary.  With ``average`` each pair of entries takes
-    (M_ij + M_ji) / 2, bit for bit what M += M.T; M *= 0.5 gives; without
-    it the strict lower triangle takes the strict upper one's values."""
+def _mirror(M: np.ndarray) -> None:
+    """Copy M's strict upper triangle over its strict lower one in place,
+    one pair of _TILE x _TILE tiles at a time, so with no m x m temporary."""
     m = len(M)
     for i in range(0, m, _TILE):
         for j in range(i, m, _TILE):
             U = M[i : i + _TILE, j : j + _TILE]
-            L = M[j : j + _TILE, i : i + _TILE]
-            if average:
-                U += L.T
-                U *= 0.5
             if i == j:
                 np.copyto(U, U.T, where=np.tri(len(U), k=-1, dtype=bool))
             else:
-                L[...] = U.T
+                M[j : j + _TILE, i : i + _TILE] = U.T
 
 
 def _schur_factor(M: np.ndarray) -> tuple:
@@ -806,7 +802,7 @@ def _schur_factor(M: np.ndarray) -> tuple:
         if info == 0:
             return factor, d
         delta = max(10.0 * delta, 1e-14)
-        _mirror(M, average=False)
+        _mirror(M)
         M.flat[:: len(M) + 1] = d + delta * shift
         # no delta helps an infinite or NaN entry off the diagonal
         if not np.isfinite(M.sum()):
@@ -1065,6 +1061,9 @@ def solve_block_problem(
         norms = [float(np.abs(Xc).max()) for Xc in X]
         if max(float(np.abs(y).max(initial=0.0)), max(norms)) > _DIVERGENCE_LIMIT:
             status = "infeasible_flag"
+            break
+        if it == tol.max_iterations:
+            # no iteration is left to judge a step's point
             break
 
         R, W, lam = zip(

@@ -390,3 +390,9 @@ class TestGrid:
             outer_approx_grid(w, Box.symmetric(2), np.int64(1))
         with pytest.raises(TypeError):
             outer_approx_grid(w, Box.symmetric(2), True)
+        # each count of a sequence obeys the rule for one count
+        for resolution in [(2.5, 7), ("3", 4.9), (3.0, 3), 2.5]:
+            with pytest.raises(ValueError):
+                outer_approx_grid(w, Box.symmetric(2), resolution)
+        with pytest.raises(TypeError):
+            outer_approx_grid(w, Box.symmetric(2), (True, 3))

@@ -243,6 +243,12 @@ class TestSolver:
         for shape in [(1, 3), (2, 4)]:
             with pytest.raises(ValueError, match="sum"):
                 BlockProblem([2], sp.csr_matrix(shape), np.zeros((1, 0)), np.ones(1), np.zeros(0))
+        # c needs one entry per column of A, and b is one vector
+        for c in [np.zeros(3), np.zeros(5), np.zeros((2, 2))]:
+            with pytest.raises(ValueError, match="c must"):
+                BlockProblem([2], sp.csr_matrix((1, 4)), np.zeros((1, 0)), np.ones(1), np.zeros(0), c)
+        with pytest.raises(ValueError, match="b must"):
+            BlockProblem([2], sp.csr_matrix((1, 4)), np.zeros((1, 0)), np.ones((1, 1)), np.zeros(0))
 
 
 class TestExport:
@@ -749,11 +755,21 @@ class TestSchur:
         monkeypatch.setattr(sdp, "_SCHUR_BUDGET", 8)
         self.test_matches_dense_reference(case, form, monkeypatch)
 
+    @pytest.mark.parametrize("m, dtype", [(46340, np.int32), (46341, np.int64)])
+    def test_positions_fit_their_dtype(self, m, dtype):
+        # one 1x1 block per row, A = I: the one chunk's positions are M's
+        # diagonal, the last at m^2 - 1, which int32 holds up to m = 46340
+        eye = sp.identity(m, format="csr")
+        bp = BlockProblem([1] * m, eye, sp.csr_matrix((m, 0)), np.ones(m), np.zeros(0))
+        ((_, [(_, _, pos, _)]),) = bp._schur_tables
+        assert pos.dtype == dtype
+        assert pos.max() == m * m - 1
+
     def test_support_form_choice(self):
         def forms(bp):
             return {
                 n: form is sdp._support_u
-                for (n, _, _), (*_, form, _) in zip(bp._size_classes, bp._schur_tables)
+                for (n, _, _), (form, _) in zip(bp._size_classes, bp._schur_tables)
             }
 
         assert forms(presolved(extended_lorenz_problem(3, "fd"))) == {
@@ -786,17 +802,15 @@ class TestSchurInPlace:
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 673])
     def test_mirror_matches_whole_matrix_symmetrization(self, m):
         M = np.random.default_rng(m).normal(size=(m, m))
-        want = M.copy()
-        want += want.T
-        want *= 0.5
-        _mirror(M, average=True)
+        want = np.triu(M) + np.triu(M, 1).T
+        _mirror(M)
         assert np.array_equal(M, want)
 
     def test_mirror_allocates_no_matrix(self):
         M = np.random.default_rng(0).normal(size=(1000, 1000))
         tracemalloc.start()
         try:
-            _mirror(M, average=True)
+            _mirror(M)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -985,6 +999,23 @@ class TestOriginalSpaceStatus:
         assert best.primal_infeasibility == sol.residuals["primal_infeasibility"]
         assert best.relative_gap == sol.residuals["relative_gap"]
         assert best.primal_objective == sol.objective
+
+    @pytest.mark.parametrize("cap", [1, 16])
+    def test_capped_solve_takes_no_last_step(self, cap, monkeypatch):
+        # the point a step in the last allowed iteration reaches is never
+        # judged, so that iteration builds no Schur matrix
+        calls = []
+        schur = sdp._schur
+
+        def counting(*args):
+            calls.append(1)
+            schur(*args)
+
+        monkeypatch.setattr(sdp, "_schur", counting)
+        sol = solve(lorenz_problem(2), SolverTolerances(max_iterations=cap))
+        assert len(sol.trace) == cap
+        assert len(calls) == cap - 1
+        assert sol.trace[-1].step_primal == sol.trace[-1].step_dual == 0.0
 
     def test_network_n8_ts_reaches_optimal(self):
         # the loop judges the unscaled, unreduced problem itself, so no cell
