@@ -412,17 +412,25 @@ def recover(
         mat = np.asarray(raw, dtype=float)
         if mat.shape != (block.dimension, block.dimension):
             raise ValueError(f"block {block.label} has the wrong shape")
-        sym_gap = float(np.abs(mat - mat.T).max()) if mat.size else 0.0
-        scale = float(np.abs(mat).max()) if mat.size else 0.0
-        if sym_gap > tolerance * (1.0 + scale):
-            flags.append(f"block {block.label} is not symmetric")
-        mat = 0.5 * (mat + mat.T)
-        eig_min = float(np.linalg.eigvalsh(mat).min()) if mat.size else 0.0
-        if eig_min < -tolerance * (1.0 + scale):
-            flags.append(f"block {block.label} has negative eigenvalue {eig_min:.3e}")
+        if not np.all(np.isfinite(mat)):
+            # no eigenvalue to report, nor a symmetry gap to measure
+            flags.append(f"block {block.label} holds NaN or inf")
+            eig_min = float("nan")
+        else:
+            sym_gap = float(np.abs(mat - mat.T).max()) if mat.size else 0.0
+            scale = float(np.abs(mat).max()) if mat.size else 0.0
+            if sym_gap > tolerance * (1.0 + scale):
+                flags.append(f"block {block.label} is not symmetric")
+            mat = 0.5 * (mat + mat.T)
+            eig_min = float(np.linalg.eigvalsh(mat).min()) if mat.size else 0.0
+            if eig_min < -tolerance * (1.0 + scale):
+                flags.append(f"block {block.label} has negative eigenvalue {eig_min:.3e}")
         gram[block.label] = mat
         min_eigs[block.label] = eig_min
         mats.append(mat)
+
+    if not np.all(np.isfinite(free)):
+        flags.append("free values hold NaN or inf")
 
     row, k, r, c, coef = problem.gram_entries
     sizes = np.array([b.dimension for b in problem.blocks])
@@ -432,8 +440,8 @@ def recover(
     names = np.array([name for name, _ in problem.row_labels])
     residuals = {name: float(np.abs(total[names == name]).max(initial=0.0)) for name in IDENTITIES}
     coef_scale = max(1.0, np.abs(coef).max(initial=0.0), np.abs(problem.B.data).max(initial=0.0))
-    worst = max(residuals.values())
-    if worst > tolerance * coef_scale:
+    worst = float(np.max(list(residuals.values())))
+    if not worst <= tolerance * coef_scale:  # NaN fails too
         flags.append(f"identity residual {worst:.3e} exceeds tolerance")
 
     v_terms: dict[Exponent, float] = {}
@@ -444,7 +452,8 @@ def recover(
             target[alpha] = float(value)
     v = Polynomial.from_terms(problem.system.dim, v_terms)
     w = Polynomial.from_terms(problem.system.dim, w_terms)
-    objective = float(np.dot(problem.objective_free, free))
+    with np.errstate(invalid="ignore"):  # 0 * inf: NaN, flagged above
+        objective = float(np.dot(problem.objective_free, free))
     return CertificateSet(
         v=v,
         w=w,

@@ -91,6 +91,8 @@ _SCHUR_BUDGET = 1 << 16
 _TILE = 256
 # a class whose dense chunks hold fewer slots may take the support form
 _SUPPORT_WIDTH = 16
+# lines of SDPA text formatted at a time (export_sdpa)
+_SDPA_CHUNK = 1 << 14
 # the timed phases of solve_block_problem: canonical block order and
 # free-variable presolve, trace cap and equilibration, Schur build, its
 # factorization, Schur solves, NT scaling and step lengths
@@ -172,6 +174,13 @@ def _canonical(mat) -> sp.csr_matrix:
     return mat
 
 
+def _check_finite(**arrays) -> None:
+    """ValueError naming the first of ``arrays`` that holds NaN or inf."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} holds NaN or inf")
+
+
 class BlockProblem:
     """Standard-form data with one stacked sparse constraint operator.
 
@@ -214,6 +223,10 @@ class BlockProblem:
         if self.c.shape != (self.offsets[-1],):
             raise ValueError("c must have sum(n_k^2) entries")
         self.objective_offset = float(objective_offset)
+        _check_finite(
+            b=self.b, c=self.c, c_free=self.c_free, objective_offset=self.objective_offset,
+            A=self.A.data, B=self.B.data,
+        )
         self.cost_norm = float(np.linalg.norm(self.c_free)) + float(np.linalg.norm(self.c))
         self.constraint_norms = np.sqrt(
             np.asarray(self.A.multiply(self.A).sum(axis=1)).ravel()
@@ -323,26 +336,33 @@ class BlockProblem:
         return out
 
 
+def _upper_positions(block_sizes, k, r, c) -> np.ndarray:
+    """The columns of A, row-major in each block, of upper-triangle entries
+    (r, c) of blocks k, one array each; ValueError for an unknown block or
+    an entry off the block's upper triangle."""
+    if np.any((k < 0) | (k >= len(block_sizes))):
+        raise ValueError("entry references an unknown block")
+    sizes = np.array(block_sizes, dtype=np.int64)
+    n = sizes[k]
+    if np.any((r < 0) | (r > c) | (c >= n)):
+        raise ValueError("entry outside the upper triangle")
+    return np.cumsum(np.append(0, sizes**2))[k] + r * n + c
+
+
 def _upper_operator(block_sizes, m: int, rows, k, r, c, v) -> sp.csr_matrix:
     """A from upper-triangle entries: row, block k, (r, c) in it and value,
     one array each.  Duplicate entries add up; off-diagonal ones are
     mirrored."""
-    if np.any((k < 0) | (k >= len(block_sizes))):
-        raise ValueError("entry references an unknown block")
-    sizes = np.array(block_sizes, dtype=np.int64)
-    offsets = np.cumsum(np.append(0, sizes**2))
-    n = sizes[k]
-    if np.any((r < 0) | (r > c) | (c >= n)):
-        raise ValueError("entry outside the upper triangle")
-    cols = offsets[k] + r * n + c
+    cols = _upper_positions(block_sizes, k, r, c)
     mirror = r != c
-    cols_t = (offsets[k] + c * n + r)[mirror]
+    # (c, r) lies (c - r)(n - 1) columns after (r, c)
+    cols_t = (cols + (c - r) * (np.array(block_sizes)[k] - 1))[mirror]
     return sp.csr_matrix(
         (
             np.append(v, v[mirror]),
             (np.append(rows, rows[mirror]), np.append(cols, cols_t)),
         ),
-        shape=(m, offsets[-1]),
+        shape=(m, sum(n * n for n in block_sizes)),
     )
 
 
@@ -1088,7 +1108,7 @@ def solve_block_problem(
         A_WrdW = bp.A @ scatter([Wc @ rdc @ Wc for Wc, rdc in zip(W, r_d)])
 
         def direction(K):
-            """Solve for (dy, dX, dS, dXhat, dShat) given the scaled
+            """Solve for (dy, dS, dXhat, dShat) given the scaled
             complementarity target K, one stack per block size."""
             TK = [2.0 * Kc / (lc[:, :, None] + lc[:, None, :]) for lc, Kc in zip(lam, K)]
             RTKRt = [Rc @ TKc @ np.swapaxes(Rc, -1, -2) for Rc, TKc in zip(R, TK)]
@@ -1096,35 +1116,20 @@ def solve_block_problem(
             dS = [rdc - Ac for rdc, Ac in zip(r_d, gather(bp._A_T @ dy))]
             dShat = [np.swapaxes(Rc, -1, -2) @ dSc @ Rc for Rc, dSc in zip(R, dS)]
             dXhat = [TKc - dsh for TKc, dsh in zip(TK, dShat)]
-            dX = [Rc @ dxh @ np.swapaxes(Rc, -1, -2) for Rc, dxh in zip(R, dXhat)]
-            # the sandwich products above lose O(eps * cond(W)) digits, which
-            # caps how far primal feasibility can fall; push the measured
-            # violation of the primal Newton equation back through the same
-            # factorization (the (dX, dS) correction pair cancels inside the
-            # scaled complementarity equation, so that equation stays intact)
-            r_p_norm = 1.0 + float(np.linalg.norm(r_p))
-            for _ in range(3):
-                r_lin = r_p - bp.A @ scatter(dX)
-                if float(np.linalg.norm(r_lin)) <= 1e-12 * r_p_norm:
-                    break
-                dy2 = kkt_solve(r_lin)
-                dy = dy + dy2
-                for c, Ac in enumerate(gather(bp._A_T @ dy2)):
-                    half = np.swapaxes(R[c], -1, -2) @ Ac @ R[c]
-                    dXhat[c] = dXhat[c] + half
-                    dShat[c] = dShat[c] - half
-                    dX[c] = dX[c] + W[c] @ Ac @ W[c]
-                    dS[c] = dS[c] - Ac
-            return dy, dX, dS, dXhat, dShat
+            return dy, dS, dXhat, dShat
 
-        # predictor: drive mu to zero, with steps all the way to the boundary
+        # predictor: drive mu to zero, with steps all the way to the boundary;
+        # in the NT frame X = R diag(lam) R^T and S = R^-T diag(lam) R^-1, so
+        # <X + a dX, S + b dS> = <diag(lam) + a dXhat, diag(lam) + b dShat>
+        # and the predictor needs neither dX nor the primal correction
         K_aff = [-(lc**2)[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
-        dy_a, dX_a, dS_a, dXh_a, dSh_a = direction(K_aff)
+        _, _, dXh_a, dSh_a = direction(K_aff)
         ap = timed("step_length", _step_length, lam, dXh_a, 1.0)
         ad = timed("step_length", _step_length, lam, dSh_a, 1.0)
+        Lam = [lc[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
         mu_aff = sum(
-            float(np.sum((Xc + ap * dXc) * (Sc + ad * dSc)))
-            for Xc, dXc, Sc, dSc in zip(X, dX_a, S, dS_a)
+            float(np.sum((Lc + ap * dxh) * (Lc + ad * dsh)))
+            for Lc, dxh, dsh in zip(Lam, dXh_a, dSh_a)
         ) / N
         mu_aff = max(mu_aff, 0.0)
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
@@ -1146,7 +1151,26 @@ def solve_block_problem(
         K_corr = [(sigma * mu - lc**2)[:, :, None] * np.eye(lc.shape[1]) for lc in lam]
         if use_cross:
             K_corr = [Kc - 0.5 * (c + np.swapaxes(c, -1, -2)) for Kc, c in zip(K_corr, cross)]
-        dy, dX, dS, dXh, dSh = direction(K_corr)
+        dy, dS, dXh, dSh = direction(K_corr)
+        dX = [Rc @ dxh @ np.swapaxes(Rc, -1, -2) for Rc, dxh in zip(R, dXh)]
+        # the sandwich products above lose O(eps * cond(W)) digits, which
+        # caps how far primal feasibility can fall; push the measured
+        # violation of the primal Newton equation back through the same
+        # factorization (the (dX, dS) correction pair cancels inside the
+        # scaled complementarity equation, so that equation stays intact)
+        r_p_norm = 1.0 + float(np.linalg.norm(r_p))
+        for _ in range(3):
+            r_lin = r_p - bp.A @ scatter(dX)
+            if float(np.linalg.norm(r_lin)) <= 1e-12 * r_p_norm:
+                break
+            dy2 = kkt_solve(r_lin)
+            dy = dy + dy2
+            for c, Ac in enumerate(gather(bp._A_T @ dy2)):
+                half = np.swapaxes(R[c], -1, -2) @ Ac @ R[c]
+                dXh[c] = dXh[c] + half
+                dSh[c] = dSh[c] - half
+                dX[c] = dX[c] + W[c] @ Ac @ W[c]
+                dS[c] = dS[c] - Ac
         ap = timed("step_length", _step_length, lam, dXh, gamma)
         ad = timed("step_length", _step_length, lam, dSh, gamma)
 
@@ -1190,10 +1214,6 @@ def solve(problem: SdpProblem, tol: SolverTolerances | None = None) -> SdpSoluti
     return solve_block_problem(standardize(problem), tol)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def export_sdpa(problem) -> str:
     """Serialize to SDPA sparse format (.dat-s).
 
@@ -1203,43 +1223,70 @@ def export_sdpa(problem) -> str:
     matrices, enter F_0 with a sign flip since SDPA maximizes <F_0, Y> on
     that side.  With this encoding the exporting problem's optimum theta
     corresponds to an SDPA-reported optimum of -theta.
+
+    An ``SdpProblem`` is written straight from its upper-triangle
+    ``gram_entries``, ``B``, ``rhs`` and ``objective_free``, without its
+    standard form; a ``BlockProblem`` from the upper triangles of ``A`` and
+    of its PSD cost ``c``.  Entries at one position add up, in input order,
+    and sums of exactly 0 are dropped, so both give the text of
+    ``export_sdpa(standardize(p))``.  The entries are formatted
+    ``_SDPA_CHUNK`` lines at a time.
     """
-    bp = problem if isinstance(problem, BlockProblem) else standardize(problem)
-    if bp.objective_offset != 0.0:
-        raise ValueError("SDPA format cannot carry a constant objective offset")
-    m, f = bp.m, bp.n_free
-    sizes = list(bp.block_sizes)
-    if f:
-        sizes.append(-2 * f)
-    lines = [str(m), str(len(sizes))]
-    lines.append(" ".join(str(n) for n in sizes))
-    lines.append(" ".join(_fmt(v) for v in bp.b))
+    if isinstance(problem, BlockProblem):
+        if problem.objective_offset != 0.0:
+            raise ValueError("SDPA format cannot carry a constant objective offset")
+        sizes, b, B, c_free = problem.block_sizes, problem.b, problem.B, problem.c_free
+        # matrix 0 is the negated PSD cost, matrix i + 1 row i of A
+        coo = sp.vstack([sp.csr_matrix(-problem.c), problem.A]).tocoo()
+        k = np.searchsorted(problem.offsets, coo.col, side="right") - 1
+        r, c = np.divmod(coo.col - problem.offsets[k], np.array(sizes)[k])
+        keep = r <= c
+        matno, pos, value = coo.row[keep], coo.col[keep], coo.data[keep]
+    else:
+        sizes = tuple(blk.dimension for blk in problem.blocks)
+        b, B = problem.rhs, _canonical(problem.B)
+        c_free = np.asarray(problem.objective_free, dtype=float)
+        row, k, r, c, value = problem.gram_entries
+        if np.any((row < 0) | (row >= len(b))):
+            raise ValueError("entry references an unknown row")
+        _check_finite(coefficients=value, B=B.data, rhs=b, objective_free=c_free)
+        matno, pos = row + 1, _upper_positions(sizes, k, r, c)
+    return _sdpa_text(sizes, b, B, c_free, matno, pos, value)
 
-    # the fields (matno, block, i, j, value) of every entry, one array per
-    # field and source; a lexsort on the first four gives the file order
-    fields: list[list[np.ndarray]] = [[], [], [], [], []]
 
-    def add(matno, blk, i, j, value) -> None:
-        for col, arr in zip(fields, (matno, blk, i, j, value)):
-            col.append(np.broadcast_to(arr, len(value)))
+def _sdpa_text(sizes, b, B, c_free, matno, pos, value) -> str:
+    """The SDPA text of PSD entries (matrix number, column of A, value), one
+    array each, and of the free block's split of B and c_free."""
+    f = len(c_free)
+    sizes = tuple(sizes) + ((-2 * f,) if f else ())
+    head = [str(len(b)), str(len(sizes)), " ".join(str(n) for n in sizes)]
+    head.append(" ".join(f"{v:.17g}" for v in b))
+    # the free block, the last, holds u_j on its diagonal at j and -u_j at
+    # f + j: columns free + (2f + 1) j and free + (2f + 1)(f + j)
+    sizes = np.abs(np.array(sizes, dtype=np.int64))
+    offsets = np.cumsum(np.append(0, sizes**2))
+    free = offsets[-1] - 4 * f * f
+    nz = np.flatnonzero(c_free)
+    coo = B.tocoo()
+    mats = np.concatenate([np.zeros_like(nz), coo.row + 1])
+    d = np.concatenate([nz, coo.col])
+    split = np.concatenate([-c_free[nz], coo.data])
+    matno = np.concatenate([matno, mats, mats])
+    pos = np.concatenate([pos, free + np.concatenate([d, f + d]) * (2 * f + 1)])
+    value = np.concatenate([value, split, -split])
+    # one key orders the file by matrix, block, row and column
+    keys, slot = np.unique(matno * offsets[-1] + pos, return_inverse=True)
+    value = np.bincount(slot, value, minlength=len(keys))
+    keys, value = keys[value != 0], value[value != 0]
 
-    free_blk = len(bp.block_sizes) + 1
-    nz = np.flatnonzero(bp.c_free)
-    add(0, free_blk, nz + 1, nz + 1, -bp.c_free[nz])
-    add(0, free_blk, f + nz + 1, f + nz + 1, bp.c_free[nz])
-    # matrix 0 is the negated PSD cost, matrix i + 1 row i of A
-    coo = sp.vstack([sp.csr_matrix(-bp.c), bp.A]).tocoo()
-    k = np.searchsorted(bp.offsets, coo.col, side="right") - 1
-    r, c = np.divmod(coo.col - bp.offsets[k], np.array(bp.block_sizes)[k])
-    keep = r <= c
-    add(coo.row[keep], k[keep] + 1, r[keep] + 1, c[keep] + 1, coo.data[keep])
-    coo = bp.B.tocoo()
-    rows, cols = coo.row + 1, coo.col + 1
-    add(rows, free_blk, cols, cols, coo.data)
-    add(rows, free_blk, f + cols, f + cols, -coo.data)
-    keys = [np.concatenate(col) for col in fields]
-    order = np.lexsort(keys[3::-1])
-    entries = zip(*(arr[order].tolist() for arr in keys))
-    lines.extend(f"{a} {k} {i} {j} {_fmt(v)}" for a, k, i, j, v in entries)
-    return "\n".join(lines) + "\n"
-
+    parts = ["\n".join(head) + "\n"]
+    line = "%d %d %d %d %.17g\n"
+    for lo in range(0, len(keys), _SDPA_CHUNK):
+        mat, col = np.divmod(keys[lo : lo + _SDPA_CHUNK], offsets[-1])
+        k = np.searchsorted(offsets, col, side="right") - 1
+        i, j = np.divmod(col - offsets[k], sizes[k])
+        fields = np.empty((len(col), 5), dtype=object)
+        for at, arr in enumerate((mat, k + 1, i + 1, j + 1, value[lo : lo + _SDPA_CHUNK])):
+            fields[:, at] = arr
+        parts.append((line * len(col)) % tuple(fields.ravel()))
+    return "".join(parts)

@@ -327,6 +327,28 @@ class TestRecovery:
         assert [f for f in cert.flags if "residual" in f] == flags
         assert flags
 
+    @pytest.mark.parametrize("case", ["nan-free-value", "inf-free-values", "nan-block", "inf-block"])
+    def test_flags_non_finite_values(self, case):
+        # no eigvalsh, symmetry gap or residual test may pass over a NaN,
+        # raise on it or warn
+        p = _assemble(lorenz(), d=2, s=1, l=1)
+        mats, free = _feasible_point(p)
+        k = next(i for i, b in enumerate(p.blocks) if b.dimension >= 2)
+        if case == "nan-free-value":
+            free[0] = np.nan
+        elif case == "inf-free-values":
+            free[:] = np.inf
+        else:
+            mats[k] = np.full_like(mats[k], np.nan if case == "nan-block" else np.inf)
+        cert = recover(p, mats, free)
+        assert not cert.ok
+        assert any("residual" in f for f in cert.flags)
+        if case.endswith("block"):
+            assert f"block {p.blocks[k].label} holds NaN or inf" in cert.flags
+            assert np.isnan(cert.min_eigenvalues[p.blocks[k].label])
+        else:
+            assert "free values hold NaN or inf" in cert.flags
+
     def test_flags_asymmetric_block(self):
         p = _assemble(lorenz(), d=2, s=1, l=1)
         mats, free = _feasible_point(p)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -249,6 +250,18 @@ class TestSolver:
                 BlockProblem([2], sp.csr_matrix((1, 4)), np.zeros((1, 0)), np.ones(1), np.zeros(0), c)
         with pytest.raises(ValueError, match="b must"):
             BlockProblem([2], sp.csr_matrix((1, 4)), np.zeros((1, 0)), np.ones((1, 1)), np.zeros(0))
+        # no NaN or inf in any of the data
+        base = dict(
+            block_sizes=[1], A=sp.csr_matrix([[1.0]]), B=np.ones((1, 1)), b=[1.0],
+            c_free=[1.0], c=[1.0], objective_offset=0.0,
+        )
+        for name in ("b", "c", "c_free", "objective_offset", "A", "B"):
+            for bad in (np.nan, np.inf, -np.inf):
+                args = dict(base)
+                args[name] = sp.csr_matrix([[bad]]) if name == "A" else np.full(np.shape(base[name]), bad)
+                with pytest.raises(ValueError, match=f"{name} holds NaN or inf"):
+                    BlockProblem(**args)
+        BlockProblem(**base)
 
 
 class TestExport:
@@ -277,6 +290,58 @@ class TestExport:
         a = export_sdpa(assemble(m.system, box, cfg))
         b = export_sdpa(assemble(m.system, box, cfg))
         assert a == b
+        # straight from the Gram entries, the text of the standard form
+        network = random_network_model(8, 0)
+        problems = [lorenz_problem(2, mode) for mode in ("ts", "ss", "fd")] + [
+            assemble(network.system, Box.from_bounds(network.bounds), RelaxationConfig(d=2))
+        ]
+        for p in problems:
+            assert export_sdpa(p) == export_sdpa(standardize(p))
+
+    def test_export_sums_entries_and_checks_them(self):
+        p = lorenz_problem(2)
+        row, k, r, c, coef = p.gram_entries
+        text = export_sdpa(p)
+
+        def with_entries(*extra):
+            extra = np.array(extra).T
+            entries = [np.append(a, e.astype(a.dtype)) for a, e in zip(p.gram_entries, extra)]
+            return dataclasses.replace(p, gram_entries=tuple(entries))
+
+        # two entries at a position row 0 does not hold yet cancel and
+        # vanish, though they come after every other row's entries
+        kk = k[row == 0][0]
+        n = p.blocks[kk].dimension
+        free = {(rr, cc) for rr in range(n) for cc in range(rr, n)} - set(
+            zip(r[(row == 0) & (k == kk)].tolist(), c[(row == 0) & (k == kk)].tolist())
+        )
+        rr, cc = min(free)
+        cancel = with_entries((0, kk, rr, cc, 0.75), (0, kk, rr, cc, -0.75))
+        assert export_sdpa(cancel) == text
+        assert export_sdpa(standardize(cancel)) == text
+        # duplicates that do not cancel add up
+        twice = with_entries((0, kk, rr, cc, 0.75), (0, kk, rr, cc, 0.5))
+        assert export_sdpa(twice) == export_sdpa(standardize(twice)) != text
+        # below the diagonal, or in no block, as standardize rejects them
+        for bad in [(0, kk, 1, 0, 1.0), (0, len(p.blocks), 0, 0, 1.0), (0, -1, 0, 0, 1.0)]:
+            for fn in (export_sdpa, standardize):
+                with pytest.raises(ValueError):
+                    fn(with_entries(bad))
+        with pytest.raises(ValueError, match="row"):
+            export_sdpa(with_entries((len(p.rhs), 0, 0, 0, 1.0)))
+        # and no NaN or inf in the data
+        with pytest.raises(ValueError, match="coefficients"):
+            export_sdpa(with_entries((0, kk, 0, 0, np.nan)))
+        rhs = p.rhs.copy()
+        rhs[-1] = np.inf
+        with pytest.raises(ValueError, match="rhs"):
+            export_sdpa(dataclasses.replace(p, rhs=rhs))
+        with pytest.raises(ValueError, match="objective_free"):
+            export_sdpa(dataclasses.replace(p, objective_free=(np.nan,) * p.free_count))
+        B = p.B.copy()
+        B.data[0] = -np.inf
+        with pytest.raises(ValueError, match="B"):
+            export_sdpa(dataclasses.replace(p, B=B))
 
     def test_round_trip_structure(self):
         bp = eigenvalue_problem()
