@@ -3,16 +3,23 @@
 Vertices are exponent tuples held in graded-lex order; edges are stored as
 index pairs (i, j) with i < j into that order, so two graphs over the same
 support compare cheaply and dumps are deterministic.
+
+The maximal extension is built from component labels (each node named by the
+smallest node of its component) as the pairs that share a label; maximal
+cliques and Gram supports work on the edge array.  Graphs the extensions and
+the support chain build skip the construction checks; the node order, edge
+and elimination-order checks still run on every graph a caller builds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
 
-from .poly import Exponent, SupportSet, exponent_keys, grlex_key, radix_weights
+from .poly import Exponent, GrlexRadix, SupportSet, grlex_key
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,15 @@ class MonomialGraph:
         )
         return MonomialGraph(node_tuple, norm)
 
+    @classmethod
+    def _valid(cls, *fields):
+        """Wrap fields already known to be valid (built by this module's own
+        algorithms) without the checks of construction."""
+        graph = object.__new__(cls)
+        for f, value in zip(dataclasses.fields(cls), fields):
+            object.__setattr__(graph, f.name, value)
+        return graph
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -58,26 +74,28 @@ class MonomialGraph:
             adj[j].add(i)
         return adj
 
+    def component_labels(self) -> np.ndarray:
+        """Each node's connected component, named by its smallest member:
+        labels fall to the smaller label across each edge and then to their
+        own label's label, until nothing moves."""
+        label = np.arange(len(self.nodes))
+        i, j = self.edge_array().T
+        while True:
+            low = np.minimum(label[i], label[j])
+            fallen = label.copy()
+            np.minimum.at(fallen, i, low)
+            np.minimum.at(fallen, j, low)
+            fallen = fallen[fallen]
+            if np.array_equal(fallen, label):
+                return label
+            label = fallen
+
     def connected_components(self) -> list[list[int]]:
         """Components as sorted index lists, ordered by smallest member."""
-        adj = self.adjacency()
-        seen = [False] * len(self.nodes)
-        comps: list[list[int]] = []
-        for start in range(len(self.nodes)):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        comps: dict[int, list[int]] = {}
+        for v, smallest in enumerate(self.component_labels().tolist()):
+            comps.setdefault(smallest, []).append(v)
+        return list(comps.values())
 
 
 @dataclass(frozen=True)
@@ -116,16 +134,26 @@ class ChordalGraph(MonomialGraph):
             )
 
 
+def _pairs_within(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs i < j with label[i] == label[j]."""
+    order = np.argsort(label, kind="stable")
+    end = np.searchsorted(label[order], label[order], side="right")
+    count = end - np.arange(len(order)) - 1
+    first = np.arange(len(order)).repeat(count)
+    offset = np.arange(count.sum()) - (np.cumsum(count) - count).repeat(count)
+    return order[first], order[first + 1 + offset]
+
+
 def maximal_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
     """Complete every connected component into a clique.
 
     The result is trivially chordal and any node order is a perfect
-    elimination order; the identity order is attached.
+    elimination order; the identity order is attached.  The edges are the
+    pairs of nodes that share a component label.
     """
-    edges = set(graph.edges)
-    for comp in graph.connected_components():
-        edges.update(combinations(comp, 2))
-    return ChordalGraph(graph.nodes, frozenset(edges), tuple(range(len(graph.nodes))))
+    i, j = _pairs_within(graph.component_labels())
+    edges = frozenset(zip(i.tolist(), j.tolist()))
+    return ChordalGraph._valid(graph.nodes, edges, tuple(range(len(graph.nodes))))
 
 
 def approx_smallest_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
@@ -135,35 +163,49 @@ def approx_smallest_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
     otherwise eliminates a minimum-degree vertex and completes its remaining
     neighbourhood.  Ties break on node index so the result is deterministic.
     Already-chordal graphs come back unchanged.
+
+    The simplicial vertices are kept as a set.  An elimination can change
+    only its vertex's neighbours (they lose it, and fill may join them) and
+    the common neighbours of each fill edge's ends (two of their neighbours
+    become adjacent), so only those are checked again.
     """
     n = len(graph.nodes)
     adj = graph.adjacency()
+
+    def simplicial(v: int) -> bool:  # each neighbour sees all the others
+        return all(len(adj[v] - adj[a]) == 1 for a in adj[v])
+
+    simplicial_set = {v for v in range(n) if simplicial(v)}
     alive = set(range(n))
     fill: set[tuple[int, int]] = set()
     order: list[int] = []
 
     while alive:
-        chosen = -1
-        for v in sorted(alive):  # simplicial first: elimination is fill-free
-            nb = adj[v]
-            if all((min(a, b), max(a, b)) in graph.edges or (min(a, b), max(a, b)) in fill
-                   for a in nb for b in nb if a < b):
-                chosen = v
-                break
-        if chosen < 0:
+        if simplicial_set:  # simplicial first: elimination is fill-free
+            chosen = min(simplicial_set)
+        else:
             chosen = min(alive, key=lambda v: (len(adj[v]), v))
         order.append(chosen)
-        for e in combinations(sorted(adj[chosen]), 2):
-            if e not in graph.edges and e not in fill:
-                fill.add(e)
-                adj[e[0]].add(e[1])
-                adj[e[1]].add(e[0])
+        changed = set(adj[chosen])
+        for a, b in combinations(sorted(adj[chosen]), 2):
+            if b not in adj[a]:
+                fill.add((a, b))
+                adj[a].add(b)
+                adj[b].add(a)
+                changed |= adj[a] & adj[b]
         for u in adj[chosen]:
             adj[u].discard(chosen)
         adj[chosen] = set()
         alive.discard(chosen)
+        simplicial_set.discard(chosen)
+        changed.discard(chosen)
+        for v in changed:
+            if simplicial(v):
+                simplicial_set.add(v)
+            else:
+                simplicial_set.discard(v)
 
-    return ChordalGraph(graph.nodes, frozenset(graph.edges | fill), tuple(order))
+    return ChordalGraph._valid(graph.nodes, frozenset(graph.edges | fill), tuple(order))
 
 
 def maximal_cliques(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
@@ -174,19 +216,29 @@ def maximal_cliques(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
     later neighbour and one more later neighbour than v, so that C_v < C_u
     (Blair and Peyton 1993); the other candidates are kept.  Cliques come
     back as sorted index tuples, ordered by their smallest member then
-    lexicographically.
+    lexicographically.  The later neighbours are runs of the edges oriented
+    forward in the order and sorted by their earlier end.
     """
-    position = {v: k for k, v in enumerate(graph.elimination_order)}
-    later = [{u for u in nb if position[u] > position[v]} for v, nb in enumerate(graph.adjacency())]
-    kept = set(range(len(graph.nodes)))
-    for later_u in later:
-        if later_u:
-            v = min(later_u, key=position.__getitem__)
-            if len(later_u) == len(later[v]) + 1:
-                kept.discard(v)
-    cliques = sorted((tuple(sorted(later[v] | {v})) for v in kept), key=lambda c: (c[0], c))
-    covered = set().union(*map(set, cliques)) if cliques else set()
-    if covered != set(range(len(graph.nodes))):
+    n = len(graph.nodes)
+    position = np.empty(n, dtype=np.int64)
+    position[list(graph.elimination_order)] = np.arange(n)
+    edges = graph.edge_array()
+    forward = position[edges[:, 0]] < position[edges[:, 1]]
+    pairs = np.where(forward[:, None], edges, edges[:, ::-1])
+    v, w = pairs[np.lexsort((position[pairs[:, 1]], pairs[:, 0]))].T
+    count = np.bincount(v, minlength=n)
+    start = np.cumsum(count) - count
+    has_later = np.flatnonzero(count)
+    earliest = w[start[has_later]]
+    kept = np.ones(n, dtype=bool)
+    kept[earliest[count[has_later] == count[earliest] + 1]] = False
+    cliques = sorted(
+        tuple(sorted([u, *w[start[u] : start[u] + count[u]].tolist()])) for u in np.flatnonzero(kept).tolist()
+    )
+    covered = np.zeros(n, dtype=bool)
+    for c in cliques:
+        covered[list(c)] = True
+    if not covered.all():
         raise ValueError("clique cover does not cover all nodes; malformed elimination order")
     return tuple(cliques)
 
@@ -209,20 +261,22 @@ def clique_set(graph: ChordalGraph) -> CliqueSet:
     return CliqueSet(graph.nodes, maximal_cliques(graph))
 
 
+def gram_keys(graph: MonomialGraph, keys: np.ndarray) -> np.ndarray:
+    """Radix keys, repeats included, of the Gram support of a graph whose
+    nodes have the given keys: 2 alpha per node, alpha + gamma per edge."""
+    i, j = graph.edge_array().T
+    return np.concatenate([2 * keys, keys[i] + keys[j]])
+
+
 def supp_of_graph(graph: MonomialGraph) -> SupportSet:
     """Exponent support of a Gram matrix patterned on the graph.
 
     Diagonal entries contribute 2*alpha for every node alpha, off-diagonal
     entries contribute alpha + gamma for every edge {alpha, gamma}.  Each
-    distinct sum, told apart by radix key, is built once.
+    distinct sum, told apart by radix key, is decoded once.
     """
     if not graph.nodes:
         return SupportSet(0, frozenset())
-    nodes = np.array(graph.nodes, dtype=np.int64)
-    dim = nodes.shape[1]
-    keys = exponent_keys(nodes, radix_weights(dim, 2 * nodes.sum(axis=1).max()))
-    diagonal = np.arange(len(nodes)).repeat(2).reshape(-1, 2)
-    ends = np.concatenate([diagonal, graph.edge_array()])
-    first = np.unique(keys[ends[:, 0]] + keys[ends[:, 1]], return_index=True)[1]
-    sums = nodes[ends[first, 0]] + nodes[ends[first, 1]]
-    return SupportSet._valid(dim, frozenset(map(tuple, sums.tolist())))
+    radix = GrlexRadix(len(graph.nodes[0]), 2 * sum(graph.nodes[-1]))
+    keys = np.unique(gram_keys(graph, radix.keys(graph.nodes)))
+    return SupportSet._valid(radix.dim, frozenset(radix.decode(keys)))

@@ -52,6 +52,46 @@ def exponent_keys(exponents, weights: np.ndarray) -> np.ndarray:
     return np.array(exponents, dtype=np.int64).reshape(-1, len(weights)) @ weights
 
 
+class GrlexRadix:
+    """Radix keys of the exponents in ``dim`` variables of total degree <= top.
+
+    A key has a leading digit for the degree, then one digit per variable,
+    first variable most significant, all in base top + 1.  Keys add like
+    exponents (within top) and sort like ``grlex_key``; ``decode`` inverts
+    ``keys``.  Past int64 the keys are Python ints, as in ``radix_weights``.
+    """
+
+    def __init__(self, dim: int, top: int) -> None:
+        digits = radix_weights(dim + 1, top)
+        self.dim, self.top = dim, int(top)
+        self.degree_unit = digits[0]
+        self.digits = digits[1:]
+        self.weights = self.digits + digits[0]
+
+    def keys(self, exponents) -> np.ndarray:
+        """Keys of an iterable of exponent tuples, or of an (k, dim) array."""
+        return exponent_keys(exponents, self.weights)
+
+    def exponents(self, keys: np.ndarray) -> np.ndarray:
+        """The (k, dim) exponent array of the keys."""
+        return keys[:, None] // self.digits % (self.top + 1)
+
+    def decode(self, keys: np.ndarray) -> list[Exponent]:
+        return list(map(tuple, self.exponents(keys).tolist()))
+
+    def degree_below(self, keys: np.ndarray, degree: int) -> np.ndarray:
+        """The sorted keys of total degree < degree."""
+        if degree > self.top:
+            return keys
+        return keys[: np.searchsorted(keys, degree * self.degree_unit)]
+
+    def table(self, exponents) -> np.ndarray:
+        """Sorted distinct keys of the exponents of total degree <= top; the
+        others have no key."""
+        within = [alpha for alpha in exponents if sum(alpha) <= self.top]
+        return np.unique(self.keys(within))
+
+
 def monomial_basis(dim: int, max_degree: int) -> tuple[Exponent, ...]:
     """All exponents in `dim` variables with total degree <= max_degree, graded-lex sorted."""
     if dim < 1:
@@ -60,12 +100,14 @@ def monomial_basis(dim: int, max_degree: int) -> tuple[Exponent, ...]:
         return ()
     basis: list[Exponent] = []
     for deg in range(max_degree + 1):
+        level = []
         for combo in combinations_with_replacement(range(dim), deg):
             alpha = [0] * dim
             for i in combo:
                 alpha[i] += 1
-            basis.append(tuple(alpha))
-    basis.sort(key=grlex_key)
+            level.append(tuple(alpha))
+        # index multisets in lex order count out exponents in reverse lex order
+        basis.extend(reversed(level))
     return tuple(basis)
 
 
@@ -429,7 +471,7 @@ class SupportSet:
         return SupportSet(dim, frozenset(tuple(a) for a in elements))
 
     def __iter__(self) -> Iterator[Exponent]:
-        return iter(sorted(self.elements, key=grlex_key))
+        return iter(sorted(sorted(self.elements), key=sum))  # grlex
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -518,6 +560,18 @@ class DynamicalSystem:
         return (Polynomial.constant(self.dim, 1.0), *self.constraints)
 
 
+def lie_support_keys(keys: np.ndarray, sys: DynamicalSystem, radix: GrlexRadix) -> np.ndarray:
+    """``generic_lie_support`` on radix keys: the keys, repeats included, of
+    (a - e_i) + supp(f_i) for each keyed a and each i with a_i > 0.  The
+    radix must cover the degrees of the keys and of the results."""
+    exponents = radix.exponents(keys)
+    parts = [np.zeros(0, keys.dtype)]
+    for i, f in enumerate(sys.field):
+        shifted = keys[exponents[:, i] > 0] - radix.weights[i]
+        parts.append((shifted[:, None] + radix.keys(list(f.terms))).ravel())
+    return np.concatenate(parts)
+
+
 def generic_lie_support(v_support: SupportSet, sys: DynamicalSystem) -> SupportSet:
     """Support of grad(v) . f for v with generic coefficients on v_support.
 
@@ -526,16 +580,47 @@ def generic_lie_support(v_support: SupportSet, sys: DynamicalSystem) -> SupportS
     """
     if v_support.dim != sys.dim:
         raise ValueError("support dimension does not match the system")
-    out: set[Exponent] = set()
-    f_supports = [list(f.terms) for f in sys.field]
-    for alpha in v_support.elements:
-        for i, a_i in enumerate(alpha):
-            if a_i == 0:
-                continue
-            shifted = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
-            for delta in f_supports[i]:
-                out.add(exp_add(shifted, delta))
-    return SupportSet._valid(sys.dim, frozenset(out))
+    degree = max(map(sum, v_support.elements), default=0)
+    # covers v_support, the field's terms and the results
+    radix = GrlexRadix(sys.dim, max(degree, sys.field_degree, degree - 1 + sys.field_degree))
+    keys = lie_support_keys(radix.keys(list(v_support.elements)), sys, radix)
+    return SupportSet._valid(sys.dim, frozenset(radix.decode(np.unique(keys))))
+
+
+def lie_coefficients(
+    exponents: np.ndarray, sys: DynamicalSystem, beta: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of ``lie_polynomial(x^g, sys, beta)`` for each row g of an
+    (k, dim) exponent array, as arrays (row of g, exponent, coefficient).
+
+    The products g_i c of each field term c add up in the order
+    ``lie_polynomial`` adds them, after beta, and sums of exactly 0 are
+    dropped, so the coefficients are the same floats.  Sorted by row, then
+    exponent in tuple order.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, sys.dim)
+    rows, alphas, coefs = [np.arange(len(exponents))], [exponents], [np.full(len(exponents), float(beta))]
+    for i, f in enumerate(sys.field):
+        row = np.flatnonzero(exponents[:, i] > 0)
+        deltas = np.array(list(f.terms), dtype=np.int64).reshape(-1, sys.dim)
+        shifted = exponents[row] - np.eye(sys.dim, dtype=np.int64)[i]
+        rows.append(row.repeat(len(deltas)))
+        alphas.append((shifted[:, None] + deltas).reshape(-1, sys.dim))
+        c = np.array(list(f.terms.values()), dtype=float)
+        coefs.append(-(exponents[row, i].astype(float)[:, None] * c).ravel())
+    row, alpha, coef = np.concatenate(rows), np.concatenate(alphas), np.concatenate(coefs)
+    order = np.lexsort((*alpha.T[::-1], row))
+    row, alpha, coef = row[order], alpha[order], coef[order]
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (alpha[1:] != alpha[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    count = np.diff(np.append(start, len(row)))
+    total = coef[start]
+    for k in range(1, count.max(initial=1)):  # in order, as the dict adds them
+        more = count > k
+        total[more] += coef[start[more] + k]
+    keep = total != 0.0
+    return row[start[keep]], alpha[start[keep]], total[keep]
 
 
 def lie_polynomial(v: Polynomial, sys: DynamicalSystem, beta: float = 1.0) -> Polynomial:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,14 +30,12 @@ from .graphs import clique_set
 from .poly import (
     DynamicalSystem,
     Exponent,
+    GrlexRadix,
     Polynomial,
     SupportSet,
     exponent_keys,
-    grlex_key,
-    lie_polynomial,
+    lie_coefficients,
     monomial_basis,
-    radix_weights,
-    support,
 )
 from .sparsity import (
     RelaxationConfig,
@@ -45,7 +44,7 @@ from .sparsity import (
     multiplier_basis_degree,
     v_degree_cap,
 )
-from .symmetry import SignSymmetryGroup, in_r_perp, sign_symmetries, symmetry_blocks
+from .symmetry import r_perp_mask, sign_symmetries, symmetry_blocks
 
 IDENTITIES = ("lie", "w", "wv")
 
@@ -88,14 +87,23 @@ class Box:
         return out
 
 
+def box_moments(exponents, box: Box) -> np.ndarray:
+    """Integrals of the monomials x^alpha over the box, one per row of a
+    (k, dim) exponent array.  Each axis's integral of each power is computed
+    once, and the axes multiply in order, as for a single monomial."""
+    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, box.dim)
+    out = np.ones(len(exponents))
+    for axis, (lo, hi) in zip(exponents.T, box.bounds):
+        powers = range(int(axis.max(initial=0)) + 1)
+        out *= np.array([(hi ** (a + 1) - lo ** (a + 1)) / (a + 1) for a in powers])[axis]
+    return out
+
+
 def box_moment(alpha: Exponent, box: Box) -> float:
     """Integral of the monomial x^alpha over the box."""
     if len(alpha) != box.dim:
         raise ValueError("exponent dimension does not match the box")
-    out = 1.0
-    for a, lo, hi in zip(alpha, box.lo, box.hi):
-        out *= (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
-    return out
+    return float(box_moments([alpha], box)[0])
 
 
 @dataclass(frozen=True)
@@ -227,20 +235,17 @@ def _structure(
         group = sign_symmetries(system, d)
         meta["symmetry_rank"] = group.rank
         meta["symmetry_basis"] = group.vectors
-        v_support = SupportSet.of(
-            n, (a for a in monomial_basis(n, cap) if in_r_perp(group, a))
-        )
-        w_support = SupportSet.of(
-            n, (a for a in monomial_basis(n, 2 * d) if in_r_perp(group, a))
-        )
-        cliques = [
-            symmetry_blocks(
-                group,
-                SupportSet.of(n, monomial_basis(n, multiplier_basis_degree(d, dj))),
-            )
-            for dj in degrees
-        ]
-        return v_support, w_support, cliques, list(cliques), meta
+
+        def in_lattice(max_degree: int) -> SupportSet:
+            basis = monomial_basis(n, max_degree)
+            return SupportSet._valid(n, frozenset(compress(basis, r_perp_mask(group, basis))))
+
+        blocks_of = {
+            deg: symmetry_blocks(group, SupportSet._valid(n, frozenset(monomial_basis(n, deg))))
+            for deg in {multiplier_basis_degree(d, dj) for dj in degrees}
+        }
+        cliques = [blocks_of[multiplier_basis_degree(d, dj)] for dj in degrees]
+        return in_lattice(cap), in_lattice(2 * d), cliques, list(cliques), meta
     # fully dense
     v_support = SupportSet.of(n, monomial_basis(n, cap))
     w_support = SupportSet.of(n, monomial_basis(n, 2 * d))
@@ -256,29 +261,33 @@ def _gram_rows(
     """Gram entries as arrays (identity, key, block, r, c, coef): the index
     into IDENTITIES, the matched exponent keyed by ``weights``, and the
     upper-triangle entry.  Sorted by identity, then key; a row's entries stay
-    in loop order: block, r <= c row-major, term.  One array pass on radix
-    keys per (multiplier, size) class of blocks, then a stable sort."""
+    in loop order: block, r <= c row-major, term.  The entries of all blocks
+    are laid out in that loop order at once, on radix keys, and a stable
+    sort on (identity, key) keeps it within each row."""
     terms = [p.sorted_terms() for p in multipliers]
     first_term = np.cumsum([0] + [len(t) for t in terms])
     coefs = np.array([x for t in terms for _, x in t], dtype=float)
-    classes: dict[tuple[int, int], list[int]] = {}
-    for block_id, block in enumerate(blocks):
-        classes.setdefault((block.multiplier, block.dimension), []).append(block_id)
-    parts = []
-    for (j, size), ids in classes.items():
-        exps = exponent_keys([blocks[k].exponents for k in ids], weights).reshape(-1, size)
-        r, c = np.triu_indices(size)
-        deltas = exponent_keys([delta for delta, _ in terms[j]], weights)
-        keys = (exps[:, r] + exps[:, c])[:, :, None] + deltas
-        term = first_term[j] + np.arange(len(deltas))
-        fields = (keys, np.array(ids)[:, None, None], r[:, None], c[:, None], term)
-        parts.append([np.broadcast_to(f, keys.shape).ravel() for f in fields])
-    keys, block_of, row, col, term = (np.concatenate(x) for x in zip(*parts))
+    term_keys = exponent_keys([delta for t in terms for delta, _ in t], weights)
+    sizes = np.array([b.dimension for b in blocks], dtype=np.int64)
+    exps = exponent_keys([a for b in blocks for a in b.exponents], weights)
+    # each block's pairs r <= c, row-major
+    triu = {size: np.triu_indices(size) for size in set(sizes.tolist())}
+    pair_block = np.arange(len(blocks)).repeat(sizes * (sizes + 1) // 2)
+    r = np.concatenate([triu[size][0] for size in sizes.tolist()] or [np.zeros(0, np.int64)])
+    c = np.concatenate([triu[size][1] for size in sizes.tolist()] or [np.zeros(0, np.int64)])
+    first = (np.cumsum(sizes) - sizes)[pair_block]
+    pair_keys = exps[first + r] + exps[first + c]
+    # then each pair's multiplier terms
+    j = np.array([b.multiplier for b in blocks], dtype=np.int64)[pair_block]
+    count = np.diff(first_term)[j]
+    pair = np.arange(len(pair_block)).repeat(count)
+    term = first_term[j].repeat(count) + np.arange(count.sum()) - (np.cumsum(count) - count).repeat(count)
+    keys, block_of = pair_keys[pair] + term_keys[term], pair_block[pair]
     # certificates a, b and c match the identities lie, w and wv
-    ident = np.array(["abc".index(b.certificate) for b in blocks])[block_of]
+    ident = np.array(["abc".index(b.certificate) for b in blocks], dtype=np.int64)[block_of]
     rank = np.unique(keys, return_inverse=True)[1].reshape(-1)
-    order = np.lexsort((block_of, rank, ident))
-    return ident[order], keys[order], block_of[order], row[order], col[order], coefs[term[order]]
+    order = np.argsort(ident * len(keys) + rank, kind="stable")
+    return ident[order], keys[order], block_of[order], r[pair][order], c[pair][order], coefs[term[order]]
 
 
 def assemble(
@@ -303,48 +312,49 @@ def assemble(
             for k, clique in enumerate(cliques):
                 blocks.append(GramBlock(cert, j, k, tuple(clique)))
 
-    v_exponents = tuple(sorted(v_support, key=grlex_key))
-    w_exponents = tuple(sorted(w_support, key=grlex_key))
+    v_exponents = tuple(v_support)  # grlex order
+    w_exponents = tuple(w_support)
     free_labels = tuple(("v", a) for a in v_exponents) + tuple(
         ("w", a) for a in w_exponents
     )
-    v_index = {a: k for k, a in enumerate(v_exponents)}
-    w_offset = len(v_exponents)
-    w_index = {a: w_offset + k for k, a in enumerate(w_exponents)}
+    v_alpha = np.array(v_exponents, dtype=np.int64).reshape(-1, system.dim)
+    w_alpha = np.array(w_exponents, dtype=np.int64).reshape(-1, system.dim)
+    v_col = np.arange(len(v_exponents))
+    w_col = len(v_exponents) + np.arange(len(w_exponents))
 
     # free-variable entries (identity, alpha, column, coef); lie holds
     # -(beta x^g - grad(x^g) . f) for each v exponent g
-    lie = [lie_polynomial(Polynomial(system.dim, {g: 1.0}), system, config.beta) for g in v_index]
-    free = [(0, a, col, -x) for col, p in enumerate(lie) for a, x in p.terms.items()]
-    free += [(i, alpha, col, -1.0) for alpha, col in w_index.items() for i in (1, 2)]
-    free += [(2, alpha, col, 1.0) for alpha, col in v_index.items()]
-    f_ident, f_alpha, f_col, f_coef = (np.array(x) for x in zip(*free))
+    lie_col, lie_alpha, lie_coef = lie_coefficients(v_alpha, system, config.beta)
+    f_ident = np.repeat([0, 1, 2, 2], [len(lie_col), len(w_col), len(w_col), len(v_col)])
+    f_alpha = np.concatenate([lie_alpha, w_alpha, w_alpha, v_alpha])
+    f_col = np.concatenate([lie_col, w_col, w_col, v_col])
+    f_coef = np.concatenate([-lie_coef, -np.ones(2 * len(w_col)), np.ones(len(v_col))])
 
     # radix keys whose digits are the degree, then x_1, x_2, ...: they add
     # like exponents and sort in grlex order
     basis_degree = max(sum(a) for b in blocks for a in b.exponents)
     top = max(2 * basis_degree + max(p.degree for p in multipliers), int(f_alpha.sum(axis=1).max()))
-    weights = radix_weights(system.dim + 1, top)
-    grlex = weights[1:] + weights[0]
-    g_ident, g_keys, block, r, c, coef = _gram_rows(blocks, multipliers, grlex)
+    radix = GrlexRadix(system.dim, top)
+    g_ident, g_keys, block, r, c, coef = _gram_rows(blocks, multipliers, radix.weights)
 
     # a row per matched (identity, alpha); the last key is the constant of wv,
     # whose row holds the right-hand side
-    keys = np.concatenate([g_keys, exponent_keys(f_alpha, grlex), [0]])
+    keys = np.concatenate([g_keys, radix.keys(f_alpha), [0]])
     keys, rank = np.unique(keys, return_inverse=True)
     ident = np.concatenate([g_ident, f_ident, [IDENTITIES.index("wv")]])
     labels, row = np.unique(ident * len(keys) + rank.reshape(-1), return_inverse=True)
-    alphas = (keys[labels % len(keys), None] // weights[1:] % (top + 1)).tolist()
-    row_labels = tuple(zip([IDENTITIES[i] for i in labels // len(keys)], map(tuple, alphas)))
+    alphas = radix.decode(keys)
+    row_labels = tuple(
+        zip([IDENTITIES[i] for i in (labels // len(keys)).tolist()], [alphas[k] for k in (labels % len(keys)).tolist()])
+    )
     m, row = len(labels), row.reshape(-1)
     B = sp.csr_matrix((f_coef, (row[len(g_keys) : -1], f_col)), shape=(m, len(free_labels)))
     B.sum_duplicates()
     rhs = np.zeros(m)
     rhs[row[-1]] = -1.0
 
-    objective = [0.0] * len(free_labels)
-    for alpha, col in w_index.items():
-        objective[col] = box_moment(alpha, box)
+    objective = np.zeros(len(free_labels))
+    objective[w_col] = box_moments(w_alpha, box)
 
     meta.update(
         {
@@ -364,7 +374,7 @@ def assemble(
         gram_entries=(row[: len(g_keys)], block, r, c, coef),
         B=B,
         rhs=rhs,
-        objective_free=tuple(objective),
+        objective_free=tuple(objective.tolist()),
         metadata=meta,
     )
 

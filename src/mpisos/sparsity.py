@@ -7,12 +7,23 @@ between building monomial interaction graphs, extending them to chordal graphs,
 and reading the next support set off the extension.  Chains are weakly
 ascending and stabilize after finitely many steps; a stabilized chain repeats
 its last entry so that any sparse order past the fixed point stays valid.
+
+A step works on radix keys (``GrlexRadix``), in one radix that covers every
+product of the step (``_step_radix``).  ``_iterate`` keys the hit set once
+per step: the current support plus, for the v-chain, its Lie terms, summed
+as keys (``_v_hit_keys``).  Every multiplier's graph rule looks its products
+up in that one sorted table.  The Gram support of each extension, and for
+the w-chain its Minkowski sum with the multiplier's terms, are key sums too.
+The next support leaves the step through one ``np.unique`` and one decode to
+exponent tuples, as a ``SupportSet``; the graphs' nodes are the Gram bases,
+built once per degree.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 
@@ -21,18 +32,18 @@ from .graphs import (
     MonomialGraph,
     approx_smallest_chordal_extension,
     clique_set,
+    gram_keys,
     maximal_chordal_extension,
-    supp_of_graph,
 )
 from .poly import (
     DynamicalSystem,
     Exponent,
+    GrlexRadix,
     SupportSet,
-    exponent_keys,
     generic_lie_support,
+    lie_support_keys,
     monomial_basis,
     monomial_str,
-    radix_weights,
     support,
     total_degree,
 )
@@ -62,14 +73,15 @@ class RelaxationConfig:
     mode: str = "ts"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if not isinstance(self.s, int) or self.s < 1:
-            raise ValueError(f"s must be a positive integer, got {self.s!r}")
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ValueError(f"l must be a positive integer, got {self.l!r}")
-        if not (self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        for name in ("d", "s", "l"):
+            value = getattr(self, name)
+            # a bool is an Integral too, and no order
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        beta = self.beta
+        if isinstance(beta, bool) or not isinstance(beta, numbers.Real) or not (0 < beta < inf):
+            raise ValueError(f"beta must be positive and finite, got {beta!r}")
         if self.extension not in EXTENSIONS:
             raise ValueError(
                 f"extension must be one of {EXTENSIONS}, got {self.extension!r}"
@@ -115,45 +127,57 @@ def initial_support(system: DynamicalSystem, d: int) -> SupportSet:
     return base.union(lie, even)
 
 
+def _step_radix(system: DynamicalSystem, d: int) -> GrlexRadix:
+    """The radix of a chain step: it covers every product of a Gram basis
+    against its multiplier and every Lie term (degree 2d), the v support
+    within the cap, and the field's terms."""
+    return GrlexRadix(system.dim, max(2 * d, v_degree_cap(system, d), system.field_degree))
+
+
+def _multipliers(
+    system: DynamicalSystem, d: int, radix: GrlexRadix
+) -> list[tuple[tuple[Exponent, ...], np.ndarray, np.ndarray]]:
+    """Per multiplier (index 0 is the constant 1): its Gram basis, the keys
+    of the basis, built once per degree, and the keys of its terms."""
+    bases: dict[int, tuple[tuple[Exponent, ...], np.ndarray]] = {}
+    out = []
+    for j, p in enumerate(system.multipliers()):
+        deg = multiplier_basis_degree(d, int(p.degree))
+        if deg < 0:
+            raise ValueError(
+                f"multiplier {j} has degree larger than 2d; increase d"
+            )
+        if deg not in bases:
+            nodes = monomial_basis(system.dim, deg)
+            bases[deg] = (nodes, radix.keys(nodes))
+        out.append((*bases[deg], radix.keys(list(p.terms))))
+    return out
+
+
 def _graph_from_rule(
-    system: DynamicalSystem,
-    d: int,
-    j: int,
-    hit: SupportSet,
+    nodes: tuple[Exponent, ...], keys: np.ndarray, terms: np.ndarray, table: np.ndarray
 ) -> MonomialGraph:
-    """Connect basis exponents whose pairwise products against multiplier j
-    touch the hit set.  All pairs go at once: radix keys (``radix_weights``)
-    add like exponents, so each product is a sum of keys, looked up in the
-    sorted keys of the hit exponents."""
-    n = system.dim
-    deg = multiplier_basis_degree(d, 0 if j == 0 else system.constraint_degrees[j - 1])
-    if deg < 0:
-        raise ValueError(
-            f"multiplier {j} has degree larger than 2d; increase d"
-        )
-    nodes = monomial_basis(n, deg)
-    if j == 0:
-        deltas: tuple[Exponent, ...] = (tuple([0] * n),)
-    else:
-        deltas = tuple(support(system.constraints[j - 1]))
-    top = 2 * deg + max(map(sum, deltas))
-    weights = radix_weights(n, top)
-    keys = exponent_keys(nodes, weights)
+    """Connect basis exponents whose pairwise products against a multiplier
+    touch the hit set.  ``keys`` are the radix keys of ``nodes``, ``terms``
+    those of the multiplier's terms and ``table`` the sorted keys of the hit
+    set, all in a radix that covers every product.  All pairs go at once:
+    keys add like exponents, so each product is a sum of keys, looked up in
+    the table."""
+    if not len(table):
+        return MonomialGraph._valid(nodes, frozenset())
     a, b = np.triu_indices(len(nodes), 1)
-    keys = (keys[a] + keys[b])[:, None] + exponent_keys(deltas, weights)
-    # hit exponents above the top degree match no product; -1 is no key
-    table = exponent_keys([alpha for alpha in hit.elements if sum(alpha) <= top], weights)
-    table = np.unique(np.append(table, -1))
-    found = table[np.searchsorted(table, keys).clip(max=len(table) - 1)] == keys
+    products = (keys[a] + keys[b])[:, None] + terms
+    found = table[np.searchsorted(table, products).clip(max=len(table) - 1)] == products
     touch = found.any(axis=1)
-    return MonomialGraph(nodes, frozenset(zip(a[touch].tolist(), b[touch].tolist())))
+    return MonomialGraph._valid(nodes, frozenset(zip(a[touch].tolist(), b[touch].tolist())))
 
 
-def _v_hit_set(system: DynamicalSystem, d: int, a_set: SupportSet) -> SupportSet:
-    """The current v support together with the Lie-derivative terms of its
-    part within the degree cap; every multiplier's graph reads this set."""
-    capped = a_set.restricted(v_degree_cap(system, d))
-    return a_set.union(generic_lie_support(capped, system))
+def _v_hit_keys(system: DynamicalSystem, d: int, keys: np.ndarray, radix: GrlexRadix) -> np.ndarray:
+    """Sorted keys of the current v support together with the Lie-derivative
+    terms of its part within the degree cap; every multiplier's graph reads
+    this set."""
+    capped = radix.degree_below(keys, v_degree_cap(system, d) + 1)
+    return np.unique(np.concatenate([keys, lie_support_keys(capped, system, radix)]))
 
 
 def build_v_step_graph(
@@ -161,7 +185,9 @@ def build_v_step_graph(
 ) -> MonomialGraph:
     """Interaction graph for multiplier j in the Lie certificate, given the
     current v support set."""
-    return _graph_from_rule(system, d, j, _v_hit_set(system, d, a_set))
+    radix = _step_radix(system, d)
+    table = _v_hit_keys(system, d, radix.table(a_set), radix)
+    return _graph_from_rule(*_multipliers(system, d, radix)[j], table)
 
 
 def build_w_step_graph(
@@ -169,7 +195,14 @@ def build_w_step_graph(
 ) -> MonomialGraph:
     """Interaction graph for multiplier j in the w certificates, given the
     current w support set."""
-    return _graph_from_rule(system, d, j, b_set)
+    radix = _step_radix(system, d)
+    return _graph_from_rule(*_multipliers(system, d, radix)[j], radix.table(b_set))
+
+
+def _w_next_keys(gram: list[np.ndarray], terms: list[np.ndarray]) -> np.ndarray:
+    """Keys, repeats included, of the next w support: the Gram support keys
+    of each multiplier's extended graph plus the keys of its terms."""
+    return np.concatenate([(g[:, None] + t).ravel() for g, t in zip(gram, terms)])
 
 
 def extend_graph(graph: MonomialGraph, extension: str) -> ChordalGraph:
@@ -188,22 +221,36 @@ ChainSteps = tuple[
 
 
 def _iterate(system, d, extension, current, steps, hit_of, next_of) -> ChainSteps:
-    """Build each multiplier's graph on ``hit_of(current)``, extend it, go on to
-    ``next_of(extended graphs)``; at most ``steps`` times, up to a fixed point."""
+    """Build each multiplier's graph on ``hit_of(keys of current, radix)``,
+    extend it, go on to ``next_of(Gram support keys of the extended graphs,
+    keys of the multipliers' terms)``; at most ``steps`` times, up to a
+    fixed point.
+
+    One radix (``_step_radix``) covers every product, Gram support and Lie
+    term of a step.  A step keys its hit set once, and the Gram bases once per
+    degree; the next support stays in keys until one ``np.unique`` and one
+    decode make it a ``SupportSet``."""
+    radix = _step_radix(system, d)
+    keys = radix.table(current)
+    multipliers = _multipliers(system, d, radix)
+    terms = [t for _, _, t in multipliers]
     supports = [current]
     raw_steps: list[tuple[MonomialGraph, ...]] = []
     ext_steps: list[tuple[ChordalGraph, ...]] = []
     for _ in range(steps):
-        hit = hit_of(current)
-        raw = tuple(_graph_from_rule(system, d, j, hit) for j in range(len(system.constraints) + 1))
-        ext = tuple(extend_graph(g, extension) for g in raw)
-        raw_steps.append(raw)
-        ext_steps.append(ext)
-        nxt = next_of(ext)
-        supports.append(nxt)
-        if nxt == current:
+        table = hit_of(keys, radix)
+        raw, ext, gram = [], [], []
+        for nodes, node_keys, multiplier_terms in multipliers:
+            raw.append(_graph_from_rule(nodes, node_keys, multiplier_terms, table))
+            ext.append(extend_graph(raw[-1], extension))
+            gram.append(gram_keys(ext[-1], node_keys))
+        raw_steps.append(tuple(raw))
+        ext_steps.append(tuple(ext))
+        nxt = np.unique(next_of(gram, terms))
+        supports.append(SupportSet._valid(system.dim, frozenset(radix.decode(nxt))))
+        if len(current) == len(keys) and np.array_equal(nxt, keys):
             break
-        current = nxt
+        current, keys = supports[-1], nxt
     return tuple(supports), tuple(raw_steps), tuple(ext_steps)
 
 
@@ -215,10 +262,11 @@ def iterate_v_chain(
     Returns the support iterates, the raw graphs of each executed step, and
     their chordal extensions.  On stabilization the final support is entered
     twice, so the support tuple always has one more entry than the graphs.
+    The next support is the Gram support of the constant multiplier's graph.
     """
     return _iterate(
         system, d, extension, initial_support(system, d), s_max,
-        lambda a_set: _v_hit_set(system, d, a_set), lambda ext: supp_of_graph(ext[0]),
+        lambda keys, radix: _v_hit_keys(system, d, keys, radix), lambda gram, terms: gram[0],
     )
 
 
@@ -228,17 +276,13 @@ def iterate_w_chain(
     """Run the w-chain for at most l_max steps from the given seed support.
 
     The seed is restricted to degree 2d before the first step; every later
-    iterate stays within that bound by construction.
+    iterate stays within that bound by construction.  The next support is
+    the Gram support of the constant multiplier's graph together with the
+    Minkowski sum of each constraint's support and its graph's Gram support.
     """
-
-    def next_support(ext: tuple[ChordalGraph, ...]) -> SupportSet:
-        pieces = [
-            support(p).minkowski(supp_of_graph(g)) for p, g in zip(system.constraints, ext[1:])
-        ]
-        return supp_of_graph(ext[0]).union(*pieces)
-
     return _iterate(
-        system, d, extension, seed.restricted(2 * d), l_max, lambda b_set: b_set, next_support
+        system, d, extension, seed.restricted(2 * d), l_max,
+        lambda keys, radix: keys, _w_next_keys,
     )
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import DynamicalSystem, Exponent, SupportSet, grlex_key
+import numpy as np
+
+from .poly import DynamicalSystem, Exponent, SupportSet
 from .sparsity import initial_support
 
 
@@ -125,22 +127,34 @@ def sign_symmetries(system: DynamicalSystem, d: int) -> SignSymmetryGroup:
     return support_symmetries(system.dim, initial_support(system, d))
 
 
+def _parities(group: SignSymmetryGroup, exponents) -> np.ndarray:
+    """Dot products mod 2 of each row of a (k, dim) exponent array against
+    each basis vector, as a (k, rank) 0/1 array."""
+    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, group.dim)
+    basis = np.array(group.vectors, dtype=np.int64).reshape(-1, group.dim)
+    return (exponents & 1) @ basis.T & 1
+
+
+def r_perp_mask(group: SignSymmetryGroup, exponents) -> np.ndarray:
+    """``in_r_perp`` for each row of a (k, dim) exponent array."""
+    return ~_parities(group, exponents).any(axis=1)
+
+
 def in_r_perp(group: SignSymmetryGroup, alpha: Exponent) -> bool:
     """True iff alpha has even dot product against every group element."""
     if len(alpha) != group.dim:
         raise ValueError("length mismatch")
-    pm = parity_mask(alpha)
-    return all((pm & mask).bit_count() & 1 == 0 for mask in group.basis)
+    return bool(r_perp_mask(group, [alpha])[0])
 
 
 def symmetry_blocks(
     group: SignSymmetryGroup, basis_monomials: SupportSet
 ) -> tuple[tuple[Exponent, ...], ...]:
     """Partition of the monomials by parity signature: two exponents share a
-    block iff their sum lies in the orthogonal lattice of the group."""
-    buckets: dict[tuple[int, ...], list[Exponent]] = {}
-    for alpha in basis_monomials:
-        buckets.setdefault(group.signature(alpha), []).append(alpha)
-    blocks = [tuple(sorted(b, key=grlex_key)) for b in buckets.values()]
-    blocks.sort(key=lambda b: grlex_key(b[0]))
-    return tuple(blocks)
+    block iff their sum lies in the orthogonal lattice of the group.  Blocks
+    are grlex sorted and ordered by their first exponent."""
+    exponents = list(basis_monomials)  # grlex order, and so is each block
+    buckets: dict[bytes, list[Exponent]] = {}
+    for alpha, signature in zip(exponents, _parities(group, exponents)):
+        buckets.setdefault(signature.tobytes(), []).append(alpha)
+    return tuple(map(tuple, buckets.values()))

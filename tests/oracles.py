@@ -4,21 +4,25 @@ Each oracle takes a deliberately different algorithmic route than the library
 code it checks: recursive Horner evaluation, simplicial-elimination chordality
 testing, pairwise comparison of candidate cliques, exhaustive parity-vector
 enumeration, and a projection-splitting SDP solver.  The term-sparsity front
-end (graph rules, Gram supports, the elimination-order check and coefficient
-matching) and the residuals of certificate recovery run on arrays in the
-library; their plain loop versions are kept here as references.
+end (graph rules, hit sets, chordal extensions, Gram supports and the next
+supports of both chains, the elimination-order check, Lie coefficients, box
+moments, the sign-symmetry filter and coefficient matching) and the
+residuals of certificate recovery run on arrays in the library; their plain
+loop versions are kept here as references, as is the min-degree extension
+that rescans every vertex for simpliciality.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from operator import add
 
 import numpy as np
 
 from mpisos.graphs import ChordalGraph, MonomialGraph
-from mpisos.poly import SupportSet, monomial_basis, support
-from mpisos.sparsity import multiplier_basis_degree
+from mpisos.poly import Polynomial, SupportSet, lie_polynomial, monomial_basis, support
+from mpisos.sparsity import multiplier_basis_degree, v_degree_cap
 
 
 # -- polynomial evaluation ---------------------------------------------------
@@ -119,6 +123,110 @@ def graph_from_rule_loop(system, d: int, j: int, hit: SupportSet) -> MonomialGra
             if any(tuple(map(add, base, delta)) in hit for delta in deltas):
                 edges.add((a, b))
     return MonomialGraph.build(nodes, edges)
+
+
+def maximal_extension_loop(graph: MonomialGraph) -> ChordalGraph:
+    """Each connected component, found by depth-first search, completed into
+    a clique pair by pair; the identity order."""
+    adj = graph.adjacency()
+    seen: set[int] = set()
+    edges = set(graph.edges)
+    for start in range(len(graph.nodes)):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        edges.update(combinations(sorted(comp), 2))
+    return ChordalGraph(graph.nodes, frozenset(edges), tuple(range(len(graph.nodes))))
+
+
+def min_degree_extension_rescan(graph: MonomialGraph) -> ChordalGraph:
+    """The min-degree extension that rescans every live vertex for
+    simpliciality before each elimination."""
+    n = len(graph.nodes)
+    adj = graph.adjacency()
+    alive = set(range(n))
+    fill: set[tuple[int, int]] = set()
+    order: list[int] = []
+    while alive:
+        chosen = -1
+        for v in sorted(alive):
+            nb = adj[v]
+            if all((min(a, b), max(a, b)) in graph.edges or (min(a, b), max(a, b)) in fill
+                   for a in nb for b in nb if a < b):
+                chosen = v
+                break
+        if chosen < 0:
+            chosen = min(alive, key=lambda v: (len(adj[v]), v))
+        order.append(chosen)
+        for e in combinations(sorted(adj[chosen]), 2):
+            if e not in graph.edges and e not in fill:
+                fill.add(e)
+                adj[e[0]].add(e[1])
+                adj[e[1]].add(e[0])
+        for u in adj[chosen]:
+            adj[u].discard(chosen)
+        adj[chosen] = set()
+        alive.discard(chosen)
+    return ChordalGraph(graph.nodes, frozenset(graph.edges | fill), tuple(order))
+
+
+def lie_support_loop(v_support: SupportSet, system) -> SupportSet:
+    """(a - e_i) + delta for each a, each i with a_i > 0 and each term delta
+    of f_i, one tuple at a time."""
+    out = set()
+    for alpha in v_support.elements:
+        for i, a_i in enumerate(alpha):
+            if a_i:
+                shifted = alpha[:i] + (a_i - 1,) + alpha[i + 1:]
+                out.update(tuple(map(add, shifted, delta)) for delta in system.field[i].terms)
+    return SupportSet(system.dim, frozenset(out))
+
+
+def v_hit_set_loop(system, d: int, a_set: SupportSet) -> SupportSet:
+    """The v support and the Lie terms of its part within the degree cap."""
+    capped = SupportSet(a_set.dim, frozenset(a for a in a_set.elements if sum(a) <= v_degree_cap(system, d)))
+    return a_set.union(lie_support_loop(capped, system))
+
+
+def minkowski_loop(left: SupportSet, right: SupportSet) -> SupportSet:
+    return SupportSet(left.dim, frozenset(tuple(map(add, a, b)) for a in left.elements for b in right.elements))
+
+
+def w_next_support_loop(system, extended) -> SupportSet:
+    """The Gram support of the constant multiplier's graph and the Minkowski
+    sum of each constraint's support with its graph's Gram support."""
+    out = supp_of_graph_loop(extended[0])
+    for p, graph in zip(system.constraints, extended[1:]):
+        out = out.union(minkowski_loop(support(p), supp_of_graph_loop(graph)))
+    return out
+
+
+def lie_coefficients_loop(exponents, system, beta: float) -> list[dict]:
+    """The terms of beta x^g - grad(x^g) . f per exponent g, by polynomial
+    arithmetic."""
+    return [dict(lie_polynomial(Polynomial(system.dim, {g: 1.0}), system, beta).terms) for g in exponents]
+
+
+def box_moment_loop(alpha, box) -> float:
+    """Integral of x^alpha over the box, one axis at a time."""
+    out = 1.0
+    for a, lo, hi in zip(alpha, box.lo, box.hi):
+        out *= (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
+    return out
+
+
+def in_r_perp_loop(group, alpha) -> bool:
+    """Even dot product of alpha against every basis mask, bit by bit."""
+    return all(
+        sum(a for i, a in enumerate(alpha) if (mask >> i) & 1) % 2 == 0 for mask in group.basis
+    )
 
 
 def supp_of_graph_loop(graph: MonomialGraph) -> SupportSet:

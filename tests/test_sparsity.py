@@ -8,6 +8,7 @@ determinism on small random systems with box constraints.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,11 +144,26 @@ class TestConfig:
             {"d": 2, "beta": -1.0},
             {"d": 2, "extension": "minimal"},
             {"d": 2, "mode": "dense"},
+            {"d": True},
+            {"d": 2, "s": True},
+            {"d": 2, "l": False},
+            {"d": 2.0},
+            {"d": "2"},
+            {"d": 2, "beta": float("inf")},
+            {"d": 2, "beta": float("nan")},
+            {"d": 2, "beta": True},
+            {"d": 2, "beta": "1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RelaxationConfig(**kwargs)
+
+    def test_accepts_numpy_integers_and_stores_ints(self):
+        cfg = RelaxationConfig(d=np.int64(2), s=np.int32(3), l=np.uint8(1), beta=np.float64(0.5))
+        assert (cfg.d, cfg.s, cfg.l) == (2, 3, 1)
+        assert all(type(x) is int for x in (cfg.d, cfg.s, cfg.l))
+        assert cfg == RelaxationConfig(d=2, s=3, l=1, beta=0.5)
 
     def test_degree_floor_per_system(self):
         cubic = coupled_cubic().system
