@@ -51,7 +51,7 @@ class MonomialGraph:
 
     @classmethod
     def _valid(cls, *fields):
-        """Wrap fields already known to be valid (built by this module's own
+        """Wrap fields already known to be valid (built by this package's own
         algorithms) without the checks of construction."""
         graph = object.__new__(cls)
         for f, value in zip(dataclasses.fields(cls), fields):
@@ -134,16 +134,6 @@ class ChordalGraph(MonomialGraph):
             )
 
 
-def _pairs_within(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs i < j with label[i] == label[j]."""
-    order = np.argsort(label, kind="stable")
-    end = np.searchsorted(label[order], label[order], side="right")
-    count = end - np.arange(len(order)) - 1
-    first = np.arange(len(order)).repeat(count)
-    offset = np.arange(count.sum()) - (np.cumsum(count) - count).repeat(count)
-    return order[first], order[first + 1 + offset]
-
-
 def maximal_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
     """Complete every connected component into a clique.
 
@@ -151,8 +141,10 @@ def maximal_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
     elimination order; the identity order is attached.  The edges are the
     pairs of nodes that share a component label.
     """
-    i, j = _pairs_within(graph.component_labels())
-    edges = frozenset(zip(i.tolist(), j.tolist()))
+    label = graph.component_labels()
+    i, j = np.triu_indices(len(label), 1)
+    same = label[i] == label[j]
+    edges = frozenset(zip(i[same].tolist(), j[same].tolist()))
     return ChordalGraph._valid(graph.nodes, edges, tuple(range(len(graph.nodes))))
 
 

@@ -64,7 +64,7 @@ class GrlexRadix:
     def __init__(self, dim: int, top: int) -> None:
         digits = radix_weights(dim + 1, top)
         self.dim, self.top = dim, int(top)
-        self.degree_unit = digits[0]
+        self.degree_unit = digits[0]  # a key // degree_unit is its degree
         self.digits = digits[1:]
         self.weights = self.digits + digits[0]
 
@@ -78,12 +78,6 @@ class GrlexRadix:
 
     def decode(self, keys: np.ndarray) -> list[Exponent]:
         return list(map(tuple, self.exponents(keys).tolist()))
-
-    def degree_below(self, keys: np.ndarray, degree: int) -> np.ndarray:
-        """The sorted keys of total degree < degree."""
-        if degree > self.top:
-            return keys
-        return keys[: np.searchsorted(keys, degree * self.degree_unit)]
 
     def table(self, exponents) -> np.ndarray:
         """Sorted distinct keys of the exponents of total degree <= top; the

@@ -176,7 +176,7 @@ def _v_hit_keys(system: DynamicalSystem, d: int, keys: np.ndarray, radix: GrlexR
     """Sorted keys of the current v support together with the Lie-derivative
     terms of its part within the degree cap; every multiplier's graph reads
     this set."""
-    capped = radix.degree_below(keys, v_degree_cap(system, d) + 1)
+    capped = keys[keys // radix.degree_unit <= v_degree_cap(system, d)]
     return np.unique(np.concatenate([keys, lie_support_keys(capped, system, radix)]))
 
 
