@@ -109,11 +109,6 @@ class SignSymmetryGroup:
                 cur ^= mask
         return cur == 0
 
-    def signature(self, alpha: Exponent) -> tuple[int, ...]:
-        """Dot products mod 2 of alpha against each basis vector."""
-        pm = parity_mask(alpha)
-        return tuple((pm & mask).bit_count() & 1 for mask in self.basis)
-
 
 def support_symmetries(dim: int, exponents) -> SignSymmetryGroup:
     """Group of sign vectors with even dot product against every exponent."""

@@ -51,7 +51,6 @@ from mpisos.relax import IDENTITIES, Box, GramBlock, _gram_rows, assemble, box_m
 from mpisos.sparsity import (
     RelaxationConfig,
     _graph_from_rule,
-    _multipliers,
     _step_radix,
     _v_hit_keys,
     _w_next_keys,
