@@ -1,31 +1,36 @@
 """Command line front end.
 
-Subcommands
------------
-run           solve one relaxation instance and print a report
-compare       sweep degrees and block modes, tabulate optima
-symmetries    print the sign-symmetry basis and block partition sizes
-random-model  generate a cubic interaction network problem file
-export-sdpa   write one instance in SDPA sparse format
+Subcommands and the flags each takes
+------------------------------------
+run           solve one relaxation instance and print a report;
+              --d --s --l --mode --extension --beta, --out-csv,
+              --export-sdpa, --grid, --resolution, --dump-chains
+compare       sweep degrees and block modes, tabulate optima;
+              --d (a comma list) --s --l --extension --beta, --modes,
+              --jobs, --out-csv
+symmetries    print the sign-symmetry basis and block partition sizes; --d
+random-model  generate a cubic interaction network problem file; --out
+export-sdpa   write one instance in SDPA sparse format;
+              --d --s --l --mode --extension --beta, --out
 
 Problem files are JSON objects with fields ``variables`` (list of names),
 ``dynamics`` (one polynomial string per variable), optional ``constraints``
 (polynomial strings, default: per-axis box polynomials), optional ``box``
 (per-variable [lo, hi], default: [-1, 1] per axis), and an optional
 ``config`` block with any of d, s, l, beta, extension, mode.  Flags override
-file config values, which override the built-in defaults.
+file config values, which override the defaults of ``RelaxationConfig``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .poly import (
     DynamicalSystem,
@@ -86,15 +91,14 @@ COMPARE_CSV_HEADER = (
     "error",
 )
 
-_CONFIG_KEYS = ("d", "s", "l", "beta", "extension", "mode")
-_CONFIG_DEFAULTS = {"s": 1, "l": 1, "beta": 1.0, "extension": "maximal", "mode": "ts"}
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RelaxationConfig))
 
 
 class CliError(Exception):
     """User-facing failure with an actionable message."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class LoadedProblem:
     name: str
     variables: tuple[str, ...]
@@ -146,21 +150,18 @@ def load_problem(path: str) -> LoadedProblem:
             raise CliError(f"dynamics entry for {name}: {exc}") from exc
 
     box_raw = raw.get("box")
-    if box_raw is None:
-        box = Box.symmetric(n)
-    else:
-        if not isinstance(box_raw, list) or len(box_raw) != n:
-            raise CliError('"box" must list one [lo, hi] pair per variable')
-        try:
-            box = Box.from_bounds(box_raw)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f'invalid "box": {exc}') from exc
+    if box_raw is not None and (not isinstance(box_raw, list) or len(box_raw) != n):
+        raise CliError('"box" must list one [lo, hi] pair per variable')
+    try:
+        box = Box.symmetric(n) if box_raw is None else Box.from_bounds(box_raw)
+        # finite bounds can still overflow the quadratic's coefficients
+        axis = tuple(_axis_constraint(i, n, lo, hi) for i, (lo, hi) in enumerate(box.bounds))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f'invalid "box": {exc}') from exc
 
     constraints_raw = raw.get("constraints")
     if constraints_raw is None:
-        constraints = tuple(
-            _axis_constraint(i, n, box.lo[i], box.hi[i]) for i in range(n)
-        )
+        constraints = axis
     else:
         if not isinstance(constraints_raw, list) or not constraints_raw:
             raise CliError('"constraints" must be a nonempty list of polynomials')
@@ -191,9 +192,9 @@ def load_problem(path: str) -> LoadedProblem:
 
 
 def resolve_config(loaded: LoadedProblem, args: argparse.Namespace) -> RelaxationConfig:
-    """Merge flag, file, and default settings; flags win."""
-    merged: dict = dict(_CONFIG_DEFAULTS)
-    merged.update(loaded.file_config)
+    """Merge flag and file settings, flags winning; RelaxationConfig
+    supplies the defaults of what neither sets."""
+    merged = dict(loaded.file_config)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -212,131 +213,64 @@ def resolve_config(loaded: LoadedProblem, args: argparse.Namespace) -> Relaxatio
 # -- run ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything the run subcommand prints for one solved instance."""
+def run_report(
+    name: str, problem: SdpProblem, solution: SdpSolution, seconds: float
+) -> tuple[str, tuple]:
+    """The printed report and the RUN_CSV_HEADER row of one solved instance."""
+    cfg, meta = problem.config, problem.metadata
+    dims = {
+        cert: sorted((b.dimension for b in problem.blocks if b.certificate == cert), reverse=True)
+        for cert in "abc"
+    }
+    sizes = {cert: "+".join(map(str, d)) or "-" for cert, d in dims.items()}
+    v_coeffs = sum(kind == "v" for kind, _ in problem.free_labels)
+    counts = (v_coeffs, len(problem.free_labels) - v_coeffs, len(problem.row_labels))
+    residual_keys = RUN_CSV_HEADER[-3:]
+    residuals = [f"{solution.residuals.get(key, float('nan')):.3e}" for key in residual_keys]
 
-    system: str
-    config: RelaxationConfig
-    chain_summary: tuple[str, ...]
-    block_sizes: dict[str, tuple[int, ...]]
-    v_coeffs: int
-    w_coeffs: int
-    equalities: int
-    status: str
-    objective: float
-    dual_objective: float
-    seconds: float
-    iterations: int
-    residuals: dict[str, float]
-
-    def text(self) -> str:
-        cfg = self.config
-        out = [
-            f"system: {self.system}",
-            f"config: mode={cfg.mode} 2d={2 * cfg.d} s={cfg.s} l={cfg.l} "
-            f"beta={cfg.beta:g} extension={cfg.extension}",
-        ]
-        out.extend(self.chain_summary)
-        for cert, label in (("a", "lie"), ("b", "w"), ("c", "wv")):
-            sizes = sorted(self.block_sizes[cert], reverse=True)
-            out.append(f"{label} blocks ({len(sizes)}): {_sizes_str(sizes)}")
-        out.append(
-            f"free coefficients: v={self.v_coeffs} w={self.w_coeffs}; "
-            f"equalities: {self.equalities}"
-        )
-        out.append(f"status: {self.status}")
-        out.append(f"objective: {self.objective:.9g}")
-        out.append(f"dual objective: {self.dual_objective:.9g}")
-        out.append(f"iterations: {self.iterations}; wall time: {self.seconds:.2f}s")
-        for key in (
-            "primal_infeasibility",
-            "dual_infeasibility",
-            "relative_gap",
-        ):
-            out.append(f"{key}: {self.residuals.get(key, float('nan')):.3e}")
-        return "\n".join(out)
-
-    def csv_row(self) -> tuple:
-        cfg = self.config
-        return (
-            self.system,
-            cfg.mode,
-            cfg.d,
-            cfg.s,
-            cfg.l,
-            cfg.beta,
-            cfg.extension,
-            self.status,
-            f"{self.objective:.12g}",
-            f"{self.seconds:.3f}",
-            self.iterations,
-            _sizes_str(sorted(self.block_sizes["a"], reverse=True)),
-            _sizes_str(sorted(self.block_sizes["b"], reverse=True)),
-            _sizes_str(sorted(self.block_sizes["c"], reverse=True)),
-            self.v_coeffs,
-            self.w_coeffs,
-            self.equalities,
-            f"{self.residuals.get('primal_infeasibility', float('nan')):.3e}",
-            f"{self.residuals.get('dual_infeasibility', float('nan')):.3e}",
-            f"{self.residuals.get('relative_gap', float('nan')):.3e}",
-        )
-
-
-def _sizes_str(sizes) -> str:
-    return "+".join(str(s) for s in sizes) if sizes else "-"
-
-
-def _chain_summary(problem: SdpProblem) -> tuple[str, ...]:
-    meta = problem.metadata
-    out: list[str] = []
+    lines = [
+        f"system: {name}",
+        f"config: mode={cfg.mode} 2d={2 * cfg.d} s={cfg.s} l={cfg.l} "
+        f"beta={cfg.beta:g} extension={cfg.extension}",
+    ]
     if "chain_supports" in meta:
-        v_sizes, w_sizes = meta["chain_supports"]
-        v_tail = "stabilized" if meta.get("v_stabilized") else "open"
-        w_tail = "stabilized" if meta.get("w_stabilized") else "open"
-        out.append(f"v-chain sizes: {list(v_sizes)} ({v_tail})")
-        out.append(f"w-chain sizes: {list(w_sizes)} ({w_tail})")
+        for chain_name, chain_sizes in zip("vw", meta["chain_supports"]):
+            tail = "stabilized" if meta.get(f"{chain_name}_stabilized") else "open"
+            lines.append(f"{chain_name}-chain sizes: {list(chain_sizes)} ({tail})")
     if "symmetry_rank" in meta:
         vecs = ", ".join(str(v) for v in meta.get("symmetry_basis", ()))
-        out.append(f"sign-symmetry rank {meta['symmetry_rank']}: {vecs}")
-    return tuple(out)
+        lines.append(f"sign-symmetry rank {meta['symmetry_rank']}: {vecs}")
+    for cert, label in zip("abc", ("lie", "w", "wv")):
+        lines.append(f"{label} blocks ({len(dims[cert])}): {sizes[cert]}")
+    lines += [
+        "free coefficients: v={} w={}; equalities: {}".format(*counts),
+        f"status: {solution.status}",
+        f"objective: {solution.objective:.9g}",
+        f"dual objective: {solution.dual_objective:.9g}",
+        f"iterations: {solution.iterations}; wall time: {seconds:.2f}s",
+    ]
+    lines += [f"{key}: {value}" for key, value in zip(residual_keys, residuals)]
 
-
-def build_run_report(
-    name: str, problem: SdpProblem, solution: SdpSolution, seconds: float
-) -> RunReport:
-    blocks: dict[str, list[int]] = {"a": [], "b": [], "c": []}
-    for blk in problem.blocks:
-        blocks[blk.certificate].append(blk.dimension)
-    v_coeffs = sum(1 for kind, _ in problem.free_labels if kind == "v")
-    return RunReport(
-        system=name,
-        config=problem.config,
-        chain_summary=_chain_summary(problem),
-        block_sizes={k: tuple(v) for k, v in blocks.items()},
-        v_coeffs=v_coeffs,
-        w_coeffs=len(problem.free_labels) - v_coeffs,
-        equalities=len(problem.row_labels),
-        status=solution.status,
-        objective=solution.objective,
-        dual_objective=solution.dual_objective,
-        seconds=seconds,
-        iterations=solution.iterations,
-        residuals=dict(solution.residuals),
+    row = (
+        name, cfg.mode, cfg.d, cfg.s, cfg.l, cfg.beta, cfg.extension,
+        solution.status, f"{solution.objective:.12g}", f"{seconds:.3f}",
+        solution.iterations, *sizes.values(), *counts, *residuals,
     )
+    return "\n".join(lines), row
+
+
+def _assemble(loaded: LoadedProblem, config: RelaxationConfig) -> SdpProblem:
+    try:
+        return assemble(loaded.system, loaded.box, config)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _append_csv(path: str, header: tuple, rows: list[tuple]) -> None:
     try:
-        new = True
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                new = fh.read(1) == ""
-        except FileNotFoundError:
-            pass
         with open(path, "a", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            if new:
+            if fh.tell() == 0:  # a new or empty file
                 writer.writerow(header)
             writer.writerows(rows)
     except OSError as exc:
@@ -349,10 +283,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # here rather than after the solve
     counts = _grid_counts(loaded, args.resolution) if args.grid else None
     config = resolve_config(loaded, args)
-    try:
-        problem = assemble(loaded.system, loaded.box, config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    problem = _assemble(loaded, config)
 
     if args.dump_chains:
         chain = build_chain(
@@ -367,15 +298,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     solution = solve(problem)
     seconds = time.perf_counter() - t0
-    report = build_run_report(loaded.name, problem, solution, seconds)
-    print(report.text())
+    text, row = run_report(loaded.name, problem, solution, seconds)
+    print(text)
 
     cert = recover(problem, solution.block_values, solution.free_values)
     for flag in cert.flags:
         print(f"warning: {flag}", file=sys.stderr)
 
     if args.out_csv:
-        _append_csv(args.out_csv, RUN_CSV_HEADER, [report.csv_row()])
+        _append_csv(args.out_csv, RUN_CSV_HEADER, [row])
     if args.export_sdpa:
         _emit(args.export_sdpa, export_sdpa(problem))
     if args.grid:
@@ -460,10 +391,9 @@ def _aligned_table(header: tuple, rows: list[tuple]) -> str:
         tuple(str(v) for v in row) for row in rows
     ]
     widths = [max(len(row[k]) for row in table) for k in range(len(header))]
-    lines = []
-    for row in table:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    return "\n".join(
+        "  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in table
+    )
 
 
 # -- symmetries --------------------------------------------------------------
@@ -518,11 +448,7 @@ def cmd_random_model(args: argparse.Namespace) -> int:
 
 def cmd_export_sdpa(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
-    config = resolve_config(loaded, args)
-    try:
-        problem = assemble(loaded.system, loaded.box, config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    problem = _assemble(loaded, resolve_config(loaded, args))
     _emit(args.out, export_sdpa(problem))
     return 0
 
@@ -562,20 +488,19 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=int, default=None, help="relaxation half-degree")
-    parser.add_argument("--s", type=int, default=None, help="v-chain sparse order")
-    parser.add_argument("--l", type=int, default=None, help="w-chain sparse order")
-    parser.add_argument(
-        "--mode", choices=MODES, default=None, help="block structure mode"
-    )
-    parser.add_argument(
-        "--extension",
-        choices=EXTENSIONS,
-        default=None,
-        help="chordal extension rule",
-    )
-    parser.add_argument("--beta", type=float, default=None, help="discount rate")
+_CONFIG_FLAGS = {
+    "d": {"type": int, "help": "relaxation half-degree"},
+    "s": {"type": int, "help": "v-chain sparse order"},
+    "l": {"type": int, "help": "w-chain sparse order"},
+    "mode": {"choices": MODES, "help": "block structure mode"},
+    "extension": {"choices": EXTENSIONS, "help": "chordal extension rule"},
+    "beta": {"type": float, "help": "discount rate"},
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, keys=tuple(_CONFIG_FLAGS)) -> None:
+    for key in keys:
+        parser.add_argument(f"--{key}", default=None, **_CONFIG_FLAGS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,14 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated relaxation half-degrees",
     )
+    _add_config_flags(p_cmp, ("s", "l", "extension", "beta"))
     p_cmp.add_argument(
         "--modes", default="ts,ss,fd", help="comma-separated modes to compare"
-    )
-    p_cmp.add_argument("--s", type=int, default=None, help="v-chain sparse order")
-    p_cmp.add_argument("--l", type=int, default=None, help="w-chain sparse order")
-    p_cmp.add_argument("--beta", type=float, default=None, help="discount rate")
-    p_cmp.add_argument(
-        "--extension", choices=EXTENSIONS, default=None, help="chordal extension rule"
     )
     p_cmp.add_argument("--jobs", type=int, default=1, help="parallel cell limit")
     p_cmp.add_argument("--out-csv", default=None, help="append CSV rows here")
@@ -634,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "symmetries", help="print sign symmetries and block partitions"
     )
     p_sym.add_argument("problem", help="problem file (JSON)")
-    _add_config_flags(p_sym)
+    _add_config_flags(p_sym, ("d",))
     p_sym.set_defaults(func=cmd_symmetries)
 
     p_rnd = sub.add_parser("random-model", help="generate a network problem file")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -62,10 +63,14 @@ class MonomialGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
     def edge_array(self) -> np.ndarray:
-        """The edges as an (edge_count, 2) int64 array, in set order."""
+        """The edges as a read-only (edge_count, 2) int64 array, in set
+        order, built once per graph."""
         flat = chain.from_iterable(self.edges)
-        return np.fromiter(flat, np.int64, 2 * len(self.edges)).reshape(-1, 2)
+        array = np.fromiter(flat, np.int64, 2 * len(self.edges)).reshape(-1, 2)
+        array.flags.writeable = False
+        return array
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.nodes]
@@ -79,7 +84,7 @@ class MonomialGraph:
         labels fall to the smaller label across each edge and then to their
         own label's label, until nothing moves."""
         label = np.arange(len(self.nodes))
-        i, j = self.edge_array().T
+        i, j = self.edge_array.T
         while True:
             low = np.minimum(label[i], label[j])
             fallen = label.copy()
@@ -117,7 +122,7 @@ class ChordalGraph(MonomialGraph):
             raise ValueError("elimination order must be a permutation of the node indices")
         position = np.empty(n, dtype=np.int64)
         position[list(self.elimination_order)] = np.arange(n)
-        edges = self.edge_array()
+        edges = self.edge_array
         # (earlier, later) ends sorted by earlier end, then position: each run opens on its p
         forward = position[edges[:, 0]] < position[edges[:, 1]]
         pairs = np.where(forward[:, None], edges, edges[:, ::-1])
@@ -214,7 +219,7 @@ def maximal_cliques(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
     n = len(graph.nodes)
     position = np.empty(n, dtype=np.int64)
     position[list(graph.elimination_order)] = np.arange(n)
-    edges = graph.edge_array()
+    edges = graph.edge_array
     forward = position[edges[:, 0]] < position[edges[:, 1]]
     pairs = np.where(forward[:, None], edges, edges[:, ::-1])
     v, w = pairs[np.lexsort((position[pairs[:, 1]], pairs[:, 0]))].T
@@ -256,7 +261,7 @@ def clique_set(graph: ChordalGraph) -> CliqueSet:
 def gram_keys(graph: MonomialGraph, keys: np.ndarray) -> np.ndarray:
     """Radix keys, repeats included, of the Gram support of a graph whose
     nodes have the given keys: 2 alpha per node, alpha + gamma per edge."""
-    i, j = graph.edge_array().T
+    i, j = graph.edge_array.T
     return np.concatenate([2 * keys, keys[i] + keys[j]])
 
 

@@ -12,6 +12,7 @@ golden tests throughout the package.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,6 +138,8 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {alpha}")
             if c == 0.0:
                 raise ValueError(f"stored coefficient for {alpha} is zero")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient for {alpha} is not finite: {c!r}")
 
     @classmethod
     def _valid(cls, dim: int, terms: dict[Exponent, float]) -> Polynomial:
@@ -158,13 +161,6 @@ class Polynomial:
         if value == 0.0:
             return Polynomial.zero(dim)
         return Polynomial(dim, {(0,) * dim: float(value)})
-
-    @staticmethod
-    def variable(dim: int, index: int) -> Polynomial:
-        if not 0 <= index < dim:
-            raise ValueError(f"variable index {index} out of range for dim {dim}")
-        alpha = tuple(1 if i == index else 0 for i in range(dim))
-        return Polynomial(dim, {alpha: 1.0})
 
     @staticmethod
     def from_terms(dim: int, terms: Mapping[Exponent, float]) -> Polynomial:
@@ -335,7 +331,7 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
     Coefficients may be integers, decimals, or integer ratios ``a/b`` (kept exact
     until the final float conversion).  Exponents use ``^`` or ``**`` with a
     nonnegative integer.  Raises PolynomialSyntaxError with a position on bad
-    syntax, and ValueError for unknown variable names.
+    syntax, unknown variable names and coefficients that are not finite floats.
     """
     names = list(variables)
     index = {name: i for i, name in enumerate(names)}
@@ -365,6 +361,7 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
         tok = peek()
         if tok is None:
             raise PolynomialSyntaxError("dangling sign", tokens[-1][2])
+        term_at = tok[2]
 
         coeff = Fraction(1)
         coeff_float: float | None = None
@@ -398,7 +395,7 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
             elif kind == "name":
                 k += 1
                 if value not in index:
-                    raise ValueError(f"unknown variable {value!r} at position {pos}")
+                    raise PolynomialSyntaxError(f"unknown variable {value!r}", pos)
                 power = 1
                 nxt = peek()
                 if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
@@ -420,9 +417,14 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
             else:
                 expect_factor = False
 
-        c = float(coeff) * (coeff_float if coeff_float is not None else 1.0) * sign
+        try:
+            c = float(coeff) * (coeff_float if coeff_float is not None else 1.0) * sign
+        except OverflowError:  # an integer or ratio past the float range
+            c = math.inf
         key = tuple(alpha)
         s = acc.get(key, 0.0) + c
+        if not math.isfinite(s):
+            raise PolynomialSyntaxError("coefficient is not finite", term_at)
         if s == 0.0:
             acc.pop(key, None)
         else:

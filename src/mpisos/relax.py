@@ -18,6 +18,7 @@ the constraint set must be a box; anything else is rejected at assembly.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -59,9 +60,15 @@ class Box:
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi) or not self.lo:
             raise ValueError("lo and hi must be nonempty and of equal length")
+        for v in (*self.lo, *self.hi):
+            # a bool is a Real too, and no bound; JSON's 1e400 loads as inf
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"box bounds must be finite real numbers, got {v!r}")
         for a, b in zip(self.lo, self.hi):
             if not a < b:
                 raise ValueError(f"need lo < hi per axis, got [{a}, {b}]")
+        object.__setattr__(self, "lo", tuple(map(float, self.lo)))
+        object.__setattr__(self, "hi", tuple(map(float, self.hi)))
 
     @property
     def dim(self) -> int:
@@ -73,8 +80,8 @@ class Box:
 
     @staticmethod
     def from_bounds(bounds) -> Box:
-        pairs = tuple((float(a), float(b)) for a, b in bounds)
-        return Box(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        pairs = [(a, b) for a, b in bounds]
+        return Box(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
 
     @property
     def bounds(self) -> tuple[tuple[float, float], ...]:
@@ -460,8 +467,9 @@ def recover(
         target = v_terms if kind == "v" else w_terms
         if value != 0.0:
             target[alpha] = float(value)
-    v = Polynomial.from_terms(problem.system.dim, v_terms)
-    w = Polynomial.from_terms(problem.system.dim, w_terms)
+    # the solver's nonzero values, kept even when NaN or inf (flagged above)
+    v = Polynomial._valid(problem.system.dim, v_terms)
+    w = Polynomial._valid(problem.system.dim, w_terms)
     with np.errstate(invalid="ignore"):  # 0 * inf: NaN, flagged above
         objective = float(np.dot(problem.objective_free, free))
     return CertificateSet(

@@ -1260,7 +1260,7 @@ def _sdpa_text(sizes, b, B, c_free, matno, pos, value) -> str:
     f = len(c_free)
     sizes = tuple(sizes) + ((-2 * f,) if f else ())
     head = [str(len(b)), str(len(sizes)), " ".join(str(n) for n in sizes)]
-    head.append(" ".join(f"{v:.17g}" for v in b))
+    head.append(" ".join(["%.17g"] * len(b)) % tuple(b.tolist()))
     # the free block, the last, holds u_j on its diagonal at j and -u_j at
     # f + j: columns free + (2f + 1) j and free + (2f + 1)(f + j)
     sizes = np.abs(np.array(sizes, dtype=np.int64))

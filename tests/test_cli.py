@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -105,6 +106,21 @@ class TestProblemFiles:
                 {"variables": ["x"], "dynamics": ["x"], "constraints": []},
                 "constraints",
             ),
+            # json.dumps writes inf as Infinity, which loads back as inf, as 1e400 does
+            (
+                {"variables": ["x"], "dynamics": ["x"], "box": [[-1, float("inf")]]},
+                "box",
+            ),
+            ({"variables": ["x"], "dynamics": ["x"], "box": [["-1", 1]]}, "box"),
+            ({"variables": ["x"], "dynamics": ["x"], "box": [[False, True]]}, "box"),
+            # finite bounds whose product overflows the box quadratic
+            ({"variables": ["x"], "dynamics": ["x"], "box": [[-1e200, 1e200]]}, "box"),
+            ({"variables": ["x"], "dynamics": ["-1e400*x"]}, "dynamics entry for x"),
+            (
+                {"variables": ["x"], "dynamics": ["1e400*x - 1e400*x"]},
+                "dynamics entry for x",
+            ),
+            ({"variables": ["x"], "dynamics": ["y"]}, "dynamics entry for x"),
         ],
     )
     def test_rejects_bad_files(self, tmp_path, payload, fragment):
@@ -112,6 +128,27 @@ class TestProblemFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(CliError, match=fragment):
             load_problem(str(path))
+
+    @pytest.mark.parametrize(
+        "box,dynamics",
+        [
+            ("[[-1, 1e400], [-1, 1]]", '["-x", "-y"]'),
+            ("[[-1, 1], [-1, 1]]", '["-1e400*x", "-y"]'),
+            ("[[-1, 1], [-1, 1]]", '["1e400*x - 1e400*x", "-y"]'),
+        ],
+        ids=["bound", "coefficient", "cancelling"],
+    )
+    @pytest.mark.parametrize("command", ["run", "export-sdpa"])
+    def test_non_finite_numbers_are_actionable(self, tmp_path, capsys, box, dynamics, command):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            f'{{"variables": ["x", "y"], "dynamics": {dynamics}, "box": {box}, '
+            '"config": {"d": 1}}'
+        )
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(CliError, match="cannot read"):
@@ -167,6 +204,76 @@ class TestRun:
         assert float(record["objective"]) == pytest.approx(4.554010, rel=1e-5)
         assert record["lie_blocks"].startswith("6+4")
 
+    @pytest.mark.parametrize("mode", ["ts", "ss"])
+    def test_report_lines_pinned(self, lorenz_file, tmp_path, capsys, mode):
+        # every line label, and each field that does not depend on floating
+        # point results, as the report printed them before its rewrite
+        out_csv = tmp_path / "report.csv"
+        argv = ["run", lorenz_file, "--s", "2", "--mode", mode, "--out-csv", str(out_csv)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        structure = {
+            "ts": [
+                "v-chain sizes: [12, 19, 19] (stabilized)",
+                "w-chain sizes: [19, 19] (stabilized)",
+            ],
+            "ss": ["sign-symmetry rank 1: (1, 1, 0)"],
+        }[mode]
+        fixed = [
+            "system: lorenz",
+            f"config: mode={mode} 2d=4 s=2 l=1 beta=1 extension=maximal",
+            *structure,
+            "lie blocks (8): 6+4+2+2+2+2+2+2",
+            "w blocks (8): 6+4+2+2+2+2+2+2",
+            "wv blocks (8): 6+4+2+2+2+2+2+2",
+            "free coefficients: v=10 w=19; equalities: 57",
+            "status: optimal",
+        ]
+        assert lines[: len(fixed)] == fixed
+        labels = [
+            r"objective: \S+",
+            r"dual objective: \S+",
+            r"iterations: \d+; wall time: \d+\.\d\ds",
+            r"primal_infeasibility: \d\.\d{3}e[-+]\d\d",
+            r"dual_infeasibility: \d\.\d{3}e[-+]\d\d",
+            r"relative_gap: \S+",
+        ]
+        assert len(lines) == len(fixed) + len(labels)
+        for line, pattern in zip(lines[len(fixed) :], labels):
+            assert re.fullmatch(pattern, line), line
+        with open(out_csv, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert tuple(header) == RUN_CSV_HEADER
+        record = dict(zip(header, row))
+        blocks = "6+4+2+2+2+2+2+2"
+        assert {k: v for k, v in record.items() if k not in _FLOAT_COLUMNS} == {
+            "system": "lorenz",
+            "mode": mode,
+            "d": "2",
+            "s": "2",
+            "l": "1",
+            "beta": "1.0",
+            "extension": "maximal",
+            "status": "optimal",
+            "lie_blocks": blocks,
+            "w_blocks": blocks,
+            "wv_blocks": blocks,
+            "v_coeffs": "10",
+            "w_coeffs": "19",
+            "equalities": "57",
+        }
+
+    def test_csv_rows_share_one_header(self, lorenz_file, tmp_path, capsys):
+        out_csv = tmp_path / "report.csv"
+        out_csv.write_text("")  # an empty file gets the header too
+        for mode in ("ts", "ss"):
+            assert main(["run", lorenz_file, "--mode", mode, "--out-csv", str(out_csv)]) == 0
+        capsys.readouterr()
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == RUN_CSV_HEADER
+        assert [row[1] for row in rows[1:]] == ["ts", "ss"]
+
     def test_dump_chains(self, lorenz_file, capsys):
         assert main(["run", lorenz_file, "--s", "2", "--dump-chains"]) == 0
         out = capsys.readouterr().out
@@ -219,6 +326,16 @@ class TestRun:
         for row in rows[1:]:
             assert float(row[3]) >= 1.0
             assert all(-1.0 <= float(v) <= 1.0 for v in row[:3])
+
+
+_FLOAT_COLUMNS = (
+    "objective",
+    "seconds",
+    "iterations",
+    "primal_infeasibility",
+    "dual_infeasibility",
+    "relative_gap",
+)
 
 
 class _Empty:
@@ -325,6 +442,20 @@ class TestSymmetries:
         assert "rank: 1" in out
         assert "r = 110" in out
         assert "block sizes [6, 4]" in out
+
+    def test_degree_flag(self, lorenz_file, capsys):
+        assert main(["symmetries", lorenz_file, "--d", "3"]) == 0
+        assert "multiplier 1 (degree 0): block sizes [10, 10]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", [["--s", "0"], ["--l", "2"], ["--mode", "ss"], ["--extension", "maximal"], ["--beta", "1"]]
+    )
+    def test_takes_only_the_degree(self, lorenz_file, capsys, flag):
+        # the block partition depends on d alone, so no other setting is taken
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetries", lorenz_file, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestRandomModel:

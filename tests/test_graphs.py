@@ -50,6 +50,15 @@ def test_connected_components():
     assert g.connected_components() == [[0, 1, 2], [3, 4]]
 
 
+def test_edge_array_built_once_and_read_only():
+    g = graph(4, {(0, 1), (2, 3), (1, 2)})
+    edges = g.edge_array
+    assert g.edge_array is edges
+    assert not edges.flags.writeable
+    assert sorted(map(tuple, edges.tolist())) == sorted(g.edges)
+    assert graph(3, set()).edge_array.shape == (0, 2)
+
+
 def test_peo_validation_rejects_cycle_order():
     with pytest.raises(ValueError, match="perfect elimination"):
         ChordalGraph(line_nodes(4), frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), (0, 1, 2, 3))

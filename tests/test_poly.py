@@ -61,8 +61,34 @@ def test_parse_scientific_notation():
 
 
 def test_parse_unknown_variable():
-    with pytest.raises(ValueError, match="unknown variable"):
+    with pytest.raises(PolynomialSyntaxError, match="unknown variable") as err:
         parse_polynomial("x1 + y2", XYZ)
+    assert err.value.position == 5
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("1e400*x1", 0),  # JSON and float() read 1e400 as inf
+        ("x2 - 1e400*x1", 5),
+        ("1e400*x1 - 1e400*x1", 0),  # inf - inf would store NaN
+        ("1e300*1e300*x1", 0),
+        ("x1 + 1" + "0" * 400 + "*x2", 5),  # an integer past the float range
+        ("x1 + 1" + "0" * 400 + "/3*x2", 5),
+    ],
+)
+def test_parse_rejects_non_finite_coefficients(text, position):
+    with pytest.raises(PolynomialSyntaxError, match="not finite") as err:
+        parse_polynomial(text, XYZ)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_polynomial_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="not finite"):
+        Polynomial(1, {(1,): value})
+    with pytest.raises(ValueError, match="not finite"):
+        Polynomial.from_terms(1, {(0,): 1.0, (1,): value})
 
 
 @pytest.mark.parametrize("bad", ["x1 +", "2*", "x1^x2", "x1 x2", "* x1", "3//2", "x1^-2", ""])

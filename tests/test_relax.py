@@ -72,11 +72,28 @@ class TestBox:
         with pytest.raises(ValueError):
             Box((), ())
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [(-1.0, float("inf"))],  # JSON's 1e400
+            [(float("-inf"), 1.0)],
+            [(float("nan"), 1.0)],
+            [("-1", 1)],
+            [(-1, "2")],
+            [(False, True)],
+            [(-1, 1), (0, None)],
+        ],
+    )
+    def test_rejects_bounds_that_are_not_finite_reals(self, bounds):
+        with pytest.raises(ValueError, match="finite real"):
+            Box.from_bounds(bounds)
+
     def test_constructors(self):
         b = Box.symmetric(3, 2.0)
         assert b.lo == (-2.0, -2.0, -2.0) and b.hi == (2.0, 2.0, 2.0)
         c = Box.from_bounds([(-1, 1), (0, 2)])
         assert c.bounds == ((-1.0, 1.0), (0.0, 2.0))
+        assert all(type(v) is float for v in c.lo + c.hi)
         assert c.volume() == pytest.approx(4.0)
 
     def test_moments(self):
