@@ -204,10 +204,7 @@ def resolve_config(loaded: LoadedProblem, args: argparse.Namespace) -> Relaxatio
             "no relaxation degree given: pass --d or set d in the problem "
             'file "config" block'
         )
-    try:
-        return RelaxationConfig(**merged)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return _checked(RelaxationConfig, **merged)
 
 
 # -- run ---------------------------------------------------------------------
@@ -259,9 +256,12 @@ def run_report(
     return "\n".join(lines), row
 
 
-def _assemble(loaded: LoadedProblem, config: RelaxationConfig) -> SdpProblem:
+def _checked(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with a ValueError it raises, such as
+    assembly's or the solver's rejection of non-finite data, turned into a
+    CliError."""
     try:
-        return assemble(loaded.system, loaded.box, config)
+        return call(*args, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -283,7 +283,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # here rather than after the solve
     counts = _grid_counts(loaded, args.resolution) if args.grid else None
     config = resolve_config(loaded, args)
-    problem = _assemble(loaded, config)
+    problem = _checked(assemble, loaded.system, loaded.box, config)
 
     if args.dump_chains:
         chain = build_chain(
@@ -296,7 +296,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(chain_dump_text(chain, loaded.variables))
 
     t0 = time.perf_counter()
-    solution = solve(problem)
+    solution = _checked(solve, problem)
     seconds = time.perf_counter() - t0
     text, row = run_report(loaded.name, problem, solution, seconds)
     print(text)
@@ -448,18 +448,15 @@ def cmd_random_model(args: argparse.Namespace) -> int:
 
 def cmd_export_sdpa(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
-    problem = _assemble(loaded, resolve_config(loaded, args))
-    _emit(args.out, export_sdpa(problem))
+    problem = _checked(assemble, loaded.system, loaded.box, resolve_config(loaded, args))
+    _emit(args.out, _checked(export_sdpa, problem))
     return 0
 
 
 def _grid_counts(loaded: LoadedProblem, resolution) -> tuple[int, ...]:
     """Per-axis counts from ``--resolution``: one value covers every axis."""
     res = resolution[0] if len(resolution) == 1 else resolution
-    try:
-        return grid_counts(res, loaded.box.dim)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return _checked(grid_counts, res, loaded.box.dim)
 
 
 def _write_grid(path: str | None, loaded: LoadedProblem, w, counts) -> None:

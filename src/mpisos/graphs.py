@@ -1,80 +1,96 @@
 """Graphs on monomial vertex sets, chordal extensions, and maximal cliques.
 
-Vertices are exponent tuples held in graded-lex order; edges are stored as
-index pairs (i, j) with i < j into that order, so two graphs over the same
-support compare cheaply and dumps are deterministic.
+Vertices are exponent tuples held in graded-lex order.  A graph's edges have
+one format: a read-only (E, 2) int64 array of index pairs (i, j) into that
+order, with i < j, rows sorted and unique.  So two graphs over the same
+support compare cheaply, dumps are deterministic, and every algorithm here
+reads the array as it is.
 
 The maximal extension is built from component labels (each node named by the
-smallest node of its component) as the pairs that share a label; maximal
-cliques and Gram supports work on the edge array.  Graphs the extensions and
-the support chain build skip the construction checks; the node order, edge
-and elimination-order checks still run on every graph a caller builds.
+smallest node of its component) as the pairs that share a label.  Graphs the
+extensions and the support chain build skip the construction checks; the
+node order, edge and elimination-order checks still run on every graph a
+caller builds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .poly import Exponent, GrlexRadix, SupportSet, grlex_key
 
 
-@dataclass(frozen=True)
+def _edges_of_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The edge array of sorted, unique pair keys i * n + j."""
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class MonomialGraph:
     """Undirected graph whose vertices are exponents (no self loops)."""
 
     nodes: tuple[Exponent, ...]
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
         if any(grlex_key(a) >= grlex_key(b) for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly graded-lex sorted")
         n = len(self.nodes)
-        for i, j in self.edges:
-            if not (0 <= i < j < n):
-                raise ValueError(f"bad edge ({i}, {j}) for {n} nodes")
+        edges = np.asarray(self.edges)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise ValueError(f"edges must be an (E, 2) integer array, got shape {edges.shape} of {edges.dtype}")
+        edges = edges.astype(np.int64)  # a copy, so the caller's array stays writeable
+        i, j = edges.T
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
+        if len(bad):
+            raise ValueError(f"bad edge {tuple(edges[bad[0]].tolist())} for {n} nodes")
+        if (np.diff(i * n + j) <= 0).any():
+            raise ValueError("edges must be sorted by row and unique")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other: object) -> bool:
+        """Same class and fields, the edge arrays compared by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.edges, other.edges) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in dataclasses.fields(self) if f.name != "edges"
+        )
 
     @staticmethod
-    def build(nodes: SupportSet | tuple[Exponent, ...], edges: set[tuple[int, int]]) -> MonomialGraph:
-        """Build from nodes in any order; edge indices refer to the given order."""
+    def build(nodes: SupportSet | tuple[Exponent, ...], edges) -> MonomialGraph:
+        """Build from nodes in any order and any iterable of index pairs into
+        that order: pairs are oriented, and self loops and repeats dropped."""
         given = tuple(nodes)
-        node_tuple = tuple(sorted(given, key=grlex_key))
-        position = {alpha: k for k, alpha in enumerate(node_tuple)}
-        remap = {old: position[alpha] for old, alpha in enumerate(given)}
-        norm = frozenset(
-            (min(remap[i], remap[j]), max(remap[i], remap[j])) for i, j in edges if i != j
-        )
-        return MonomialGraph(node_tuple, norm)
+        n = len(given)
+        order = sorted(range(n), key=lambda k: grlex_key(given[k]))
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        if pairs.size and not (0 <= pairs.min() and pairs.max() < n):
+            raise ValueError(f"edge index out of range for {n} nodes")
+        i, j = np.sort(position[pairs], axis=1).T
+        keys = np.unique(i[i != j] * n + j[i != j])
+        return MonomialGraph(tuple(given[k] for k in order), _edges_of_keys(keys, n))
 
     @classmethod
-    def _valid(cls, *fields):
+    def _valid(cls, nodes, edges, *rest):
         """Wrap fields already known to be valid (built by this package's own
-        algorithms) without the checks of construction."""
+        algorithms, the edges a fresh canonical array, frozen here) without
+        the checks of construction."""
+        edges.flags.writeable = False
         graph = object.__new__(cls)
-        for f, value in zip(dataclasses.fields(cls), fields):
+        for f, value in zip(dataclasses.fields(cls), (nodes, edges, *rest)):
             object.__setattr__(graph, f.name, value)
         return graph
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (edge_count, 2) int64 array, in set
-        order, built once per graph."""
-        flat = chain.from_iterable(self.edges)
-        array = np.fromiter(flat, np.int64, 2 * len(self.edges)).reshape(-1, 2)
-        array.flags.writeable = False
-        return array
-
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.nodes]
-        for i, j in self.edges:
+        for i, j in self.edges.tolist():
             adj[i].add(j)
             adj[j].add(i)
         return adj
@@ -84,7 +100,7 @@ class MonomialGraph:
         labels fall to the smaller label across each edge and then to their
         own label's label, until nothing moves."""
         label = np.arange(len(self.nodes))
-        i, j = self.edge_array.T
+        i, j = self.edges.T
         while True:
             low = np.minimum(label[i], label[j])
             fallen = label.copy()
@@ -95,15 +111,22 @@ class MonomialGraph:
                 return label
             label = fallen
 
-    def connected_components(self) -> list[list[int]]:
-        """Components as sorted index lists, ordered by smallest member."""
-        comps: dict[int, list[int]] = {}
-        for v, smallest in enumerate(self.component_labels().tolist()):
-            comps.setdefault(smallest, []).append(v)
-        return list(comps.values())
+
+def _later_neighbours(graph: ChordalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge as (v, w) with v before w in the elimination order, sorted
+    by v and then by w's position: the later neighbours of each node form
+    one run, which opens on the earliest of them."""
+    n = len(graph.nodes)
+    position = np.empty(n, dtype=np.int64)
+    position[list(graph.elimination_order)] = np.arange(n)
+    edges = graph.edges
+    forward = position[edges[:, 0]] < position[edges[:, 1]]
+    pairs = np.where(forward[:, None], edges, edges[:, ::-1])
+    v, w = pairs[np.lexsort((position[pairs[:, 1]], pairs[:, 0]))].T
+    return v, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChordalGraph(MonomialGraph):
     """A MonomialGraph with a perfect elimination order certifying chordality.
 
@@ -120,17 +143,11 @@ class ChordalGraph(MonomialGraph):
         n = len(self.nodes)
         if sorted(self.elimination_order) != list(range(n)):
             raise ValueError("elimination order must be a permutation of the node indices")
-        position = np.empty(n, dtype=np.int64)
-        position[list(self.elimination_order)] = np.arange(n)
-        edges = self.edge_array
-        # (earlier, later) ends sorted by earlier end, then position: each run opens on its p
-        forward = position[edges[:, 0]] < position[edges[:, 1]]
-        pairs = np.where(forward[:, None], edges, edges[:, ::-1])
-        v, w = pairs[np.lexsort((position[pairs[:, 1]], pairs[:, 0]))].T
+        v, w = _later_neighbours(self)
         opens = np.diff(v, prepend=-1) != 0
         parent = w[opens][np.cumsum(opens) - 1]
         need = np.minimum(parent, w) * n + np.maximum(parent, w)
-        bad = np.flatnonzero(~opens & ~np.isin(need, edges @ [n, 1]))
+        bad = np.flatnonzero(~opens & ~np.isin(need, self.edges @ [n, 1]))
         if len(bad):
             k = bad[0]
             raise ValueError(
@@ -144,12 +161,12 @@ def maximal_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
 
     The result is trivially chordal and any node order is a perfect
     elimination order; the identity order is attached.  The edges are the
-    pairs of nodes that share a component label.
+    pairs of nodes that share a component label, in row-major order.
     """
     label = graph.component_labels()
     i, j = np.triu_indices(len(label), 1)
     same = label[i] == label[j]
-    edges = frozenset(zip(i[same].tolist(), j[same].tolist()))
+    edges = np.stack([i[same], j[same]], axis=1).astype(np.int64, copy=False)
     return ChordalGraph._valid(graph.nodes, edges, tuple(range(len(graph.nodes))))
 
 
@@ -174,7 +191,7 @@ def approx_smallest_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
 
     simplicial_set = {v for v in range(n) if simplicial(v)}
     alive = set(range(n))
-    fill: set[tuple[int, int]] = set()
+    fill: list[int] = []  # keys a * n + b of the added edges
     order: list[int] = []
 
     while alive:
@@ -186,7 +203,7 @@ def approx_smallest_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
         changed = set(adj[chosen])
         for a, b in combinations(sorted(adj[chosen]), 2):
             if b not in adj[a]:
-                fill.add((a, b))
+                fill.append(a * n + b)
                 adj[a].add(b)
                 adj[b].add(a)
                 changed |= adj[a] & adj[b]
@@ -202,7 +219,8 @@ def approx_smallest_chordal_extension(graph: MonomialGraph) -> ChordalGraph:
             else:
                 simplicial_set.discard(v)
 
-    return ChordalGraph._valid(graph.nodes, frozenset(graph.edges | fill), tuple(order))
+    keys = np.sort(np.concatenate([graph.edges @ [n, 1], np.array(fill, dtype=np.int64)]))
+    return ChordalGraph._valid(graph.nodes, _edges_of_keys(keys, n), tuple(order))
 
 
 def maximal_cliques(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
@@ -213,16 +231,10 @@ def maximal_cliques(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
     later neighbour and one more later neighbour than v, so that C_v < C_u
     (Blair and Peyton 1993); the other candidates are kept.  Cliques come
     back as sorted index tuples, ordered by their smallest member then
-    lexicographically.  The later neighbours are runs of the edges oriented
-    forward in the order and sorted by their earlier end.
+    lexicographically.
     """
     n = len(graph.nodes)
-    position = np.empty(n, dtype=np.int64)
-    position[list(graph.elimination_order)] = np.arange(n)
-    edges = graph.edge_array
-    forward = position[edges[:, 0]] < position[edges[:, 1]]
-    pairs = np.where(forward[:, None], edges, edges[:, ::-1])
-    v, w = pairs[np.lexsort((position[pairs[:, 1]], pairs[:, 0]))].T
+    v, w = _later_neighbours(graph)
     count = np.bincount(v, minlength=n)
     start = np.cumsum(count) - count
     has_later = np.flatnonzero(count)
@@ -240,28 +252,10 @@ def maximal_cliques(graph: ChordalGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(cliques)
 
 
-@dataclass(frozen=True)
-class CliqueSet:
-    """Maximal cliques of a chordal extension, index- and exponent-valued."""
-
-    nodes: tuple[Exponent, ...]
-    cliques: tuple[tuple[int, ...], ...]
-
-    def exponent_cliques(self) -> tuple[tuple[Exponent, ...], ...]:
-        return tuple(tuple(self.nodes[i] for i in c) for c in self.cliques)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cliques)
-
-
-def clique_set(graph: ChordalGraph) -> CliqueSet:
-    return CliqueSet(graph.nodes, maximal_cliques(graph))
-
-
 def gram_keys(graph: MonomialGraph, keys: np.ndarray) -> np.ndarray:
     """Radix keys, repeats included, of the Gram support of a graph whose
     nodes have the given keys: 2 alpha per node, alpha + gamma per edge."""
-    i, j = graph.edge_array.T
+    i, j = graph.edges.T
     return np.concatenate([2 * keys, keys[i] + keys[j]])
 
 
@@ -273,7 +267,7 @@ def supp_of_graph(graph: MonomialGraph) -> SupportSet:
     distinct sum, told apart by radix key, is decoded once.
     """
     if not graph.nodes:
-        return SupportSet(0, frozenset())
+        return SupportSet.of(0, ())
     radix = GrlexRadix(len(graph.nodes[0]), 2 * sum(graph.nodes[-1]))
     keys = np.unique(gram_keys(graph, radix.keys(graph.nodes)))
-    return SupportSet._valid(radix.dim, frozenset(radix.decode(keys)))
+    return SupportSet.of(radix.dim, radix.decode(keys))

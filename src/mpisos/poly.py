@@ -610,11 +610,7 @@ def lie_coefficients(
     new = np.ones(len(row), dtype=bool)
     new[1:] = (row[1:] != row[:-1]) | (alpha[1:] != alpha[:-1]).any(axis=1)
     start = np.flatnonzero(new)
-    count = np.diff(np.append(start, len(row)))
-    total = coef[start]
-    for k in range(1, count.max(initial=1)):  # in order, as the dict adds them
-        more = count > k
-        total[more] += coef[start[more] + k]
+    total = np.bincount(np.cumsum(new) - 1, coef)  # adds in order, as the dict does
     keep = total != 0.0
     return row[start[keep]], alpha[start[keep]], total[keep]
 

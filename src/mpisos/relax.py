@@ -27,7 +27,7 @@ from itertools import compress
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import clique_set
+from .graphs import maximal_cliques
 from .poly import (
     DynamicalSystem,
     Exponent,
@@ -45,7 +45,7 @@ from .sparsity import (
     multiplier_basis_degree,
     v_degree_cap,
 )
-from .symmetry import r_perp_mask, sign_symmetries, symmetry_blocks
+from .symmetry import SignSymmetryGroup, r_perp_mask, sign_symmetries, symmetry_blocks
 
 IDENTITIES = ("lie", "w", "wv")
 
@@ -100,9 +100,15 @@ def box_moments(exponents, box: Box) -> np.ndarray:
     once, and the axes multiply in order, as for a single monomial."""
     exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, box.dim)
     out = np.ones(len(exponents))
-    for axis, (lo, hi) in zip(exponents.T, box.bounds):
-        powers = range(int(axis.max(initial=0)) + 1)
-        out *= np.array([(hi ** (a + 1) - lo ** (a + 1)) / (a + 1) for a in powers])[axis]
+    try:
+        with np.errstate(over="raise"):
+            for axis, (lo, hi) in zip(exponents.T, box.bounds):
+                powers = range(int(axis.max(initial=0)) + 1)
+                out *= np.array([(hi ** (a + 1) - lo ** (a + 1)) / (a + 1) for a in powers])[axis]
+    except (OverflowError, FloatingPointError):
+        out[:] = math.inf
+    if not np.isfinite(out).all():
+        raise ValueError("the box's moments pass the float range; use a smaller box")
     return out
 
 
@@ -205,7 +211,7 @@ class _Equalities(Sequence):
 
 
 def _clique_exponents(graphs) -> list[tuple[tuple[Exponent, ...], ...]]:
-    return [clique_set(g).exponent_cliques() for g in graphs]
+    return [tuple(tuple(g.nodes[i] for i in c) for c in maximal_cliques(g)) for g in graphs]
 
 
 def _structure(
@@ -238,28 +244,22 @@ def _structure(
             tuple(len(sup) for sup in chain.w_supports),
         )
         return v_support, w_support, a_cliques, bc_cliques, meta
+    # fd is ss under the group with no sign flips: every exponent lies in
+    # its lattice and the whole basis is one block
+    group = sign_symmetries(system, d) if config.mode == "ss" else SignSymmetryGroup(n, ())
     if config.mode == "ss":
-        group = sign_symmetries(system, d)
-        meta["symmetry_rank"] = group.rank
-        meta["symmetry_basis"] = group.vectors
+        meta.update(symmetry_rank=group.rank, symmetry_basis=group.vectors)
 
-        def in_lattice(max_degree: int) -> SupportSet:
-            basis = monomial_basis(n, max_degree)
-            return SupportSet._valid(n, frozenset(compress(basis, r_perp_mask(group, basis))))
+    def in_lattice(max_degree: int) -> SupportSet:
+        basis = monomial_basis(n, max_degree)
+        return SupportSet._valid(n, frozenset(compress(basis, r_perp_mask(group, basis))))
 
-        blocks_of = {
-            deg: symmetry_blocks(group, SupportSet._valid(n, frozenset(monomial_basis(n, deg))))
-            for deg in {multiplier_basis_degree(d, dj) for dj in degrees}
-        }
-        cliques = [blocks_of[multiplier_basis_degree(d, dj)] for dj in degrees]
-        return in_lattice(cap), in_lattice(2 * d), cliques, list(cliques), meta
-    # fully dense
-    v_support = SupportSet.of(n, monomial_basis(n, cap))
-    w_support = SupportSet.of(n, monomial_basis(n, 2 * d))
-    cliques = [
-        (monomial_basis(n, multiplier_basis_degree(d, dj)),) for dj in degrees
-    ]
-    return v_support, w_support, cliques, list(cliques), meta
+    blocks_of = {
+        deg: symmetry_blocks(group, SupportSet._valid(n, frozenset(monomial_basis(n, deg))))
+        for deg in {multiplier_basis_degree(d, dj) for dj in degrees}
+    }
+    cliques = [blocks_of[multiplier_basis_degree(d, dj)] for dj in degrees]
+    return in_lattice(cap), in_lattice(2 * d), cliques, list(cliques), meta
 
 
 def _gram_rows(

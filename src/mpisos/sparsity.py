@@ -17,6 +17,11 @@ the w-chain its Minkowski sum with the multiplier's terms, are key sums too.
 The next support leaves the step through one ``np.unique`` and one decode to
 exponent tuples, as a ``SupportSet``; the graphs' nodes are the Gram bases,
 built once per degree.
+
+Every graph of a chain holds its edges in the one format of ``graphs``: a
+sorted, read-only (E, 2) int64 array of index pairs (i, j), i < j.  The
+graph rule and both extensions build that array directly, and the Gram
+supports and cliques read it.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from .graphs import (
     ChordalGraph,
     MonomialGraph,
     approx_smallest_chordal_extension,
-    clique_set,
     gram_keys,
     maximal_chordal_extension,
+    maximal_cliques,
 )
 from .poly import (
     DynamicalSystem,
@@ -164,12 +169,12 @@ def _graph_from_rule(
     keys add like exponents, so each product is a sum of keys, looked up in
     the table."""
     if not len(table):
-        return MonomialGraph._valid(nodes, frozenset())
-    a, b = np.triu_indices(len(nodes), 1)
+        return MonomialGraph._valid(nodes, np.empty((0, 2), dtype=np.int64))
+    a, b = np.triu_indices(len(nodes), 1)  # row-major, so the kept pairs stay sorted
     products = (keys[a] + keys[b])[:, None] + terms
     found = table[np.searchsorted(table, products).clip(max=len(table) - 1)] == products
     touch = found.any(axis=1)
-    return MonomialGraph._valid(nodes, frozenset(zip(a[touch].tolist(), b[touch].tolist())))
+    return MonomialGraph._valid(nodes, np.stack([a[touch], b[touch]], axis=1).astype(np.int64, copy=False))
 
 
 def _v_hit_keys(system: DynamicalSystem, d: int, keys: np.ndarray, radix: GrlexRadix) -> np.ndarray:
@@ -368,9 +373,8 @@ def build_chain(
     l: int = 1,
     extension: str = "maximal",
 ) -> SupportChain:
-    """Run both chains far enough to serve sparse orders (s, l)."""
-    if extension not in EXTENSIONS:
-        raise ValueError(f"extension must be one of {EXTENSIONS}, got {extension!r}")
+    """Run both chains far enough to serve sparse orders (s, l); an unknown
+    ``extension`` fails in ``extend_graph``."""
     v_supports, v_graphs, v_extended = iterate_v_chain(system, d, extension, s)
     v_stab = len(v_supports) >= 2 and v_supports[-1] == v_supports[-2]
     seed = _at("v", s, v_supports, v_stab, len(v_graphs))
@@ -416,13 +420,13 @@ def chain_dump_text(chain: SupportChain, names: tuple[str, ...] | None = None) -
         degs = sorted({total_degree(a) for a in sup})
         lines.append(f"v[{k + 1}]: {len(sup)} exponents, degrees {degs}")
     for k, graphs in enumerate(chain.v_extended):
-        sizes = [clique_set(g).sizes() for g in graphs]
+        sizes = [tuple(map(len, maximal_cliques(g))) for g in graphs]
         lines.append(f"v-step {k + 1} clique sizes: {sizes}")
     for k, sup in enumerate(chain.w_supports):
         degs = sorted({total_degree(a) for a in sup})
         lines.append(f"w[{k + 1}]: {len(sup)} exponents, degrees {degs}")
     for k, graphs in enumerate(chain.w_extended):
-        sizes = [clique_set(g).sizes() for g in graphs]
+        sizes = [tuple(map(len, maximal_cliques(g))) for g in graphs]
         lines.append(f"w-step {k + 1} clique sizes: {sizes}")
     lines.append(f"v stabilized: {chain.v_stabilized}")
     lines.append(f"w stabilized: {chain.w_stabilized}")

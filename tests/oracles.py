@@ -50,6 +50,20 @@ def horner_eval(terms: dict[tuple[int, ...], float], point: tuple[float, ...]) -
     return value
 
 
+# -- edge sets ---------------------------------------------------------------
+
+def edge_set(graph) -> set[tuple[int, int]]:
+    """A graph's edges as a set of (i, j) tuples.  Set tests go through
+    this: ``(i, j) in graph.edges`` on the edge array tests elements, not
+    rows, and is true whenever i or j is an endpoint of any edge."""
+    return set(map(tuple, graph.edges.tolist()))
+
+
+def edge_rows(pairs) -> np.ndarray:
+    """The canonical edge array of a set of (i, j) pairs with i < j."""
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
 # -- chordality --------------------------------------------------------------
 
 def is_chordal(n: int, edges: set[tuple[int, int]]) -> bool:
@@ -78,17 +92,17 @@ def is_chordal(n: int, edges: set[tuple[int, int]]) -> bool:
 def later_neighbours_are_cliques(n: int, edges, order) -> bool:
     """Pairwise perfect-elimination test: for every node, the neighbours that
     come later in the order are pairwise adjacent."""
-    edge_set = {(min(i, j), max(i, j)) for i, j in edges}
+    pairs = {(min(i, j), max(i, j)) for i, j in edges}
     position = {v: k for k, v in enumerate(order)}
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for i, j in edge_set:
+    for i, j in pairs:
         adj[i].add(j)
         adj[j].add(i)
     for v in order:
         later = [u for u in adj[v] if position[u] > position[v]]
         for a in range(len(later)):
             for b in range(a + 1, len(later)):
-                if (min(later[a], later[b]), max(later[a], later[b])) not in edge_set:
+                if (min(later[a], later[b]), max(later[a], later[b])) not in pairs:
                     return False
     return True
 
@@ -130,7 +144,7 @@ def maximal_extension_loop(graph: MonomialGraph) -> ChordalGraph:
     a clique pair by pair; the identity order."""
     adj = graph.adjacency()
     seen: set[int] = set()
-    edges = set(graph.edges)
+    edges = edge_set(graph)
     for start in range(len(graph.nodes)):
         if start in seen:
             continue
@@ -143,7 +157,7 @@ def maximal_extension_loop(graph: MonomialGraph) -> ChordalGraph:
                 seen.add(w)
                 stack.append(w)
         edges.update(combinations(sorted(comp), 2))
-    return ChordalGraph(graph.nodes, frozenset(edges), tuple(range(len(graph.nodes))))
+    return ChordalGraph(graph.nodes, edge_rows(edges), tuple(range(len(graph.nodes))))
 
 
 def min_degree_extension_rescan(graph: MonomialGraph) -> ChordalGraph:
@@ -151,6 +165,7 @@ def min_degree_extension_rescan(graph: MonomialGraph) -> ChordalGraph:
     simpliciality before each elimination."""
     n = len(graph.nodes)
     adj = graph.adjacency()
+    edges = edge_set(graph)
     alive = set(range(n))
     fill: set[tuple[int, int]] = set()
     order: list[int] = []
@@ -158,7 +173,7 @@ def min_degree_extension_rescan(graph: MonomialGraph) -> ChordalGraph:
         chosen = -1
         for v in sorted(alive):
             nb = adj[v]
-            if all((min(a, b), max(a, b)) in graph.edges or (min(a, b), max(a, b)) in fill
+            if all((min(a, b), max(a, b)) in edges or (min(a, b), max(a, b)) in fill
                    for a in nb for b in nb if a < b):
                 chosen = v
                 break
@@ -166,7 +181,7 @@ def min_degree_extension_rescan(graph: MonomialGraph) -> ChordalGraph:
             chosen = min(alive, key=lambda v: (len(adj[v]), v))
         order.append(chosen)
         for e in combinations(sorted(adj[chosen]), 2):
-            if e not in graph.edges and e not in fill:
+            if e not in edges and e not in fill:
                 fill.add(e)
                 adj[e[0]].add(e[1])
                 adj[e[1]].add(e[0])
@@ -174,7 +189,7 @@ def min_degree_extension_rescan(graph: MonomialGraph) -> ChordalGraph:
             adj[u].discard(chosen)
         adj[chosen] = set()
         alive.discard(chosen)
-    return ChordalGraph(graph.nodes, frozenset(graph.edges | fill), tuple(order))
+    return ChordalGraph(graph.nodes, edge_rows(edges | fill), tuple(order))
 
 
 def lie_support_loop(v_support: SupportSet, system) -> SupportSet:
@@ -233,7 +248,7 @@ def supp_of_graph_loop(graph: MonomialGraph) -> SupportSet:
     """2 alpha for every node alpha and alpha + gamma for every edge."""
     dim = len(graph.nodes[0]) if graph.nodes else 0
     out = {tuple(map(add, a, a)) for a in graph.nodes}
-    for i, j in graph.edges:
+    for i, j in edge_set(graph):
         out.add(tuple(map(add, graph.nodes[i], graph.nodes[j])))
     return SupportSet(dim, frozenset(out))
 

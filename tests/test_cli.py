@@ -150,6 +150,36 @@ class TestProblemFiles:
         assert captured.err.startswith("error: ") and "finite" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "export-sdpa"])
+    def test_overflowing_box_moments_are_actionable(self, tmp_path, capsys, command):
+        # finite bounds whose moments pass the float range (x^2 on
+        # [-1, 1e300] overflows): assembly rejects them
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"variables": ["x", "y"], "dynamics": ["-x", "-y"], '
+            '"box": [[-1, 1e300], [-1, 1]], "config": {"d": 1}}'
+        )
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "float range" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["run", "export-sdpa"])
+    def test_solver_rejection_is_actionable(self, tmp_path, capsys, command):
+        # every number in the file is finite, but the Lie coefficient
+        # 2 * 1e308 of x^2 overflows in assembly; the solver and the SDPA
+        # export reject it
+        path = tmp_path / "lie.json"
+        path.write_text(
+            '{"variables": ["x", "y"], "dynamics": ["1e308*x", "-y"], '
+            '"box": [[-1, 1], [-1, 1]], "config": {"d": 1}}'
+        )
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "NaN or inf" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(CliError, match="cannot read"):
             load_problem(str(tmp_path / "absent.json"))

@@ -60,6 +60,7 @@ from mpisos.symmetry import r_perp_mask, sign_symmetries
 
 from oracles import (
     box_moment_loop,
+    edge_rows,
     graph_from_rule_loop,
     gram_rows_loop,
     in_r_perp_loop,
@@ -250,19 +251,19 @@ def test_graph_rule_with_exponents_past_int64_keys():
     terms = radix.keys(list(system.constraints[0].terms))
     graph = _graph_from_rule(nodes, radix.keys(nodes), terms, table)
     assert graph == graph_from_rule_loop(system, 71, 1, hit_set)
-    assert 0 < graph.edge_count < len(graph.nodes) * (len(graph.nodes) - 1) // 2
+    assert 0 < len(graph.edges) < len(graph.nodes) * (len(graph.nodes) - 1) // 2
     hit = radix.decode(_v_hit_keys(system, 71, table, radix))
     assert set(hit) == {a for a in v_hit_set_loop(system, 71, hit_set).elements if sum(a) <= 142}
 
 
 def test_gram_support_with_exponents_past_int64_keys():
     nodes = sorted({(4,) * DIM, tuple(range(DIM)), (0,) * DIM, unit(5, 9)}, key=lambda a: (sum(a), a))
-    graph = MonomialGraph(tuple(nodes), frozenset({(0, 1), (1, 3), (2, 3)}))
+    graph = MonomialGraph(tuple(nodes), edge_rows({(0, 1), (1, 3), (2, 3)}))
     assert supp_of_graph(graph) == supp_of_graph_loop(graph)
     # the w-chain's next support as one union of key sums, with the
     # constraint of ``past_int64_case`` on a graph over {1, x_i}
     system, _ = past_int64_case()
-    small = MonomialGraph(monomial_basis(DIM, 1), frozenset({(0, 3), (2, 3), (5, 19)}))
+    small = MonomialGraph(monomial_basis(DIM, 1), edge_rows({(0, 3), (2, 3), (5, 19)}))
     radix = GrlexRadix(DIM, 2 * 190 + 140)
     gram = [gram_keys(g, radix.keys(g.nodes)) for g in (graph, small)]
     terms = [radix.keys([(0,) * DIM]), radix.keys(list(system.constraints[0].terms))]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,7 +8,6 @@ from mpisos.graphs import (
     ChordalGraph,
     MonomialGraph,
     approx_smallest_chordal_extension,
-    clique_set,
     maximal_chordal_extension,
     maximal_cliques,
     supp_of_graph,
@@ -16,7 +16,7 @@ from mpisos.graphs import (
 from mpisos.sparsity import build_chain
 from mpisos.systems import lorenz, random_network_model
 
-from oracles import is_chordal, later_neighbours_are_cliques, maximal_cliques_pairwise
+from oracles import edge_rows, edge_set, is_chordal, later_neighbours_are_cliques, maximal_cliques_pairwise
 
 
 def line_nodes(n: int) -> tuple[tuple[int, ...], ...]:
@@ -32,36 +32,102 @@ def graph(n: int, edges: set[tuple[int, int]]) -> MonomialGraph:
 def test_build_normalizes_edges():
     g = MonomialGraph.build(((1,), (0,)), {(1, 0), (0, 0)})
     assert g.nodes == ((0,), (1,))
-    assert g.edges == frozenset({(0, 1)})
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_unsorted_nodes_rejected():
     with pytest.raises(ValueError):
-        MonomialGraph(((1,), (0,)), frozenset())
+        MonomialGraph(((1,), (0,)), edge_rows(()))
 
 
 def test_bad_edge_rejected():
     with pytest.raises(ValueError):
-        MonomialGraph(line_nodes(2), frozenset({(0, 5)}))
+        MonomialGraph(line_nodes(2), edge_rows({(0, 5)}))
 
 
 def test_connected_components():
     g = graph(5, {(0, 1), (1, 2), (3, 4)})
-    assert g.connected_components() == [[0, 1, 2], [3, 4]]
+    assert g.component_labels().tolist() == [0, 0, 0, 3, 3]
 
 
-def test_edge_array_built_once_and_read_only():
-    g = graph(4, {(0, 1), (2, 3), (1, 2)})
-    edges = g.edge_array
-    assert g.edge_array is edges
-    assert not edges.flags.writeable
-    assert sorted(map(tuple, edges.tolist())) == sorted(g.edges)
-    assert graph(3, set()).edge_array.shape == (0, 2)
+def test_edges_read_only_sorted_and_unique():
+    g = graph(4, {(2, 3), (1, 2), (0, 1), (2, 1)})
+    assert not g.edges.flags.writeable
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert graph(3, set()).edges.shape == (0, 2)
+    # the constructor copies: the caller's array stays writeable
+    rows = edge_rows({(0, 1)})
+    assert MonomialGraph(line_nodes(2), rows).edges is not rows and rows.flags.writeable
+    for ext in (maximal_chordal_extension(g), approx_smallest_chordal_extension(g)):
+        assert not ext.edges.flags.writeable
+        assert ext.edges.dtype == np.int64
+        keys = ext.edges @ [4, 1]
+        assert (ext.edges[:, 0] < ext.edges[:, 1]).all() and (np.diff(keys) > 0).all()
+
+
+def test_graphs_compare_by_value():
+    g = graph(3, {(0, 1)})
+    assert g == graph(3, {(1, 0), (0, 1)})
+    assert g != graph(3, {(0, 2)})
+    assert g != graph(4, {(0, 1)})
+    full = maximal_chordal_extension(g)
+    assert full == ChordalGraph(g.nodes, edge_rows({(0, 1)}), (0, 1, 2))
+    assert full != ChordalGraph(g.nodes, edge_rows({(0, 1)}), (1, 0, 2))
+    assert full != MonomialGraph(g.nodes, full.edges)
 
 
 def test_peo_validation_rejects_cycle_order():
     with pytest.raises(ValueError, match="perfect elimination"):
-        ChordalGraph(line_nodes(4), frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), (0, 1, 2, 3))
+        ChordalGraph(line_nodes(4), edge_rows({(0, 1), (1, 2), (2, 3), (0, 3)}), (0, 1, 2, 3))
+
+
+# -- build against a set oracle ------------------------------------------------
+
+pair_lists = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30),
+        st.permutations(range(n)),
+    )
+)
+
+
+@given(pair_lists)
+def test_build_matches_set_oracle(case):
+    # duplicates, reversed pairs and self loops, on nodes given shuffled;
+    # the pairs index the given order
+    n, pairs, shuffle = case
+    given_nodes = [(k,) for k in shuffle]
+    g = MonomialGraph.build(given_nodes, pairs)
+    assert g.nodes == line_nodes(n)
+    expected = {(min(given_nodes[a][0], given_nodes[b][0]), max(given_nodes[a][0], given_nodes[b][0]))
+                for a, b in pairs if a != b}
+    assert edge_set(g) == expected
+    assert g.edges.tolist() == [list(e) for e in sorted(expected)]
+
+
+@given(pair_lists.filter(lambda case: len({tuple(sorted(e)) for e in case[1] if e[0] != e[1]}) >= 2))
+def test_constructor_rejects_malformed_arrays(case):
+    n, pairs, _ = case
+    good = edge_rows({tuple(sorted(e)) for e in pairs if e[0] != e[1]})
+    MonomialGraph(line_nodes(n), good)
+    i, j = good[0]
+    malformed = {
+        "unsorted": good[::-1],
+        "repeat": np.concatenate([good[:1], good]),
+        "self loop": np.concatenate([[[i, i]], good[1:]]),
+        "reversed": np.concatenate([[[j, i]], good[1:]]),
+        "negative": np.concatenate([[[-1, j]], good[1:]]),
+        "past the nodes": np.concatenate([good[:-1], [[good[-1, 0], n]]]),
+        "shape": good.reshape(-1),
+        "float": good.astype(float),
+    }
+    for kind, edges in malformed.items():
+        with pytest.raises(ValueError):
+            MonomialGraph(line_nodes(n), edges)
+        with pytest.raises(ValueError):
+            ChordalGraph(line_nodes(n), edges, tuple(range(n)))
 
 
 # -- extensions ------------------------------------------------------------------
@@ -70,7 +136,7 @@ def test_four_cycle_fill():
     g = graph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
     small = approx_smallest_chordal_extension(g)
     assert len(small.edges) == 5  # exactly one chord added
-    assert g.edges <= small.edges
+    assert edge_set(g) <= edge_set(small)
     full = maximal_chordal_extension(g)
     assert len(full.edges) == 6
 
@@ -78,7 +144,7 @@ def test_four_cycle_fill():
 def test_tree_unchanged_by_small_extension():
     g = graph(4, {(0, 1), (1, 2), (2, 3)})
     small = approx_smallest_chordal_extension(g)
-    assert small.edges == g.edges
+    assert small == ChordalGraph(g.nodes, g.edges, small.elimination_order)
 
 
 def test_chordal_graph_with_nonsimplicial_min_degree_vertex_unchanged():
@@ -89,23 +155,19 @@ def test_chordal_graph_with_nonsimplicial_min_degree_vertex_unchanged():
     bridge = {(0, 8), (1, 8)}
     g = graph(9, k1 | k2 | bridge)
     small = approx_smallest_chordal_extension(g)
-    assert small.edges == g.edges
+    assert np.array_equal(small.edges, g.edges)
 
 
 def test_maximal_extension_completes_components():
     g = graph(5, {(0, 1), (1, 2), (3, 4)})
     full = maximal_chordal_extension(g)
-    assert full.edges == frozenset({(0, 1), (0, 2), (1, 2), (3, 4)})
-    cs = clique_set(full)
-    assert cs.cliques == ((0, 1, 2), (3, 4))
-    assert cs.sizes() == (3, 2)
-    assert cs.exponent_cliques()[1] == ((3,), (4,))
+    assert edge_set(full) == {(0, 1), (0, 2), (1, 2), (3, 4)}
+    assert maximal_cliques(full) == ((0, 1, 2), (3, 4))
 
 
 def test_isolated_nodes_become_their_own_cliques():
     g = graph(3, set())
-    cs = clique_set(maximal_chordal_extension(g))
-    assert cs.cliques == ((0,), (1,), (2,))
+    assert maximal_cliques(maximal_chordal_extension(g)) == ((0,), (1,), (2,))
 
 
 # -- maximal cliques ---------------------------------------------------------------
@@ -114,11 +176,11 @@ def test_cliques_are_cliques_and_maximal():
     g = graph(6, {(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)})
     ext = approx_smallest_chordal_extension(g)
     cliques = maximal_cliques(ext)
-    edge_set = set(ext.edges)
+    edges = edge_set(ext)
     for c in cliques:
         for a in range(len(c)):
             for b in range(a + 1, len(c)):
-                assert (c[a], c[b]) in edge_set
+                assert (c[a], c[b]) in edges
     for c in cliques:
         for other in cliques:
             if c is not other:
@@ -145,9 +207,9 @@ def test_extensions_are_chordal_supersets(case):
     g = graph(n, {tuple(sorted(e)) for e in raw})
     small = approx_smallest_chordal_extension(g)
     full = maximal_chordal_extension(g)
-    assert g.edges <= small.edges <= full.edges
-    assert is_chordal(n, set(small.edges))
-    assert is_chordal(n, set(full.edges))
+    assert edge_set(g) <= edge_set(small) <= edge_set(full)
+    assert is_chordal(n, edge_set(small))
+    assert is_chordal(n, edge_set(full))
 
 
 @given(edge_strategy)
@@ -157,7 +219,7 @@ def test_already_chordal_inputs_unchanged(case):
     if not is_chordal(n, edges):
         return
     g = graph(n, edges)
-    assert approx_smallest_chordal_extension(g).edges == g.edges
+    assert np.array_equal(approx_smallest_chordal_extension(g).edges, g.edges)
 
 
 @given(edge_strategy)
@@ -166,7 +228,7 @@ def test_clique_cover_covers_every_edge(case):
     g = graph(n, {tuple(sorted(e)) for e in raw})
     ext = approx_smallest_chordal_extension(g)
     cliques = maximal_cliques(ext)
-    for i, j in ext.edges:
+    for i, j in edge_set(ext):
         assert any(i in c and j in c for c in cliques)
 
 
@@ -207,7 +269,7 @@ order_strategy = st.integers(1, 12).flatmap(
 
 def accepts(n: int, edges, order) -> bool:
     try:
-        ChordalGraph(line_nodes(n), frozenset(edges), tuple(order))
+        ChordalGraph(line_nodes(n), edge_rows(edges), tuple(order))
     except ValueError as err:
         assert "perfect elimination" in str(err)
         return False
@@ -228,7 +290,7 @@ def test_elimination_order_check_matches_pairwise_reference(case, swap):
     near = list(ext.elimination_order)
     k = swap % n
     near[k], near[(k + 1) % n] = near[(k + 1) % n], near[k]
-    for e, o in ((edges, order), (ext.edges, near)):
+    for e, o in ((edges, order), (edge_set(ext), near)):
         assert accepts(n, e, o) == later_neighbours_are_cliques(n, e, o)
 
 
@@ -237,12 +299,12 @@ def test_extension_orders_pass_the_pairwise_reference(case):
     n, raw, _ = case
     g = graph(n, {tuple(sorted(e)) for e in raw})
     for ext in (maximal_chordal_extension(g), approx_smallest_chordal_extension(g)):
-        assert later_neighbours_are_cliques(n, ext.edges, ext.elimination_order)
+        assert later_neighbours_are_cliques(n, edge_set(ext), ext.elimination_order)
 
 
 def test_elimination_order_must_be_a_permutation():
     with pytest.raises(ValueError, match="permutation"):
-        ChordalGraph(line_nodes(3), frozenset({(0, 1)}), (0, 0, 1))
+        ChordalGraph(line_nodes(3), edge_rows({(0, 1)}), (0, 0, 1))
 
 
 # -- gram support -----------------------------------------------------------------
