@@ -8,7 +8,7 @@ from .poly import (
     parse_polynomial,
 )
 from .relax import Box, CertificateSet, SdpProblem, assemble, outer_approx_grid, recover
-from .sdp import SdpSolution, SolverTolerances, export_sdpa, solve
+from .sdp import SdpSolution, export_sdpa, solve
 from .sparsity import RelaxationConfig, SupportChain, build_chain, stabilized_chain
 from .symmetry import SignSymmetryGroup, sign_symmetries, symmetry_blocks
 
@@ -24,7 +24,6 @@ __all__ = [
     "SdpProblem",
     "SdpSolution",
     "SignSymmetryGroup",
-    "SolverTolerances",
     "SupportChain",
     "SupportSet",
     "assemble",

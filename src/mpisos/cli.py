@@ -424,7 +424,7 @@ def cmd_symmetries(args: argparse.Namespace) -> int:
 def cmd_random_model(args: argparse.Namespace) -> int:
     if args.n < 5:
         raise CliError("n must be at least 5 so the graph has n-4 >= 1 edges")
-    model = random_network_model(args.n, args.seed)
+    model = _checked(random_network_model, args.n, args.seed)
     names = model.variables
     payload = {
         "name": model.name,

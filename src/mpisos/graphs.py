@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .poly import Exponent, GrlexRadix, SupportSet, grlex_key
+from .poly import Exponent, SupportSet, grlex_key
 
 
 def _edges_of_keys(keys: np.ndarray, n: int) -> np.ndarray:
@@ -258,16 +258,3 @@ def gram_keys(graph: MonomialGraph, keys: np.ndarray) -> np.ndarray:
     i, j = graph.edges.T
     return np.concatenate([2 * keys, keys[i] + keys[j]])
 
-
-def supp_of_graph(graph: MonomialGraph) -> SupportSet:
-    """Exponent support of a Gram matrix patterned on the graph.
-
-    Diagonal entries contribute 2*alpha for every node alpha, off-diagonal
-    entries contribute alpha + gamma for every edge {alpha, gamma}.  Each
-    distinct sum, told apart by radix key, is decoded once.
-    """
-    if not graph.nodes:
-        return SupportSet.of(0, ())
-    radix = GrlexRadix(len(graph.nodes[0]), 2 * sum(graph.nodes[-1]))
-    keys = np.unique(gram_keys(graph, radix.keys(graph.nodes)))
-    return SupportSet.of(radix.dim, radix.decode(keys))

@@ -39,31 +39,20 @@ def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def radix_weights(dim: int, max_degree: int) -> np.ndarray:
-    """Weights w keying each exponent alpha of total degree <= max_degree as
-    ``alpha @ w`` in base max_degree + 1, first variable most significant: keys
-    add like exponents, ``key // w % base`` decodes, and no key overflows, as
-    the weights are Python ints in an object array where int64 would."""
-    base = int(max_degree) + 1
-    dtype = np.int64 if base**dim <= 2**63 else object
-    return np.array([base**k for k in range(dim - 1, -1, -1)], dtype=dtype)
-
-
-def exponent_keys(exponents, weights: np.ndarray) -> np.ndarray:
-    return np.array(exponents, dtype=np.int64).reshape(-1, len(weights)) @ weights
-
-
 class GrlexRadix:
     """Radix keys of the exponents in ``dim`` variables of total degree <= top.
 
-    A key has a leading digit for the degree, then one digit per variable,
-    first variable most significant, all in base top + 1.  Keys add like
-    exponents (within top) and sort like ``grlex_key``; ``decode`` inverts
-    ``keys``.  Past int64 the keys are Python ints, as in ``radix_weights``.
+    A key, ``alpha @ weights``, has a leading digit for the degree, then one
+    digit per variable, first variable most significant, all in base top +
+    1.  Keys add like exponents (within top) and sort like ``grlex_key``;
+    ``decode`` inverts ``keys``.  No key overflows: past int64 the digits
+    are Python ints in an object array.
     """
 
     def __init__(self, dim: int, top: int) -> None:
-        digits = radix_weights(dim + 1, top)
+        base = int(top) + 1
+        dtype = np.int64 if base ** (dim + 1) <= 2**63 else object
+        digits = np.array([base**k for k in range(dim, -1, -1)], dtype=dtype)
         self.dim, self.top = dim, int(top)
         self.degree_unit = digits[0]  # a key // degree_unit is its degree
         self.digits = digits[1:]
@@ -71,7 +60,7 @@ class GrlexRadix:
 
     def keys(self, exponents) -> np.ndarray:
         """Keys of an iterable of exponent tuples, or of an (k, dim) array."""
-        return exponent_keys(exponents, self.weights)
+        return np.array(exponents, dtype=np.int64).reshape(-1, self.dim) @ self.weights
 
     def exponents(self, keys: np.ndarray) -> np.ndarray:
         """The (k, dim) exponent array of the keys."""
@@ -491,14 +480,6 @@ class SupportSet:
             self.dim, frozenset(a for a in self.elements if sum(a) <= max_degree)
         )
 
-    def minkowski(self, other: SupportSet) -> SupportSet:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in Minkowski sum")
-        return SupportSet._valid(
-            self.dim,
-            frozenset(exp_add(a, b) for a in self.elements for b in other.elements),
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self)
         return f"SupportSet(dim={self.dim}, [{inner}])"
@@ -592,7 +573,8 @@ def lie_coefficients(
     The products g_i c of each field term c add up in the order
     ``lie_polynomial`` adds them, after beta, and sums of exactly 0 are
     dropped, so the coefficients are the same floats.  Sorted by row, then
-    exponent in tuple order.
+    exponent in tuple order.  Raises ``ValueError`` if a coefficient passes
+    the float range.
     """
     exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, sys.dim)
     rows, alphas, coefs = [np.arange(len(exponents))], [exponents], [np.full(len(exponents), float(beta))]
@@ -603,7 +585,8 @@ def lie_coefficients(
         rows.append(row.repeat(len(deltas)))
         alphas.append((shifted[:, None] + deltas).reshape(-1, sys.dim))
         c = np.array(list(f.terms.values()), dtype=float)
-        coefs.append(-(exponents[row, i].astype(float)[:, None] * c).ravel())
+        with np.errstate(over="ignore"):  # checked on the sums below
+            coefs.append(-(exponents[row, i].astype(float)[:, None] * c).ravel())
     row, alpha, coef = np.concatenate(rows), np.concatenate(alphas), np.concatenate(coefs)
     order = np.lexsort((*alpha.T[::-1], row))
     row, alpha, coef = row[order], alpha[order], coef[order]
@@ -611,6 +594,8 @@ def lie_coefficients(
     new[1:] = (row[1:] != row[:-1]) | (alpha[1:] != alpha[:-1]).any(axis=1)
     start = np.flatnonzero(new)
     total = np.bincount(np.cumsum(new) - 1, coef)  # adds in order, as the dict does
+    if not np.isfinite(total).all():
+        raise ValueError("the Lie derivative's coefficients pass the float range; scale the dynamics down")
     keep = total != 0.0
     return row[start[keep]], alpha[start[keep]], total[keep]
 

@@ -34,13 +34,11 @@ from .poly import (
     GrlexRadix,
     Polynomial,
     SupportSet,
-    exponent_keys,
     lie_coefficients,
     monomial_basis,
 )
 from .sparsity import (
     RelaxationConfig,
-    SupportChain,
     build_chain,
     multiplier_basis_degree,
     v_degree_cap,
@@ -48,6 +46,9 @@ from .sparsity import (
 from .symmetry import SignSymmetryGroup, r_perp_mask, sign_symmetries, symmetry_blocks
 
 IDENTITIES = ("lie", "w", "wv")
+# recover flags an asymmetric or indefinite block, or an identity residual,
+# past this tolerance relative to the data's scale
+_RECOVER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,9 @@ class Box:
         return len(self.lo)
 
     @staticmethod
-    def symmetric(dim: int, halfwidth: float = 1.0) -> Box:
-        return Box((-halfwidth,) * dim, (halfwidth,) * dim)
+    def symmetric(dim: int) -> Box:
+        """The unit box [-1, 1]^dim."""
+        return Box((-1.0,) * dim, (1.0,) * dim)
 
     @staticmethod
     def from_bounds(bounds) -> Box:
@@ -98,7 +100,10 @@ def box_moments(exponents, box: Box) -> np.ndarray:
     """Integrals of the monomials x^alpha over the box, one per row of a
     (k, dim) exponent array.  Each axis's integral of each power is computed
     once, and the axes multiply in order, as for a single monomial."""
-    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, box.dim)
+    exponents = np.asarray(exponents, dtype=np.int64)
+    if exponents.size and exponents.shape[-1] != box.dim:
+        raise ValueError("exponent dimension does not match the box")
+    exponents = exponents.reshape(-1, box.dim)
     out = np.ones(len(exponents))
     try:
         with np.errstate(over="raise"):
@@ -110,13 +115,6 @@ def box_moments(exponents, box: Box) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError("the box's moments pass the float range; use a smaller box")
     return out
-
-
-def box_moment(alpha: Exponent, box: Box) -> float:
-    """Integral of the monomial x^alpha over the box."""
-    if len(alpha) != box.dim:
-        raise ValueError("exponent dimension does not match the box")
-    return float(box_moments([alpha], box)[0])
 
 
 @dataclass(frozen=True)
@@ -182,9 +180,6 @@ class SdpProblem:
     @property
     def equalities(self) -> _Equalities:
         return _Equalities(self)
-
-    def gram_variable_count(self) -> int:
-        return sum(b.dimension * (b.dimension + 1) // 2 for b in self.blocks)
 
 
 class _Equalities(Sequence):
@@ -263,10 +258,10 @@ def _structure(
 
 
 def _gram_rows(
-    blocks: list[GramBlock], multipliers: tuple[Polynomial, ...], weights: np.ndarray
+    blocks: list[GramBlock], multipliers: tuple[Polynomial, ...], radix: GrlexRadix
 ) -> tuple[np.ndarray, ...]:
     """Gram entries as arrays (identity, key, block, r, c, coef): the index
-    into IDENTITIES, the matched exponent keyed by ``weights``, and the
+    into IDENTITIES, the matched exponent's key in ``radix``, and the
     upper-triangle entry.  Sorted by identity, then key; a row's entries stay
     in loop order: block, r <= c row-major, term.  The entries of all blocks
     are laid out in that loop order at once, on radix keys, and a stable
@@ -274,9 +269,9 @@ def _gram_rows(
     terms = [p.sorted_terms() for p in multipliers]
     first_term = np.cumsum([0] + [len(t) for t in terms])
     coefs = np.array([x for t in terms for _, x in t], dtype=float)
-    term_keys = exponent_keys([delta for t in terms for delta, _ in t], weights)
+    term_keys = radix.keys([delta for t in terms for delta, _ in t])
     sizes = np.array([b.dimension for b in blocks], dtype=np.int64)
-    exps = exponent_keys([a for b in blocks for a in b.exponents], weights)
+    exps = radix.keys([a for b in blocks for a in b.exponents])
     # each block's pairs r <= c, row-major
     triu = {size: np.triu_indices(size) for size in set(sizes.tolist())}
     pair_block = np.arange(len(blocks)).repeat(sizes * (sizes + 1) // 2)
@@ -342,7 +337,7 @@ def assemble(
     basis_degree = max(sum(a) for b in blocks for a in b.exponents)
     top = max(2 * basis_degree + max(p.degree for p in multipliers), int(f_alpha.sum(axis=1).max()))
     radix = GrlexRadix(system.dim, top)
-    g_ident, g_keys, block, r, c, coef = _gram_rows(blocks, multipliers, radix.weights)
+    g_ident, g_keys, block, r, c, coef = _gram_rows(blocks, multipliers, radix)
 
     # a row per matched (identity, alpha); the last key is the constant of wv,
     # whose row holds the right-hand side
@@ -403,12 +398,7 @@ class CertificateSet:
         return not self.flags
 
 
-def recover(
-    problem: SdpProblem,
-    block_values,
-    free_values,
-    tolerance: float = 1e-6,
-) -> CertificateSet:
+def recover(problem: SdpProblem, block_values, free_values) -> CertificateSet:
     """Map raw solver output back to polynomials and validated Gram blocks.
 
     Residuals are recomputed from the stored equality arrays; violations are
@@ -436,11 +426,11 @@ def recover(
         else:
             sym_gap = float(np.abs(mat - mat.T).max()) if mat.size else 0.0
             scale = float(np.abs(mat).max()) if mat.size else 0.0
-            if sym_gap > tolerance * (1.0 + scale):
+            if sym_gap > _RECOVER_TOL * (1.0 + scale):
                 flags.append(f"block {block.label} is not symmetric")
             mat = 0.5 * (mat + mat.T)
             eig_min = float(np.linalg.eigvalsh(mat).min()) if mat.size else 0.0
-            if eig_min < -tolerance * (1.0 + scale):
+            if eig_min < -_RECOVER_TOL * (1.0 + scale):
                 flags.append(f"block {block.label} has negative eigenvalue {eig_min:.3e}")
         gram[block.label] = mat
         min_eigs[block.label] = eig_min
@@ -458,7 +448,7 @@ def recover(
     residuals = {name: float(np.abs(total[names == name]).max(initial=0.0)) for name in IDENTITIES}
     coef_scale = max(1.0, np.abs(coef).max(initial=0.0), np.abs(problem.B.data).max(initial=0.0))
     worst = float(np.max(list(residuals.values())))
-    if not worst <= tolerance * coef_scale:  # NaN fails too
+    if not worst <= _RECOVER_TOL * coef_scale:  # NaN fails too
         flags.append(f"identity residual {worst:.3e} exceeds tolerance")
 
     v_terms: dict[Exponent, float] = {}

@@ -59,7 +59,6 @@ solve that stalls or runs out of iterations returns its best point, as
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -71,6 +70,12 @@ import scipy.sparse.linalg as spla
 
 from .relax import SdpProblem
 
+# a solve ends optimal once the original problem's relative primal and
+# dual infeasibilities are within _FEASIBILITY_TOL and its relative gap
+# within _GAP_TOL, and stops after _MAX_ITERATIONS
+_FEASIBILITY_TOL = 1e-7
+_GAP_TOL = 1e-7
+_MAX_ITERATIONS = 200
 # scaled-space values below this count as zero when capping step lengths
 _STEP_EIG_FLOOR = 1e-13
 # the aggregate trace cap every problem is solved under (_with_trace_bound)
@@ -105,20 +110,6 @@ class SolverBreakdown(RuntimeError):
     def __init__(self, message: str, trace: list) -> None:
         super().__init__(message)
         self.trace = trace
-
-
-@dataclass(frozen=True)
-class SolverTolerances:
-    gap: float = 1e-7
-    feasibility: float = 1e-7
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.gap > 0 and self.feasibility > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
-        n = self.max_iterations
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            raise ValueError("max_iterations must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -970,9 +961,7 @@ def _schur_solve(factor, apply_exact, rhs) -> tuple[np.ndarray, int, float]:
         x += beta * (coef @ Z[: j + 1])
 
 
-def solve_block_problem(
-    bp: BlockProblem, tol: SolverTolerances | None = None
-) -> SdpSolution:
+def solve_block_problem(bp: BlockProblem) -> SdpSolution:
     start = time.perf_counter()
     timings = dict.fromkeys(_PHASES, 0.0)
 
@@ -982,7 +971,6 @@ def solve_block_problem(
         timings[phase] += time.perf_counter() - t
         return out
 
-    tol = tol or SolverTolerances()
     bp, order = timed("presolve", _canonical_order, bp)
     original = bp
     # coefficient-matching equalities pin every free variable; eliminating
@@ -1038,9 +1026,9 @@ def solve_block_problem(
     best_score = np.inf
     best_iteration = 0
     status = "max_iter"
-    limits = np.array([tol.feasibility, tol.feasibility, tol.gap])
+    limits = np.array([_FEASIBILITY_TOL, _FEASIBILITY_TOL, _GAP_TOL])
 
-    for it in range(1, tol.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         x = scatter(X)
         r_p = bp.b - bp.A @ x
         r_d = [Cc - Sc - Ac for Cc, Sc, Ac in zip(C, S, gather(bp._A_T @ y))]
@@ -1082,7 +1070,7 @@ def solve_block_problem(
         if max(float(np.abs(y).max(initial=0.0)), max(norms)) > _DIVERGENCE_LIMIT:
             status = "infeasible_flag"
             break
-        if it == tol.max_iterations:
+        if it == _MAX_ITERATIONS:
             # no iteration is left to judge a step's point
             break
 
@@ -1204,14 +1192,14 @@ def solve_block_problem(
     )
 
 
-def solve(problem: SdpProblem, tol: SolverTolerances | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve an assembled relaxation under a generous aggregate trace cap.
 
     The solution reports the cap's fill (``trace_cap_fraction``) and its
     multiplier (``trace_cap_multiplier``), so a caller can see whether the
     cap moved the optimum.
     """
-    return solve_block_problem(standardize(problem), tol)
+    return solve_block_problem(standardize(problem))
 
 
 def export_sdpa(problem) -> str:

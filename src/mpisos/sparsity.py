@@ -8,11 +8,12 @@ and reading the next support set off the extension.  Chains are weakly
 ascending and stabilize after finitely many steps; a stabilized chain repeats
 its last entry so that any sparse order past the fixed point stays valid.
 
-A step works on radix keys (``GrlexRadix``), in one radix that covers every
-product of the step (``_step_radix``).  ``_iterate`` keys the hit set once
-per step: the current support plus, for the v-chain, its Lie terms, summed
-as keys (``_v_hit_keys``).  Every multiplier's graph rule looks its products
-up in that one sorted table.  The Gram support of each extension, and for
+``build_chain`` runs both chains, each through ``_iterate``.  A step works
+on radix keys (``GrlexRadix``), in one radix that covers every product of
+the step (``_step_radix``).  ``_iterate`` keys the hit set once per step:
+the current support plus, for the v-chain, its Lie terms, summed as keys
+(``_v_hit_keys``).  Every multiplier's graph rule looks its products up in
+that one sorted table.  The Gram support of each extension, and for
 the w-chain its Minkowski sum with the multiplier's terms, are key sums too.
 The next support leaves the step through one ``np.unique`` and one decode to
 exponent tuples, as a ``SupportSet``; the graphs' nodes are the Gram bases,
@@ -55,6 +56,8 @@ from .poly import (
 
 EXTENSIONS = ("maximal", "min-degree")
 MODES = ("ts", "ss", "fd")
+# stabilized_chain's bound on the steps of each chain
+_STABILIZE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -185,25 +188,6 @@ def _v_hit_keys(system: DynamicalSystem, d: int, keys: np.ndarray, radix: GrlexR
     return np.unique(np.concatenate([keys, lie_support_keys(capped, system, radix)]))
 
 
-def build_v_step_graph(
-    system: DynamicalSystem, d: int, a_set: SupportSet, j: int
-) -> MonomialGraph:
-    """Interaction graph for multiplier j in the Lie certificate, given the
-    current v support set."""
-    radix = _step_radix(system, d)
-    table = _v_hit_keys(system, d, radix.table(a_set), radix)
-    return _graph_from_rule(*_multipliers(system, d, radix)[j], table)
-
-
-def build_w_step_graph(
-    system: DynamicalSystem, d: int, b_set: SupportSet, j: int
-) -> MonomialGraph:
-    """Interaction graph for multiplier j in the w certificates, given the
-    current w support set."""
-    radix = _step_radix(system, d)
-    return _graph_from_rule(*_multipliers(system, d, radix)[j], radix.table(b_set))
-
-
 def _w_next_keys(gram: list[np.ndarray], terms: list[np.ndarray]) -> np.ndarray:
     """Keys, repeats included, of the next w support: the Gram support keys
     of each multiplier's extended graph plus the keys of its terms."""
@@ -257,38 +241,6 @@ def _iterate(system, d, extension, current, steps, hit_of, next_of) -> ChainStep
             break
         current, keys = supports[-1], nxt
     return tuple(supports), tuple(raw_steps), tuple(ext_steps)
-
-
-def iterate_v_chain(
-    system: DynamicalSystem, d: int, extension: str, s_max: int
-) -> ChainSteps:
-    """Run the v-chain for at most s_max steps, stopping at the fixed point.
-
-    Returns the support iterates, the raw graphs of each executed step, and
-    their chordal extensions.  On stabilization the final support is entered
-    twice, so the support tuple always has one more entry than the graphs.
-    The next support is the Gram support of the constant multiplier's graph.
-    """
-    return _iterate(
-        system, d, extension, initial_support(system, d), s_max,
-        lambda keys, radix: _v_hit_keys(system, d, keys, radix), lambda gram, terms: gram[0],
-    )
-
-
-def iterate_w_chain(
-    system: DynamicalSystem, d: int, seed: SupportSet, extension: str, l_max: int
-) -> ChainSteps:
-    """Run the w-chain for at most l_max steps from the given seed support.
-
-    The seed is restricted to degree 2d before the first step; every later
-    iterate stays within that bound by construction.  The next support is
-    the Gram support of the constant multiplier's graph together with the
-    Minkowski sum of each constraint's support and its graph's Gram support.
-    """
-    return _iterate(
-        system, d, extension, seed.restricted(2 * d), l_max,
-        lambda keys, radix: keys, _w_next_keys,
-    )
 
 
 def _at(
@@ -374,11 +326,29 @@ def build_chain(
     extension: str = "maximal",
 ) -> SupportChain:
     """Run both chains far enough to serve sparse orders (s, l); an unknown
-    ``extension`` fails in ``extend_graph``."""
-    v_supports, v_graphs, v_extended = iterate_v_chain(system, d, extension, s)
+    ``extension`` fails in ``extend_graph``.
+
+    The v-chain runs at most s steps from ``initial_support``.  Its hit set
+    is the current support together with the Lie terms of its part within
+    the degree cap (``_v_hit_keys``); its next support is the Gram support
+    of the constant multiplier's graph.  The w-chain runs at most l steps
+    from the v support at order s, restricted to degree 2d; every later
+    iterate stays within that bound by construction.  Its hit set is the
+    current support; its next support adds to the constant multiplier's
+    Gram support the Minkowski sum of each constraint's terms and its
+    graph's Gram support (``_w_next_keys``).  A chain that stabilizes
+    enters its final support twice, so each support tuple has one more
+    entry than its graphs.
+    """
+    v_supports, v_graphs, v_extended = _iterate(
+        system, d, extension, initial_support(system, d), s,
+        lambda keys, radix: _v_hit_keys(system, d, keys, radix), lambda gram, terms: gram[0],
+    )
     v_stab = len(v_supports) >= 2 and v_supports[-1] == v_supports[-2]
     seed = _at("v", s, v_supports, v_stab, len(v_graphs))
-    w_supports, w_graphs, w_extended = iterate_w_chain(system, d, seed, extension, l)
+    w_supports, w_graphs, w_extended = _iterate(
+        system, d, extension, seed.restricted(2 * d), l, lambda keys, radix: keys, _w_next_keys
+    )
     return SupportChain(
         system=system,
         d=d,
@@ -394,18 +364,12 @@ def build_chain(
     )
 
 
-def stabilized_chain(
-    system: DynamicalSystem,
-    d: int,
-    extension: str = "maximal",
-    cap: int = 64,
-) -> SupportChain:
-    """Run both chains to their fixed points (bounded by a safety cap)."""
-    chain = build_chain(system, d, s=cap, l=cap, extension=extension)
+def stabilized_chain(system: DynamicalSystem, d: int, extension: str = "maximal") -> SupportChain:
+    """Run both chains to their fixed points, at most _STABILIZE_STEPS
+    steps each."""
+    chain = build_chain(system, d, s=_STABILIZE_STEPS, l=_STABILIZE_STEPS, extension=extension)
     if not (chain.v_stabilized and chain.w_stabilized):
-        raise RuntimeError(
-            f"support chains did not stabilize within {cap} steps"
-        )
+        raise RuntimeError(f"support chains did not stabilize within {_STABILIZE_STEPS} steps")
     return chain
 
 

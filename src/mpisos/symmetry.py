@@ -96,19 +96,6 @@ class SignSymmetryGroup:
             tuple((m >> i) & 1 for i in range(self.dim)) for m in packed
         )
 
-    def contains(self, r: tuple[int, ...]) -> bool:
-        if len(r) != self.dim:
-            raise ValueError("length mismatch")
-        cur = 0
-        for i, bit in enumerate(r):
-            if bit & 1:
-                cur |= 1 << i
-        for mask in self.basis:
-            pivot = (mask & -mask).bit_length() - 1
-            if (cur >> pivot) & 1:
-                cur ^= mask
-        return cur == 0
-
 
 def support_symmetries(dim: int, exponents) -> SignSymmetryGroup:
     """Group of sign vectors with even dot product against every exponent."""
@@ -131,15 +118,9 @@ def _parities(group: SignSymmetryGroup, exponents) -> np.ndarray:
 
 
 def r_perp_mask(group: SignSymmetryGroup, exponents) -> np.ndarray:
-    """``in_r_perp`` for each row of a (k, dim) exponent array."""
+    """For each row of a (k, dim) exponent array, whether it has even dot
+    product against every group element."""
     return ~_parities(group, exponents).any(axis=1)
-
-
-def in_r_perp(group: SignSymmetryGroup, alpha: Exponent) -> bool:
-    """True iff alpha has even dot product against every group element."""
-    if len(alpha) != group.dim:
-        raise ValueError("length mismatch")
-    return bool(r_perp_mask(group, [alpha])[0])
 
 
 def symmetry_blocks(

@@ -7,12 +7,16 @@ rescaling to the unit box) and once as integration bounds for the objective.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .poly import DynamicalSystem, Polynomial, default_names, parse_polynomial
+
+# random_network_model's bound on the draws of B
+_MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -104,22 +108,24 @@ class RandomNetworkModel(Model):
     attempts: int
 
 
-def random_network_model(
-    n: int, seed: int, max_attempts: int = 1000
-) -> RandomNetworkModel:
+def random_network_model(n: int, seed: int) -> RandomNetworkModel:
     """Sample an n-variable network with exactly n-4 interaction edges.
 
     The edge set is the first n-4 entries of a seeded shuffle of all index
     pairs.  Diagonal entries of B are drawn from [1,2], one off-diagonal value
     per selected edge from [-0.5,0.5]; the whole draw is rejected and repeated
-    until B is positive definite.
+    until B is positive definite, at most _MAX_ATTEMPTS times.  The seed must
+    be a nonnegative integer.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 to place n-4 edges, got {n}")
+    # a bool is an Integral too, and no seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     all_pairs = list(combinations(range(n), 2))
     n_edges = n - 4
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
         order = rng.permutation(len(all_pairs))
         edges = tuple(sorted(all_pairs[k] for k in order[:n_edges]))
         diag = rng.uniform(1.0, 2.0, size=n)
@@ -131,9 +137,7 @@ def random_network_model(
         if np.linalg.eigvalsh(b).min() > 0:
             break
     else:
-        raise RuntimeError(
-            f"no positive definite draw within {max_attempts} attempts"
-        )
+        raise RuntimeError(f"no positive definite draw within {_MAX_ATTEMPTS} attempts")
     names = default_names(n)
     quad: dict[tuple[int, ...], float] = {}
     for i in range(n):

@@ -335,6 +335,40 @@ def brute_system_symmetries(
     return out
 
 
+# -- the MPI sets of the random networks -----------------------------------------
+
+def _network_ellipsoid(model) -> np.ndarray:
+    """B of a random network, whose MPI set is {x in the box : x^T B x <= 1};
+    the ellipsoid must lie inside the box, its largest coordinate
+    semi-axis, max_i sqrt((B^-1)_ii), at most 1."""
+    b = np.array(model.matrix)
+    if np.sqrt(np.diag(np.linalg.inv(b))).max() > 1.0:
+        raise ValueError("the ellipsoid x^T B x <= 1 leaves the box")
+    return b
+
+
+def network_mpi_volume(model) -> float:
+    """Volume of a random network's MPI set: V_n / sqrt(det B), with V_n
+    the volume of the unit ball in n dimensions."""
+    b = _network_ellipsoid(model)
+    n = len(b)
+    return math.pi ** (n / 2) / math.gamma(n / 2 + 1) / math.sqrt(np.linalg.det(b))
+
+
+def network_mpi_samples(model, count: int, seed: int) -> np.ndarray:
+    """Rows of ``count`` points uniform in a random network's MPI set, then
+    ``count`` points on its boundary x^T B x = 1.  With B = L L^T, x = L^-T u
+    maps the unit ball onto the ellipsoid, and a normal direction scaled by
+    a radius U^(1/n) (or 1) is uniform in the ball (or on the sphere)."""
+    b = _network_ellipsoid(model)
+    n = len(b)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 * count, n))
+    radius = np.concatenate([rng.uniform(size=count) ** (1 / n), np.ones(count)])
+    u = g / np.linalg.norm(g, axis=1, keepdims=True) * radius[:, None]
+    return np.linalg.solve(np.linalg.cholesky(b).T, u.T).T
+
+
 # -- small dense SDP solver ----------------------------------------------------
 
 def admm_sdp(

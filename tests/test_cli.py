@@ -165,20 +165,33 @@ class TestProblemFiles:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["run", "export-sdpa"])
-    def test_solver_rejection_is_actionable(self, tmp_path, capsys, command):
+    def test_overflowing_lie_coefficients_are_actionable(self, tmp_path, capsys, command):
         # every number in the file is finite, but the Lie coefficient
-        # 2 * 1e308 of x^2 overflows in assembly; the solver and the SDPA
-        # export reject it
+        # 2 * 1e308 of x^2 passes the float range; assembly rejects it,
+        # with no RuntimeWarning (which pytest turns into an error)
         path = tmp_path / "lie.json"
         path.write_text(
             '{"variables": ["x", "y"], "dynamics": ["1e308*x", "-y"], '
             '"box": [[-1, 1], [-1, 1]], "config": {"d": 1}}'
         )
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main([command, str(path)]) == 2
+        assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "NaN or inf" in captured.err
+        assert captured.err.startswith("error: ")
+        assert "Lie derivative" in captured.err and "float range" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["run", "export-sdpa"])
+    def test_solver_rejection_is_actionable(self, lorenz_file, monkeypatch, capsys, command):
+        # a ValueError from the solver or the SDPA export, such as their
+        # rejection of non-finite data, ends in an error message
+        def reject(problem):
+            raise ValueError("B holds NaN or inf")
+
+        stage = {"run": "solve", "export-sdpa": "export_sdpa"}[command]
+        monkeypatch.setattr(f"mpisos.cli.{stage}", reject)
+        assert main([command, lorenz_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: B holds NaN or inf\n"
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(CliError, match="cannot read"):
@@ -511,6 +524,12 @@ class TestRandomModel:
     def test_small_n_rejected(self, capsys):
         assert main(["random-model", "4", "0"]) == 2
         assert "at least 5" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["random-model", "6", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "nonnegative integer" in captured.err
+        assert captured.out == ""
 
 
 class _ConfigD2(_Empty):

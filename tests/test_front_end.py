@@ -3,8 +3,7 @@
 Each array path must give exactly what its plain loop in ``oracles.py``
 gives, in the same order:
 
-* hit sets, graph rules and Gram supports (``graph_from_rule_loop``,
-  ``v_hit_set_loop``, ``supp_of_graph_loop``);
+* hit sets and graph rules (``graph_from_rule_loop``, ``v_hit_set_loop``);
 * the maximal extension and its cliques (``maximal_extension_loop``,
   ``maximal_cliques_pairwise``), and the min-degree extension against the
   version that rescans every vertex (``min_degree_extension_rescan``);
@@ -34,17 +33,14 @@ from mpisos.graphs import (
     gram_keys,
     maximal_chordal_extension,
     maximal_cliques,
-    supp_of_graph,
 )
 from mpisos.poly import (
     DynamicalSystem,
     GrlexRadix,
     Polynomial,
     SupportSet,
-    exponent_keys,
     lie_coefficients,
     monomial_basis,
-    radix_weights,
     support,
 )
 from mpisos.relax import IDENTITIES, Box, GramBlock, _gram_rows, assemble, box_moments
@@ -117,7 +113,6 @@ def test_chain_matches_loop_references(name, d, extension):
                 assert extended == reference
                 assert extended.elimination_order == reference.elimination_order
             assert maximal_cliques(extended) == maximal_cliques_pairwise(extended)
-            assert supp_of_graph(extended) == supp_of_graph_loop(extended)
     for k, ext in enumerate(chain.v_extended):
         assert chain.v_supports[k + 1] == supp_of_graph_loop(ext[0])
     for k, ext in enumerate(chain.w_extended):
@@ -213,13 +208,14 @@ def unit(i: int, power: int = 1) -> tuple[int, ...]:
 
 
 def test_radix_weights_switch_to_python_ints_past_int64():
-    assert radix_weights(DIM, 7).dtype == np.int64  # 8**20 < 2**63
-    assert radix_weights(DIM, 8).dtype == object  # 9**20 > 2**63
-    weights = radix_weights(DIM, 9)
-    alpha = (9,) + tuple(range(9)) + tuple(range(10))
-    key = exponent_keys([alpha], weights)
+    # a key has DIM + 1 digits, the degree's and one per variable
+    assert GrlexRadix(DIM, 7).weights.dtype == np.int64  # 8**21 <= 2**63
+    assert GrlexRadix(DIM, 8).weights.dtype == object  # 9**21 > 2**63
+    radix = GrlexRadix(DIM, 9)
+    alpha = (3,) + (0,) * 9 + (1,) * 6 + (0,) * 4
+    key = radix.keys([alpha])
     assert key[0] > 2**63
-    assert tuple((key[0] // weights % 10).tolist()) == alpha
+    assert radix.decode(key) == [alpha]
 
 
 def past_int64_case() -> tuple[DynamicalSystem, SupportSet]:
@@ -259,13 +255,13 @@ def test_graph_rule_with_exponents_past_int64_keys():
 def test_gram_support_with_exponents_past_int64_keys():
     nodes = sorted({(4,) * DIM, tuple(range(DIM)), (0,) * DIM, unit(5, 9)}, key=lambda a: (sum(a), a))
     graph = MonomialGraph(tuple(nodes), edge_rows({(0, 1), (1, 3), (2, 3)}))
-    assert supp_of_graph(graph) == supp_of_graph_loop(graph)
     # the w-chain's next support as one union of key sums, with the
     # constraint of ``past_int64_case`` on a graph over {1, x_i}
     system, _ = past_int64_case()
     small = MonomialGraph(monomial_basis(DIM, 1), edge_rows({(0, 3), (2, 3), (5, 19)}))
     radix = GrlexRadix(DIM, 2 * 190 + 140)
     gram = [gram_keys(g, radix.keys(g.nodes)) for g in (graph, small)]
+    assert set(radix.decode(np.unique(gram[0]))) == supp_of_graph_loop(graph).elements
     terms = [radix.keys([(0,) * DIM]), radix.keys(list(system.constraints[0].terms))]
     got = set(radix.decode(np.unique(_w_next_keys(gram, terms))))
     p_support = support(system.constraints[0])
@@ -281,13 +277,14 @@ def test_gram_rows_with_exponents_past_int64_keys():
         GramBlock("c", 1, 1, ((0,) * DIM,)),
         GramBlock("b", 0, 0, ((0,) * DIM, unit(2), (2,) * DIM)),
     ]
-    # keys reach 141**20: 2 * 40 for the Gram products, 60 for p
-    weights = radix_weights(DIM, 140)
-    ident, keys, block, r, c, coef = _gram_rows(blocks, (one, p), weights)
+    # keys pass int64 (141**20 > 2**63): their lead digit, the degree, is
+    # up to 2 * 40 for the Gram products and 60 more for p
+    radix = GrlexRadix(DIM, 140)
+    ident, keys, block, r, c, coef = _gram_rows(blocks, (one, p), radix)
     labels = list(zip(ident.tolist(), keys.tolist()))
     assert labels == sorted(labels)
     rows: dict = {name: {} for name in IDENTITIES}
-    alphas = (keys[:, None] // weights % 141).tolist()
+    alphas = radix.decode(keys)
     entries = zip(block.tolist(), r.tolist(), c.tolist(), coef.tolist())
     for i, alpha, entry in zip(ident.tolist(), alphas, entries):
         rows[IDENTITIES[i]].setdefault(tuple(alpha), []).append(entry)

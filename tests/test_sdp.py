@@ -21,7 +21,6 @@ from mpisos.sdp import (
     BlockProblem,
     SdpSolution,
     SolverBreakdown,
-    SolverTolerances,
     _ExactSchur,
     _chol_lower,
     _equilibrated,
@@ -194,26 +193,11 @@ class TestSolver:
         sol = solve_block_problem(bp)
         assert sol.status == "infeasible_flag"
 
-    def test_iteration_cap(self):
-        tol = SolverTolerances(max_iterations=2)
-        sol = solve_block_problem(eigenvalue_problem(), tol)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITERATIONS", 2)
+        sol = solve_block_problem(eigenvalue_problem())
         assert sol.status == "max_iter"
         assert sol.iterations == 2
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            SolverTolerances(gap=0.0)
-        with pytest.raises(ValueError):
-            SolverTolerances(max_iterations=0)
-        # NaN compares false both ways, so no solve could end optimal
-        with pytest.raises(ValueError):
-            SolverTolerances(gap=float("nan"))
-        with pytest.raises(ValueError):
-            SolverTolerances(feasibility=float("nan"))
-        for count in (2.5, 3.0, True, "3"):
-            with pytest.raises(ValueError):
-                SolverTolerances(max_iterations=count)
-        assert SolverTolerances(max_iterations=np.int64(3)).max_iterations == 3
 
     def test_block_problem_validation(self):
         with pytest.raises(ValueError):
@@ -1039,21 +1023,20 @@ class TestOriginalSpaceStatus:
         assert last.relative_gap == sol.residuals["relative_gap"]
         assert last.primal_objective == sol.objective
         assert last.dual_objective == sol.dual_objective
-        tol = SolverTolerances()
-
         def meets(rec):
             feas = max(rec.primal_infeasibility, rec.dual_infeasibility)
-            return feas <= tol.feasibility and abs(rec.relative_gap) <= tol.gap
+            return feas <= sdp._FEASIBILITY_TOL and abs(rec.relative_gap) <= sdp._GAP_TOL
 
         assert meets(last)
         assert not any(meets(rec) for rec in sol.trace[:-1])
 
     @pytest.mark.parametrize("cap, status", [(16, "near_optimal"), (4, "max_iter")])
-    def test_capped_solve_returns_its_best_point(self, cap, status):
+    def test_capped_solve_returns_its_best_point(self, cap, status, monkeypatch):
         # lorenz d=2 ts ends optimal at iteration 19; at 16 the relative gap
         # is within 1e3 of its tolerance; of the first 4 records the third
         # is the best, and far from the tolerances
-        sol = solve(lorenz_problem(2), SolverTolerances(max_iterations=cap))
+        monkeypatch.setattr(sdp, "_MAX_ITERATIONS", cap)
+        sol = solve(lorenz_problem(2))
         assert sol.status == status
         assert sol.iterations == len(sol.trace) == cap
         best = min(
@@ -1077,7 +1060,8 @@ class TestOriginalSpaceStatus:
             schur(*args)
 
         monkeypatch.setattr(sdp, "_schur", counting)
-        sol = solve(lorenz_problem(2), SolverTolerances(max_iterations=cap))
+        monkeypatch.setattr(sdp, "_MAX_ITERATIONS", cap)
+        sol = solve(lorenz_problem(2))
         assert len(sol.trace) == cap
         assert len(calls) == cap - 1
         assert sol.trace[-1].step_primal == sol.trace[-1].step_dual == 0.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpisos.graphs import maximal_cliques, supp_of_graph
+from mpisos.graphs import maximal_cliques
 from mpisos.poly import (
     DynamicalSystem,
     Polynomial,
@@ -25,19 +25,16 @@ from mpisos.poly import (
 from mpisos.sparsity import (
     RelaxationConfig,
     build_chain,
-    build_v_step_graph,
-    build_w_step_graph,
     chain_dump_text,
     extend_graph,
     initial_support,
-    iterate_v_chain,
     multiplier_basis_degree,
     stabilized_chain,
     v_degree_cap,
 )
 from mpisos.systems import coupled_cubic, extended_lorenz, lorenz, semi_coupled_cubic
 
-from oracles import edge_set
+from oracles import edge_set, supp_of_graph_loop
 
 
 def exponent_edges(graph):
@@ -186,9 +183,8 @@ class TestLorenzGoldens:
         sup = initial_support(lorenz().system, 2)
         assert set(sup) == INITIAL_12
 
-    def test_step1_graph_edges(self):
-        sys = lorenz().system
-        graph = build_v_step_graph(sys, 2, initial_support(sys, 2), 0)
+    def test_step1_graph_edges(self, lorenz_chain):
+        graph = lorenz_chain.v_graphs_at(1)[0]
         assert graph.nodes == monomial_basis(3, 2)
         assert exponent_edges(graph) == V_STEP1_EDGES
 
@@ -202,14 +198,13 @@ class TestLorenzGoldens:
         assert lorenz_chain_deep.v_support_at(2) == lorenz_chain_deep.v_support_at(3)
         assert lorenz_chain_deep.v_stabilized
 
-    def test_multiplier_graphs_at_step1(self):
-        sys = lorenz().system
-        a1 = initial_support(sys, 2)
+    def test_multiplier_graphs_at_step1(self, lorenz_chain):
         pair_only = frozenset({frozenset((X1, X2))})
         with_x3 = frozenset({frozenset((ONE, X3)), frozenset((X1, X2))})
-        assert exponent_edges(build_v_step_graph(sys, 2, a1, 1)) == with_x3
-        assert exponent_edges(build_v_step_graph(sys, 2, a1, 2)) == with_x3
-        assert exponent_edges(build_v_step_graph(sys, 2, a1, 3)) == pair_only
+        graphs = lorenz_chain.v_graphs_at(1)
+        assert exponent_edges(graphs[1]) == with_x3
+        assert exponent_edges(graphs[2]) == with_x3
+        assert exponent_edges(graphs[3]) == pair_only
 
     def test_w_step1_graph_is_strict_subgraph(self, lorenz_chain):
         graph = lorenz_chain.w_graphs_at(1)[0]
@@ -265,7 +260,7 @@ class TestOtherModels:
         chain = stabilized_chain(model.system, 2)
         assert chain.v_stabilized and chain.w_stabilized
         fixed = chain.v_supports[-1]
-        assert supp_of_graph(chain.v_extended[-1][0]) == fixed
+        assert supp_of_graph_loop(chain.v_extended[-1][0]) == fixed
 
     def test_min_degree_extension_stays_inside_maximal(self):
         chain = build_chain(lorenz().system, d=2, s=2, l=2, extension="min-degree")
@@ -273,10 +268,9 @@ class TestOtherModels:
         assert edge_set(chain.v_extended[0][0]) <= edge_set(dense.v_extended[0][0])
         assert len(chain.v_extended[0][0].edges) < len(dense.v_extended[0][0].edges)
 
-    def test_greedy_extension_monotone_on_nested_pair(self):
-        sys = lorenz().system
-        small = build_w_step_graph(sys, 2, initial_support(sys, 2), 0)
-        big = build_v_step_graph(sys, 2, initial_support(sys, 2), 0)
+    def test_greedy_extension_monotone_on_nested_pair(self, lorenz_chain):
+        small = lorenz_chain.w_graphs_at(1)[0]
+        big = lorenz_chain.v_graphs_at(1)[0]
         assert edge_set(small) <= edge_set(big)
         ext_small = extend_graph(small, "min-degree")
         ext_big = extend_graph(big, "min-degree")
@@ -310,7 +304,8 @@ class TestChainProperties:
     @settings(max_examples=40)
     @given(box_systems())
     def test_v_chain_ascends_within_degree(self, sys):
-        supports, raw, _ = iterate_v_chain(sys, 2, "maximal", 4)
+        chain = build_chain(sys, d=2, s=4, extension="maximal")
+        supports, raw = chain.v_supports, chain.v_graphs
         for earlier, later in zip(supports, supports[1:]):
             assert set(earlier) <= set(later)
         for sup in supports[1:]:

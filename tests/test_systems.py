@@ -117,6 +117,14 @@ class TestRandomNetworks:
             for i, f in enumerate(model.system.field):
                 assert f(tuple(x)) == pytest.approx(scale * x[i], rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, 0.5, True, "3", None])
+    def test_rejects_seeds_that_are_not_nonnegative_integers(self, seed):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            random_network_model(6, seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        assert random_network_model(6, np.int64(3)) == random_network_model(6, 3)
+
     def test_edgeless_at_n4_and_rejects_below(self):
         model = random_network_model(4, seed=0)
         assert model.edges == ()
