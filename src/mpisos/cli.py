@@ -139,15 +139,18 @@ def load_problem(path: str) -> LoadedProblem:
         raise CliError('"variables" contains a duplicate name')
     n = len(names)
 
+    def parse(text, entry: str):
+        if not isinstance(text, str):
+            raise CliError(f"{entry}: expected a polynomial string, got {text!r}")
+        try:
+            return parse_polynomial(text, names)
+        except PolynomialSyntaxError as exc:
+            raise CliError(f"{entry}: {exc}") from exc
+
     dynamics = raw.get("dynamics")
     if not isinstance(dynamics, list) or len(dynamics) != n:
         raise CliError('"dynamics" must list one polynomial per variable')
-    field = []
-    for name, text in zip(names, dynamics):
-        try:
-            field.append(parse_polynomial(text, names))
-        except PolynomialSyntaxError as exc:
-            raise CliError(f"dynamics entry for {name}: {exc}") from exc
+    field = [parse(text, f"dynamics entry for {name}") for name, text in zip(names, dynamics)]
 
     box_raw = raw.get("box")
     if box_raw is not None and (not isinstance(box_raw, list) or len(box_raw) != n):
@@ -165,13 +168,7 @@ def load_problem(path: str) -> LoadedProblem:
     else:
         if not isinstance(constraints_raw, list) or not constraints_raw:
             raise CliError('"constraints" must be a nonempty list of polynomials')
-        parsed = []
-        for k, text in enumerate(constraints_raw):
-            try:
-                parsed.append(parse_polynomial(text, names))
-            except PolynomialSyntaxError as exc:
-                raise CliError(f"constraints[{k}]: {exc}") from exc
-        constraints = tuple(parsed)
+        constraints = tuple(parse(text, f"constraints[{k}]") for k, text in enumerate(constraints_raw))
 
     config = raw.get("config", {})
     if not isinstance(config, dict):

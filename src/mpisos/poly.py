@@ -39,6 +39,18 @@ def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def exponent_rows(exponents, dim: int) -> np.ndarray:
+    """The (k, dim) int64 array of an iterable of exponent tuples or of an
+    array; rows of another width raise ``ValueError``, where a reshape to
+    (-1, dim) would split or join them."""
+    rows = np.asarray(exponents if isinstance(exponents, np.ndarray) else list(exponents), dtype=np.int64)
+    if rows.shape == (0,):
+        return rows.reshape(0, dim)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(f"exponents need {dim} entries each, the dimension; got shape {rows.shape}")
+    return rows
+
+
 class GrlexRadix:
     """Radix keys of the exponents in ``dim`` variables of total degree <= top.
 
@@ -60,7 +72,7 @@ class GrlexRadix:
 
     def keys(self, exponents) -> np.ndarray:
         """Keys of an iterable of exponent tuples, or of an (k, dim) array."""
-        return np.array(exponents, dtype=np.int64).reshape(-1, self.dim) @ self.weights
+        return exponent_rows(exponents, self.dim) @ self.weights
 
     def exponents(self, keys: np.ndarray) -> np.ndarray:
         """The (k, dim) exponent array of the keys."""
@@ -576,7 +588,7 @@ def lie_coefficients(
     exponent in tuple order.  Raises ``ValueError`` if a coefficient passes
     the float range.
     """
-    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, sys.dim)
+    exponents = exponent_rows(exponents, sys.dim)
     rows, alphas, coefs = [np.arange(len(exponents))], [exponents], [np.full(len(exponents), float(beta))]
     for i, f in enumerate(sys.field):
         row = np.flatnonzero(exponents[:, i] > 0)

@@ -34,6 +34,7 @@ from .poly import (
     GrlexRadix,
     Polynomial,
     SupportSet,
+    exponent_rows,
     lie_coefficients,
     monomial_basis,
 )
@@ -100,10 +101,7 @@ def box_moments(exponents, box: Box) -> np.ndarray:
     """Integrals of the monomials x^alpha over the box, one per row of a
     (k, dim) exponent array.  Each axis's integral of each power is computed
     once, and the axes multiply in order, as for a single monomial."""
-    exponents = np.asarray(exponents, dtype=np.int64)
-    if exponents.size and exponents.shape[-1] != box.dim:
-        raise ValueError("exponent dimension does not match the box")
-    exponents = exponents.reshape(-1, box.dim)
+    exponents = exponent_rows(exponents, box.dim)
     out = np.ones(len(exponents))
     try:
         with np.errstate(over="raise"):
@@ -229,15 +227,12 @@ def _structure(
             system, d, s=config.s, l=config.l, extension=config.extension
         )
         v_support = chain.v_polynomial_support(config.s)
-        w_support = chain.w_polynomial_support(config.l)
-        a_cliques = _clique_exponents(chain.v_extended_at(config.s))
-        bc_cliques = _clique_exponents(chain.w_extended_at(config.l))
-        meta["v_stabilized"] = chain.v_stabilized
-        meta["w_stabilized"] = chain.w_stabilized
-        meta["chain_supports"] = (
-            tuple(len(sup) for sup in chain.v_supports),
-            tuple(len(sup) for sup in chain.w_supports),
-        )
+        w_support = chain.w.support_at(config.l)
+        a_cliques = _clique_exponents(chain.v.extended_at(config.s))
+        bc_cliques = _clique_exponents(chain.w.extended_at(config.l))
+        meta["v_stabilized"] = chain.v.stabilized
+        meta["w_stabilized"] = chain.w.stabilized
+        meta["chain_supports"] = tuple(tuple(map(len, c.supports)) for c in (chain.v, chain.w))
         return v_support, w_support, a_cliques, bc_cliques, meta
     # fd is ss under the group with no sign flips: every exponent lies in
     # its lattice and the whole basis is one block
@@ -319,8 +314,8 @@ def assemble(
     free_labels = tuple(("v", a) for a in v_exponents) + tuple(
         ("w", a) for a in w_exponents
     )
-    v_alpha = np.array(v_exponents, dtype=np.int64).reshape(-1, system.dim)
-    w_alpha = np.array(w_exponents, dtype=np.int64).reshape(-1, system.dim)
+    v_alpha = exponent_rows(v_exponents, system.dim)
+    w_alpha = exponent_rows(w_exponents, system.dim)
     v_col = np.arange(len(v_exponents))
     w_col = len(v_exponents) + np.arange(len(w_exponents))
 

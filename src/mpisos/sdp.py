@@ -80,6 +80,8 @@ _MAX_ITERATIONS = 200
 _STEP_EIG_FLOOR = 1e-13
 # the aggregate trace cap every problem is solved under (_with_trace_bound)
 _TRACE_CAP = 1e6
+# a solve is flagged infeasible once an iterate passes this multiple of
+# the larger start scale
 _DIVERGENCE_LIMIT = 1e10
 # a Schur solve's target relative residual and step limits (_schur_solve)
 _SOLVE_TOL = 1e-13
@@ -988,9 +990,10 @@ def solve_block_problem(bp: BlockProblem) -> SdpSolution:
     gather, scatter = bp._gather, bp._scatter
     C = gather(bp.c)
 
-    # identity-scaled cold start with magnitudes taken from the data rows;
-    # the last row is the trace cap, whose right-hand side is a
-    # deliberately generous bound, not a magnitude to start from
+    # identity-scaled cold start with magnitudes taken from the data rows
+    # and no absolute ceiling, so that scaled data starts scaled; the last
+    # row is the trace cap, whose right-hand side is a deliberately
+    # generous bound, not a magnitude to start from
     m_data = m - 1
     denom = 1.0 + bp.constraint_norms[:m_data]
     tau_p = max(
@@ -1003,8 +1006,7 @@ def solve_block_problem(bp: BlockProblem) -> SdpSolution:
         np.sqrt(N),
         (1.0 + bp.cost_norm + float(np.max(bp.constraint_norms[:m_data], initial=0.0))) / np.sqrt(N),
     )
-    tau_p = min(tau_p, 1e6)
-    tau_d = min(tau_d, 1e6)
+    divergence = _DIVERGENCE_LIMIT * max(tau_p, tau_d)
     X = [np.tile(tau_p * np.eye(n), (len(ks), 1, 1)) for n, ks, _ in classes]
     S = [np.tile(tau_d * np.eye(n), (len(ks), 1, 1)) for n, ks, _ in classes]
     # the cap's slack, the last 1x1 block, starts on its row: the cap holds
@@ -1067,7 +1069,7 @@ def solve_block_problem(bp: BlockProblem) -> SdpSolution:
             # collapsed numerically, keep the best iterate seen so far
             break
         norms = [float(np.abs(Xc).max()) for Xc in X]
-        if max(float(np.abs(y).max(initial=0.0)), max(norms)) > _DIVERGENCE_LIMIT:
+        if max(float(np.abs(y).max(initial=0.0)), max(norms)) > divergence:
             status = "infeasible_flag"
             break
         if it == _MAX_ITERATIONS:

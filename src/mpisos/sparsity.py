@@ -8,7 +8,11 @@ and reading the next support set off the extension.  Chains are weakly
 ascending and stabilize after finitely many steps; a stabilized chain repeats
 its last entry so that any sparse order past the fixed point stays valid.
 
-``build_chain`` runs both chains, each through ``_iterate``.  A step works
+``build_chain`` runs both chains, each through ``_iterate``, which returns
+one ``Chain``: the supports, each step's multiplier graphs and their chordal
+extensions, read at a sparse order through ``support_at``, ``graphs_at``
+and ``extended_at``.  A ``SupportChain`` holds the two as ``v`` and ``w``,
+and applies the v degree cap in ``v_polynomial_support``.  A step works
 on radix keys (``GrlexRadix``), in one radix that covers every product of
 the step (``_step_radix``).  ``_iterate`` keys the hit set once per step:
 the current support plus, for the v-chain, its Lie terms, summed as keys
@@ -202,14 +206,48 @@ def extend_graph(graph: MonomialGraph, extension: str) -> ChordalGraph:
     raise ValueError(f"extension must be one of {EXTENSIONS}, got {extension!r}")
 
 
-ChainSteps = tuple[
-    tuple[SupportSet, ...],
-    tuple[tuple[MonomialGraph, ...], ...],
-    tuple[tuple[ChordalGraph, ...], ...],
-]
+@dataclass(frozen=True)
+class Chain:
+    """The iterates of one chain, ``label`` "v" or "w": ``graphs[k]`` holds
+    each multiplier's graph on ``supports[k]`` and ``extended[k]`` their
+    chordal extensions, read at sparse order k + 1.  ``supports`` has one
+    more entry than the graphs: the last is the support the last step made,
+    entered twice once the chain stabilizes."""
+
+    label: str
+    supports: tuple[SupportSet, ...]
+    graphs: tuple[tuple[MonomialGraph, ...], ...]
+    extended: tuple[tuple[ChordalGraph, ...], ...]
+
+    @property
+    def stabilized(self) -> bool:
+        return len(self.supports) >= 2 and self.supports[-1] == self.supports[-2]
+
+    def support_at(self, order: int) -> SupportSet:
+        return self._at(order, self.supports)
+
+    def graphs_at(self, order: int) -> tuple[MonomialGraph, ...]:
+        return self._at(order, self.graphs)
+
+    def extended_at(self, order: int) -> tuple[ChordalGraph, ...]:
+        return self._at(order, self.extended)
+
+    def _at(self, order: int, entries: tuple):
+        """Entry for sparse ``order``; past the end only a stabilized chain
+        answers, with its last entry."""
+        if order < 1:
+            raise ValueError(f"{self.label} order must be >= 1, got {order}")
+        if order <= len(entries):
+            return entries[order - 1]
+        if self.stabilized:
+            return entries[-1]
+        raise ValueError(
+            f"{self.label} chain was run for {len(self.graphs)} step(s) without stabilizing; "
+            f"order {order} is not available"
+        )
 
 
-def _iterate(system, d, extension, current, steps, hit_of, next_of) -> ChainSteps:
+def _iterate(system, d, extension, label, current, steps, hit_of, next_of) -> Chain:
     """Build each multiplier's graph on ``hit_of(keys of current, radix)``,
     extend it, go on to ``next_of(Gram support keys of the extended graphs,
     keys of the multipliers' terms)``; at most ``steps`` times, up to a
@@ -240,31 +278,12 @@ def _iterate(system, d, extension, current, steps, hit_of, next_of) -> ChainStep
         if len(current) == len(keys) and np.array_equal(nxt, keys):
             break
         current, keys = supports[-1], nxt
-    return tuple(supports), tuple(raw_steps), tuple(ext_steps)
-
-
-def _at(
-    label: str,
-    order: int,
-    entries: tuple,
-    stabilized: bool,
-    executed: int,
-):
-    if order < 1:
-        raise ValueError(f"{label} order must be >= 1, got {order}")
-    if order <= len(entries):
-        return entries[order - 1]
-    if stabilized:
-        return entries[-1]
-    raise ValueError(
-        f"{label} chain was run for {executed} step(s) without stabilizing; "
-        f"order {order} is not available"
-    )
+    return Chain(label, tuple(supports), tuple(raw_steps), tuple(ext_steps))
 
 
 @dataclass(frozen=True)
 class SupportChain:
-    """All iterates of the v- and w-chains for one (system, d) pair.
+    """The v- and w-chains for one (system, d) pair.
 
     The w-chain is seeded from the v support at the requested sparse order
     ``s_requested``; querying a v quantity at a different order is still
@@ -276,46 +295,12 @@ class SupportChain:
     extension: str
     s_requested: int
     l_requested: int
-    v_supports: tuple[SupportSet, ...]
-    v_graphs: tuple[tuple[MonomialGraph, ...], ...]
-    v_extended: tuple[tuple[ChordalGraph, ...], ...]
-    w_supports: tuple[SupportSet, ...]
-    w_graphs: tuple[tuple[MonomialGraph, ...], ...]
-    w_extended: tuple[tuple[ChordalGraph, ...], ...]
-
-    @property
-    def v_stabilized(self) -> bool:
-        return len(self.v_supports) >= 2 and self.v_supports[-1] == self.v_supports[-2]
-
-    @property
-    def w_stabilized(self) -> bool:
-        return len(self.w_supports) >= 2 and self.w_supports[-1] == self.w_supports[-2]
-
-    def v_support_at(self, s: int) -> SupportSet:
-        return _at("v", s, self.v_supports, self.v_stabilized, len(self.v_graphs))
-
-    def w_support_at(self, l: int) -> SupportSet:
-        return _at("w", l, self.w_supports, self.w_stabilized, len(self.w_graphs))
-
-    def v_graphs_at(self, s: int) -> tuple[MonomialGraph, ...]:
-        return _at("v", s, self.v_graphs, self.v_stabilized, len(self.v_graphs))
-
-    def w_graphs_at(self, l: int) -> tuple[MonomialGraph, ...]:
-        return _at("w", l, self.w_graphs, self.w_stabilized, len(self.w_graphs))
-
-    def v_extended_at(self, s: int) -> tuple[ChordalGraph, ...]:
-        return _at("v", s, self.v_extended, self.v_stabilized, len(self.v_graphs))
-
-    def w_extended_at(self, l: int) -> tuple[ChordalGraph, ...]:
-        return _at("w", l, self.w_extended, self.w_stabilized, len(self.w_graphs))
+    v: Chain
+    w: Chain
 
     def v_polynomial_support(self, s: int) -> SupportSet:
         """Support on which v is modeled at sparse order s."""
-        return self.v_support_at(s).restricted(v_degree_cap(self.system, self.d))
-
-    def w_polynomial_support(self, l: int) -> SupportSet:
-        """Support on which w is modeled at sparse order l."""
-        return self.w_support_at(l)
+        return self.v.support_at(s).restricted(v_degree_cap(self.system, self.d))
 
 
 def build_chain(
@@ -336,39 +321,24 @@ def build_chain(
     iterate stays within that bound by construction.  Its hit set is the
     current support; its next support adds to the constant multiplier's
     Gram support the Minkowski sum of each constraint's terms and its
-    graph's Gram support (``_w_next_keys``).  A chain that stabilizes
-    enters its final support twice, so each support tuple has one more
-    entry than its graphs.
+    graph's Gram support (``_w_next_keys``).
     """
-    v_supports, v_graphs, v_extended = _iterate(
-        system, d, extension, initial_support(system, d), s,
+    v = _iterate(
+        system, d, extension, "v", initial_support(system, d), s,
         lambda keys, radix: _v_hit_keys(system, d, keys, radix), lambda gram, terms: gram[0],
     )
-    v_stab = len(v_supports) >= 2 and v_supports[-1] == v_supports[-2]
-    seed = _at("v", s, v_supports, v_stab, len(v_graphs))
-    w_supports, w_graphs, w_extended = _iterate(
-        system, d, extension, seed.restricted(2 * d), l, lambda keys, radix: keys, _w_next_keys
+    w = _iterate(
+        system, d, extension, "w", v.support_at(s).restricted(2 * d), l,
+        lambda keys, radix: keys, _w_next_keys,
     )
-    return SupportChain(
-        system=system,
-        d=d,
-        extension=extension,
-        s_requested=s,
-        l_requested=l,
-        v_supports=v_supports,
-        v_graphs=v_graphs,
-        v_extended=v_extended,
-        w_supports=w_supports,
-        w_graphs=w_graphs,
-        w_extended=w_extended,
-    )
+    return SupportChain(system, d, extension, s, l, v, w)
 
 
 def stabilized_chain(system: DynamicalSystem, d: int, extension: str = "maximal") -> SupportChain:
     """Run both chains to their fixed points, at most _STABILIZE_STEPS
     steps each."""
     chain = build_chain(system, d, s=_STABILIZE_STEPS, l=_STABILIZE_STEPS, extension=extension)
-    if not (chain.v_stabilized and chain.w_stabilized):
+    if not (chain.v.stabilized and chain.w.stabilized):
         raise RuntimeError(f"support chains did not stabilize within {_STABILIZE_STEPS} steps")
     return chain
 
@@ -380,20 +350,14 @@ def chain_dump_text(chain: SupportChain, names: tuple[str, ...] | None = None) -
         f"d={chain.d} extension={chain.extension} "
         f"s={chain.s_requested} l={chain.l_requested}"
     )
-    for k, sup in enumerate(chain.v_supports):
-        degs = sorted({total_degree(a) for a in sup})
-        lines.append(f"v[{k + 1}]: {len(sup)} exponents, degrees {degs}")
-    for k, graphs in enumerate(chain.v_extended):
-        sizes = [tuple(map(len, maximal_cliques(g))) for g in graphs]
-        lines.append(f"v-step {k + 1} clique sizes: {sizes}")
-    for k, sup in enumerate(chain.w_supports):
-        degs = sorted({total_degree(a) for a in sup})
-        lines.append(f"w[{k + 1}]: {len(sup)} exponents, degrees {degs}")
-    for k, graphs in enumerate(chain.w_extended):
-        sizes = [tuple(map(len, maximal_cliques(g))) for g in graphs]
-        lines.append(f"w-step {k + 1} clique sizes: {sizes}")
-    lines.append(f"v stabilized: {chain.v_stabilized}")
-    lines.append(f"w stabilized: {chain.w_stabilized}")
-    head = lines + ["monomials in v[last]:"]
-    head.extend("  " + monomial_str(a, names) for a in chain.v_supports[-1])
-    return "\n".join(head)
+    for c in (chain.v, chain.w):
+        for k, sup in enumerate(c.supports):
+            degs = sorted({total_degree(a) for a in sup})
+            lines.append(f"{c.label}[{k + 1}]: {len(sup)} exponents, degrees {degs}")
+        for k, graphs in enumerate(c.extended):
+            sizes = [tuple(map(len, maximal_cliques(g))) for g in graphs]
+            lines.append(f"{c.label}-step {k + 1} clique sizes: {sizes}")
+    lines += [f"{c.label} stabilized: {c.stabilized}" for c in (chain.v, chain.w)]
+    lines.append("monomials in v[last]:")
+    lines.extend("  " + monomial_str(a, names) for a in chain.v.supports[-1])
+    return "\n".join(lines)

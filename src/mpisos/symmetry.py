@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import DynamicalSystem, Exponent, SupportSet
+from .poly import DynamicalSystem, Exponent, SupportSet, exponent_rows
 from .sparsity import initial_support
 
 
@@ -99,6 +99,7 @@ class SignSymmetryGroup:
 
 def support_symmetries(dim: int, exponents) -> SignSymmetryGroup:
     """Group of sign vectors with even dot product against every exponent."""
+    exponents = exponent_rows(exponents, dim).tolist()
     rows = sorted({parity_mask(alpha) for alpha in exponents} - {0})
     return SignSymmetryGroup(dim, _nullspace_gf2(rows, dim))
 
@@ -112,7 +113,7 @@ def sign_symmetries(system: DynamicalSystem, d: int) -> SignSymmetryGroup:
 def _parities(group: SignSymmetryGroup, exponents) -> np.ndarray:
     """Dot products mod 2 of each row of a (k, dim) exponent array against
     each basis vector, as a (k, rank) 0/1 array."""
-    exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, group.dim)
+    exponents = exponent_rows(exponents, group.dim)
     basis = np.array(group.vectors, dtype=np.int64).reshape(-1, group.dim)
     return (exponents & 1) @ basis.T & 1
 

@@ -121,6 +121,9 @@ class TestProblemFiles:
                 "dynamics entry for x",
             ),
             ({"variables": ["x"], "dynamics": ["y"]}, "dynamics entry for x"),
+            # entries that are not strings, which the tokenizer cannot read
+            ({"variables": ["x", "y"], "dynamics": [1, "-y"]}, "dynamics entry for x"),
+            ({"variables": ["x"], "dynamics": ["-x"], "constraints": [None]}, r"constraints\[0\]"),
         ],
     )
     def test_rejects_bad_files(self, tmp_path, payload, fragment):

@@ -98,13 +98,13 @@ def extension_reference(graph: MonomialGraph, extension: str) -> ChordalGraph:
 def test_chain_matches_loop_references(name, d, extension):
     system = MODELS[name]().system
     chain = build_chain(system, d, extension=extension)
-    hits = [v_hit_set_loop(system, d, a) for a in chain.v_supports[: len(chain.v_graphs)]]
-    hits += list(chain.w_supports[: len(chain.w_graphs)])
-    for hit, graphs in zip(hits, chain.v_graphs + chain.w_graphs):
+    hits = [v_hit_set_loop(system, d, a) for a in chain.v.supports[: len(chain.v.graphs)]]
+    hits += list(chain.w.supports[: len(chain.w.graphs)])
+    for hit, graphs in zip(hits, chain.v.graphs + chain.w.graphs):
         for j, graph in enumerate(graphs):
             assert graph == graph_from_rule_loop(system, d, j, hit)
     rescan = extension == "maximal" or (name, d) not in RESCAN_TOO_SLOW
-    for raw, ext in zip(chain.v_graphs + chain.w_graphs, chain.v_extended + chain.w_extended):
+    for raw, ext in zip(chain.v.graphs + chain.w.graphs, chain.v.extended + chain.w.extended):
         for graph, extended in zip(raw, ext):
             # the library's own extensions skip the construction checks
             ChordalGraph(extended.nodes, extended.edges, extended.elimination_order)
@@ -113,10 +113,10 @@ def test_chain_matches_loop_references(name, d, extension):
                 assert extended == reference
                 assert extended.elimination_order == reference.elimination_order
             assert maximal_cliques(extended) == maximal_cliques_pairwise(extended)
-    for k, ext in enumerate(chain.v_extended):
-        assert chain.v_supports[k + 1] == supp_of_graph_loop(ext[0])
-    for k, ext in enumerate(chain.w_extended):
-        assert chain.w_supports[k + 1] == w_next_support_loop(system, ext)
+    for k, ext in enumerate(chain.v.extended):
+        assert chain.v.supports[k + 1] == supp_of_graph_loop(ext[0])
+    for k, ext in enumerate(chain.w.extended):
+        assert chain.w.supports[k + 1] == w_next_support_loop(system, ext)
 
 
 edge_cases = st.integers(1, 14).flatmap(
@@ -216,6 +216,16 @@ def test_radix_weights_switch_to_python_ints_past_int64():
     key = radix.keys([alpha])
     assert key[0] > 2**63
     assert radix.decode(key) == [alpha]
+
+
+def test_keys_and_lie_terms_reject_rows_of_another_width():
+    # a reshape to (-1, 3) would read the 6-wide row as two lorenz exponents
+    wide = [(1, 0, 0, 0, 1, 0)]
+    with pytest.raises(ValueError, match="dimension"):
+        GrlexRadix(3, 4).keys(wide)
+    with pytest.raises(ValueError, match="dimension"):
+        lie_coefficients(np.array(wide), systems.lorenz().system)
+    assert GrlexRadix(3, 4).keys([]).shape == (0,)
 
 
 def past_int64_case() -> tuple[DynamicalSystem, SupportSet]:

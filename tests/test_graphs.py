@@ -242,7 +242,7 @@ def test_cliques_match_pairwise_reference_on_chains(extension):
     systems = [random_network_model(n, 0).system for n in (8, 10, 12)] + [lorenz().system]
     for system in systems:
         chain = build_chain(system, d=2, s=2, l=2, extension=extension)
-        for ext in (g for step in chain.v_extended + chain.w_extended for g in step):
+        for ext in (g for step in chain.v.extended + chain.w.extended for g in step):
             assert maximal_cliques(ext) == maximal_cliques_pairwise(ext)
 
 

@@ -1152,6 +1152,26 @@ class TestStepRule:
         assert sol.trace[-1].step_fraction == 0.0
 
 
+class TestScaleInvariance:
+    def test_scaled_free_cost_scales_the_solve(self):
+        # the start takes its scales from the data with no absolute ceiling
+        # and the divergence exit is relative to them, so scaling c_free by
+        # 2^e scales the objective and keeps the iterations
+        bp = standardize(network_problem(8, 0, "ts"))
+        objectives = {}
+        for e in (0, 10, 20, 27, 30):
+            scale = 2.0**e
+            sol = solve_block_problem(
+                BlockProblem(
+                    bp.block_sizes, bp.A, bp.B, bp.b, bp.c_free * scale, bp.c, bp.objective_offset
+                )
+            )
+            assert (e, sol.status, sol.iterations) == (e, "optimal", 20)
+            objectives[e] = sol.objective / scale
+        for e, value in objectives.items():
+            assert value == pytest.approx(objectives[0], rel=1e-6), e
+
+
 class TestBlockOrder:
     def test_shuffled_blocks_give_the_same_solution(self):
         # the solver sorts the blocks into a canonical order and hands them

@@ -8,6 +8,8 @@ determinism on small random systems with box constraints.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,9 +34,20 @@ from mpisos.sparsity import (
     stabilized_chain,
     v_degree_cap,
 )
-from mpisos.systems import coupled_cubic, extended_lorenz, lorenz, semi_coupled_cubic
+from mpisos.systems import (
+    coupled_cubic,
+    extended_lorenz,
+    lorenz,
+    random_network_model,
+    semi_coupled_cubic,
+)
 
 from oracles import edge_set, supp_of_graph_loop
+
+
+def golden_text(name: str) -> str:
+    """A pinned output, stored under tests/golden."""
+    return (Path(__file__).parent / "golden" / name).read_text()
 
 
 def exponent_edges(graph):
@@ -184,30 +197,30 @@ class TestLorenzGoldens:
         assert set(sup) == INITIAL_12
 
     def test_step1_graph_edges(self, lorenz_chain):
-        graph = lorenz_chain.v_graphs_at(1)[0]
+        graph = lorenz_chain.v.graphs_at(1)[0]
         assert graph.nodes == monomial_basis(3, 2)
         assert exponent_edges(graph) == V_STEP1_EDGES
 
     def test_step1_clique_sizes(self, lorenz_chain):
-        sizes = tuple(map(len, maximal_cliques(lorenz_chain.v_extended_at(1)[0])))
+        sizes = tuple(map(len, maximal_cliques(lorenz_chain.v.extended_at(1)[0])))
         assert sizes == (6, 4)
 
     def test_support_growth_and_fixed_point(self, lorenz_chain_deep):
-        assert set(lorenz_chain_deep.v_support_at(1)) == INITIAL_12
-        assert set(lorenz_chain_deep.v_support_at(2)) == STABLE_19
-        assert lorenz_chain_deep.v_support_at(2) == lorenz_chain_deep.v_support_at(3)
-        assert lorenz_chain_deep.v_stabilized
+        assert set(lorenz_chain_deep.v.support_at(1)) == INITIAL_12
+        assert set(lorenz_chain_deep.v.support_at(2)) == STABLE_19
+        assert lorenz_chain_deep.v.support_at(2) == lorenz_chain_deep.v.support_at(3)
+        assert lorenz_chain_deep.v.stabilized
 
     def test_multiplier_graphs_at_step1(self, lorenz_chain):
         pair_only = frozenset({frozenset((X1, X2))})
         with_x3 = frozenset({frozenset((ONE, X3)), frozenset((X1, X2))})
-        graphs = lorenz_chain.v_graphs_at(1)
+        graphs = lorenz_chain.v.graphs_at(1)
         assert exponent_edges(graphs[1]) == with_x3
         assert exponent_edges(graphs[2]) == with_x3
         assert exponent_edges(graphs[3]) == pair_only
 
     def test_w_step1_graph_is_strict_subgraph(self, lorenz_chain):
-        graph = lorenz_chain.w_graphs_at(1)[0]
+        graph = lorenz_chain.w.graphs_at(1)[0]
         assert graph.nodes == monomial_basis(3, 2)
         assert exponent_edges(graph) == W_STEP1_EDGES
         assert W_STEP1_EDGES < V_STEP1_EDGES
@@ -215,41 +228,49 @@ class TestLorenzGoldens:
     def test_w_multiplier_graphs_at_step1(self, lorenz_chain):
         pair_only = frozenset({frozenset((X1, X2))})
         for j in (1, 2, 3):
-            assert exponent_edges(lorenz_chain.w_graphs_at(1)[j]) == pair_only
+            assert exponent_edges(lorenz_chain.w.graphs_at(1)[j]) == pair_only
 
     def test_w_chain_reaches_v_fixed_point(self, lorenz_chain):
-        assert set(lorenz_chain.w_support_at(1)) == INITIAL_12
-        assert set(lorenz_chain.w_support_at(2)) == STABLE_19
-        assert lorenz_chain.w_support_at(2) == lorenz_chain.w_support_at(3)
-        assert lorenz_chain.w_stabilized
-        assert lorenz_chain.w_support_at(2) == lorenz_chain.v_support_at(2)
+        assert set(lorenz_chain.w.support_at(1)) == INITIAL_12
+        assert set(lorenz_chain.w.support_at(2)) == STABLE_19
+        assert lorenz_chain.w.support_at(2) == lorenz_chain.w.support_at(3)
+        assert lorenz_chain.w.stabilized
+        assert lorenz_chain.w.support_at(2) == lorenz_chain.v.support_at(2)
 
     def test_w_chain_seeds_from_requested_order(self, lorenz_chain_deep):
         # at s past stabilization the w-chain starts on the fixed-point set
-        assert set(lorenz_chain_deep.w_support_at(1)) == STABLE_19
+        assert set(lorenz_chain_deep.w.support_at(1)) == STABLE_19
 
     def test_w_multiplier_graphs_gain_edge_at_step2(self, lorenz_chain):
         with_x3 = frozenset({frozenset((ONE, X3)), frozenset((X1, X2))})
         for j in (1, 2, 3):
-            assert exponent_edges(lorenz_chain.w_graphs_at(2)[j]) == with_x3
+            assert exponent_edges(lorenz_chain.w.graphs_at(2)[j]) == with_x3
 
     def test_stabilized_chain_helper(self):
         chain = stabilized_chain(lorenz().system, 2)
-        assert chain.v_stabilized and chain.w_stabilized
-        assert set(chain.v_supports[-1]) == STABLE_19
+        assert chain.v.stabilized and chain.w.stabilized
+        assert set(chain.v.supports[-1]) == STABLE_19
 
     def test_unreachable_order_raises(self):
         chain = build_chain(lorenz().system, d=2, s=1, l=1, extension="maximal")
-        assert not chain.v_stabilized
-        with pytest.raises(ValueError):
-            chain.v_graphs_at(2)
+        assert not chain.v.stabilized and not chain.w.stabilized
+        with pytest.raises(ValueError, match="^v chain was run for 1 step"):
+            chain.v.graphs_at(2)
+        with pytest.raises(ValueError, match="^w chain was run for 1 step.*order 2 is not"):
+            chain.w.extended_at(2)
+        with pytest.raises(ValueError, match="^w order must be >= 1, got 0"):
+            chain.w.support_at(0)
 
     def test_dump_text(self, lorenz_chain_deep):
-        text = chain_dump_text(lorenz_chain_deep)
-        assert "v stabilized: True" in text
-        assert "v[1]: 12 exponents" in text
-        assert "v[2]: 19 exponents" in text
-        assert text == chain_dump_text(lorenz_chain_deep)
+        # the whole dump: both chains' supports and clique sizes, their
+        # stabilization and the last v support
+        assert chain_dump_text(lorenz_chain_deep) + "\n" == golden_text("chain_dump_lorenz.txt")
+
+    def test_dump_text_n8_min_degree(self):
+        # neither chain stabilizes at (s, l) = (2, 2)
+        model = random_network_model(8, 0)
+        chain = build_chain(model.system, 2, s=2, l=2, extension="min-degree")
+        assert chain_dump_text(chain, model.variables) + "\n" == golden_text("chain_dump_n8.txt")
 
 
 class TestOtherModels:
@@ -258,19 +279,19 @@ class TestOtherModels:
     )
     def test_chains_stabilize(self, model):
         chain = stabilized_chain(model.system, 2)
-        assert chain.v_stabilized and chain.w_stabilized
-        fixed = chain.v_supports[-1]
-        assert supp_of_graph_loop(chain.v_extended[-1][0]) == fixed
+        assert chain.v.stabilized and chain.w.stabilized
+        fixed = chain.v.supports[-1]
+        assert supp_of_graph_loop(chain.v.extended[-1][0]) == fixed
 
     def test_min_degree_extension_stays_inside_maximal(self):
         chain = build_chain(lorenz().system, d=2, s=2, l=2, extension="min-degree")
         dense = build_chain(lorenz().system, d=2, s=2, l=2, extension="maximal")
-        assert edge_set(chain.v_extended[0][0]) <= edge_set(dense.v_extended[0][0])
-        assert len(chain.v_extended[0][0].edges) < len(dense.v_extended[0][0].edges)
+        assert edge_set(chain.v.extended[0][0]) <= edge_set(dense.v.extended[0][0])
+        assert len(chain.v.extended[0][0].edges) < len(dense.v.extended[0][0].edges)
 
     def test_greedy_extension_monotone_on_nested_pair(self, lorenz_chain):
-        small = lorenz_chain.w_graphs_at(1)[0]
-        big = lorenz_chain.v_graphs_at(1)[0]
+        small = lorenz_chain.w.graphs_at(1)[0]
+        big = lorenz_chain.v.graphs_at(1)[0]
         assert edge_set(small) <= edge_set(big)
         ext_small = extend_graph(small, "min-degree")
         ext_big = extend_graph(big, "min-degree")
@@ -305,7 +326,7 @@ class TestChainProperties:
     @given(box_systems())
     def test_v_chain_ascends_within_degree(self, sys):
         chain = build_chain(sys, d=2, s=4, extension="maximal")
-        supports, raw = chain.v_supports, chain.v_graphs
+        supports, raw = chain.v.supports, chain.v.graphs
         for earlier, later in zip(supports, supports[1:]):
             assert set(earlier) <= set(later)
         for sup in supports[1:]:
@@ -318,9 +339,9 @@ class TestChainProperties:
     @given(box_systems())
     def test_w_chain_ascends_within_degree(self, sys):
         chain = build_chain(sys, d=2, s=2, l=4, extension="maximal")
-        for earlier, later in zip(chain.w_supports, chain.w_supports[1:]):
+        for earlier, later in zip(chain.w.supports, chain.w.supports[1:]):
             assert set(earlier) <= set(later)
-        for sup in chain.w_supports:
+        for sup in chain.w.supports:
             assert all(total_degree(a) <= 4 for a in sup)
 
     @settings(max_examples=25)

@@ -123,12 +123,21 @@ class TestGroupComputation:
         assert (1, 1, 0, 0) in members
         assert (1, 1, 1, 1) in members
         assert (1, 0, 0, 0) not in members
+        # exponents of another width than dim have no parity mask in the group
+        for exps in ([(1, 0, 0, 1)], [(1, 0)]):
+            with pytest.raises(ValueError, match="dimension"):
+                support_symmetries(3, exps)
 
 
 class TestOrthogonality:
     def test_lorenz_membership_goldens(self):
         group = sign_symmetries(lorenz().system, 2)
         assert r_perp_mask(group, [(1, 1, 0), (0, 0, 1), (1, 0, 0)]).tolist() == [True, True, False]
+        # a width that a reshape to (-1, 3) would split into two rows
+        with pytest.raises(ValueError, match="dimension"):
+            r_perp_mask(group, [(1, 1, 0, 0, 0, 1)])
+        with pytest.raises(ValueError, match="dimension"):
+            symmetry_blocks(group, [(1, 1, 0, 0, 0, 1)])
 
     def test_trivial_group_accepts_everything(self):
         group = SignSymmetryGroup(3, ())
@@ -203,9 +212,9 @@ class TestBlocks:
             sys = model.system
             chain = stabilized_chain(sys, 2)
             group = sign_symmetries(sys, 2)
-            s_fix = len(chain.v_graphs)
-            l_fix = len(chain.w_graphs)
-            for graphs in (chain.v_extended_at(s_fix), chain.w_extended_at(l_fix)):
+            s_fix = len(chain.v.graphs)
+            l_fix = len(chain.w.graphs)
+            for graphs in (chain.v.extended_at(s_fix), chain.w.extended_at(l_fix)):
                 for g in graphs:
                     blocks = symmetry_blocks(group, SupportSet.of(sys.dim, g.nodes))
                     assert same_sets(g, blocks), model.name
@@ -214,6 +223,6 @@ class TestBlocks:
         sys = lorenz().system
         chain = stabilized_chain(sys, 2)
         group = sign_symmetries(sys, 2)
-        g = chain.v_extended_at(1)[3]
+        g = chain.v.extended_at(1)[3]
         blocks = symmetry_blocks(group, SupportSet.of(3, g.nodes))
         assert not same_sets(g, blocks)
