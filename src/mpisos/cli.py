@@ -34,13 +34,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .poly import (
     DynamicalSystem,
-    Polynomial,
     PolynomialSyntaxError,
-    SupportSet,
-    monomial_basis,
     parse_polynomial,
 )
-from .relax import Box, SdpProblem, assemble, grid_counts, outer_approx_grid, recover
+from .relax import Box, SdpProblem, assemble, grid_counts, multiplier_blocks, outer_approx_grid, recover
 from .sdp import SdpSolution, export_sdpa, solve
 from .sparsity import (
     EXTENSIONS,
@@ -48,9 +45,8 @@ from .sparsity import (
     RelaxationConfig,
     build_chain,
     chain_dump_text,
-    multiplier_basis_degree,
 )
-from .symmetry import sign_symmetries, symmetry_blocks
+from .symmetry import sign_symmetries
 from .systems import random_network_model
 
 RUN_CSV_HEADER = (
@@ -107,16 +103,6 @@ class LoadedProblem:
     file_config: dict
 
 
-def _axis_constraint(name_index: int, dim: int, lo: float, hi: float) -> Polynomial:
-    """The quadratic (hi - x_i)(x_i - lo), nonnegative exactly on the slab."""
-    e1 = tuple(1 if k == name_index else 0 for k in range(dim))
-    e2 = tuple(2 if k == name_index else 0 for k in range(dim))
-    zero = (0,) * dim
-    return Polynomial.from_terms(
-        dim, {e2: -1.0, e1: lo + hi, zero: -lo * hi}
-    )
-
-
 def load_problem(path: str) -> LoadedProblem:
     """Read and validate a problem file."""
     try:
@@ -158,14 +144,12 @@ def load_problem(path: str) -> LoadedProblem:
     try:
         box = Box.symmetric(n) if box_raw is None else Box.from_bounds(box_raw)
         # finite bounds can still overflow the quadratic's coefficients
-        axis = tuple(_axis_constraint(i, n, lo, hi) for i, (lo, hi) in enumerate(box.bounds))
+        constraints = box.constraints()
     except (TypeError, ValueError) as exc:
         raise CliError(f'invalid "box": {exc}') from exc
 
     constraints_raw = raw.get("constraints")
-    if constraints_raw is None:
-        constraints = axis
-    else:
+    if constraints_raw is not None:
         if not isinstance(constraints_raw, list) or not constraints_raw:
             raise CliError('"constraints" must be a nonempty list of polynomials')
         constraints = tuple(parse(text, f"constraints[{k}]") for k, text in enumerate(constraints_raw))
@@ -404,12 +388,8 @@ def cmd_symmetries(args: argparse.Namespace) -> int:
     for vec in group.vectors:
         print("  r = " + "".join(str(b) for b in vec))
     degrees = (0,) + loaded.system.constraint_degrees
-    for j, dj in enumerate(degrees):
-        basis = SupportSet.of(
-            loaded.system.dim,
-            monomial_basis(loaded.system.dim, multiplier_basis_degree(config.d, dj)),
-        )
-        sizes = sorted((len(b) for b in symmetry_blocks(group, basis)), reverse=True)
+    for j, (dj, blocks) in enumerate(zip(degrees, multiplier_blocks(loaded.system, config.d, group))):
+        sizes = sorted(map(len, blocks), reverse=True)
         label = "1" if j == 0 else f"g{j}"
         print(f"multiplier {label} (degree {dj}): block sizes {sizes}")
     return 0

@@ -39,16 +39,23 @@ def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _check_exponent(alpha, dim: int) -> None:
+    if len(alpha) != dim or not all(isinstance(a, (int, np.integer)) and a >= 0 for a in alpha):
+        raise ValueError(f"exponent {alpha} needs {dim} nonnegative integer entries")
+
+
 def exponent_rows(exponents, dim: int) -> np.ndarray:
     """The (k, dim) int64 array of an iterable of exponent tuples or of an
-    array; rows of another width raise ``ValueError``, where a reshape to
-    (-1, dim) would split or join them."""
-    rows = np.asarray(exponents if isinstance(exponents, np.ndarray) else list(exponents), dtype=np.int64)
+    integer array.  Rows of another width (which a reshape would split or
+    join), negative entries and non-integers raise ``ValueError``."""
+    rows = np.asarray(exponents if isinstance(exponents, np.ndarray) else list(exponents))
     if rows.shape == (0,):
-        return rows.reshape(0, dim)
+        return rows.astype(np.int64).reshape(0, dim)
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise ValueError(f"exponents need {dim} entries each, the dimension; got shape {rows.shape}")
-    return rows
+    if rows.dtype.kind not in "iu" or rows.min(initial=0) < 0:
+        raise ValueError("exponents need nonnegative integer entries")
+    return rows.astype(np.int64, copy=False)
 
 
 class GrlexRadix:
@@ -133,10 +140,7 @@ class Polynomial:
 
     def __post_init__(self) -> None:
         for alpha, c in self.terms.items():
-            if len(alpha) != self.dim:
-                raise ValueError(f"exponent {alpha} does not have dim {self.dim}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
+            _check_exponent(alpha, self.dim)
             if c == 0.0:
                 raise ValueError(f"stored coefficient for {alpha} is zero")
             if not math.isfinite(c):
@@ -245,18 +249,20 @@ class Polynomial:
             acc[beta] = acc.get(beta, 0.0) + a * c
         return Polynomial._valid(self.dim, {b: c for b, c in acc.items() if c != 0.0})
 
-    def __call__(self, point: Iterable[float]) -> float:
-        pt = tuple(point)
-        if len(pt) != self.dim:
-            raise ValueError(f"point has {len(pt)} coordinates, expected {self.dim}")
-        value = 0.0
-        for alpha, c in self.terms.items():
-            term = c
-            for x, a in zip(pt, alpha):
+    def __call__(self, points) -> float | np.ndarray:
+        """The value at one point, a float, or at each row of a (k, dim) array.
+        The terms add in grlex order, each its coefficient times its powers."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
+            raise ValueError(f"points have shape {pts.shape}, expected ({self.dim},) or (k, {self.dim})")
+        values = np.zeros(pts.shape[:-1])
+        for alpha, c in self.sorted_terms():
+            term = np.full(pts.shape[:-1], c)
+            for i, a in enumerate(alpha):
                 if a:
-                    term *= x ** a
-            value += term
-        return value
+                    term *= pts[..., i] ** a
+            values += term
+        return float(values) if pts.ndim == 1 else values
 
     # -- rendering ---------------------------------------------------------
 
@@ -449,10 +455,7 @@ class SupportSet:
 
     def __post_init__(self) -> None:
         for alpha in self.elements:
-            if len(alpha) != self.dim:
-                raise ValueError(f"exponent {alpha} does not have dim {self.dim}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
+            _check_exponent(alpha, self.dim)
 
     @classmethod
     def _valid(cls, dim: int, elements: frozenset[Exponent]) -> SupportSet:

@@ -96,6 +96,17 @@ class Box:
             out *= b - a
         return out
 
+    def constraints(self) -> tuple[Polynomial, ...]:
+        """The per-axis quadratics (hi - x_i)(x_i - lo), constant term first:
+        1 - x_i^2 on the unit box.  Raises ``ValueError`` if a coefficient,
+        such as -lo * hi, passes the float range."""
+        out = []
+        for i, (lo, hi) in enumerate(self.bounds):
+            unit = tuple(int(k == i) for k in range(self.dim))
+            terms = {(0,) * self.dim: -lo * hi, unit: lo + hi, tuple(2 * a for a in unit): -1.0}
+            out.append(Polynomial.from_terms(self.dim, terms))
+        return tuple(out)
+
 
 def box_moments(exponents, box: Box) -> np.ndarray:
     """Integrals of the monomials x^alpha over the box, one per row of a
@@ -220,7 +231,6 @@ def _structure(
     n = system.dim
     d = config.d
     cap = v_degree_cap(system, d)
-    degrees = (0,) + system.constraint_degrees
     meta: dict = {}
     if config.mode == "ts":
         chain = build_chain(
@@ -244,12 +254,23 @@ def _structure(
         basis = monomial_basis(n, max_degree)
         return SupportSet._valid(n, frozenset(compress(basis, r_perp_mask(group, basis))))
 
+    cliques = multiplier_blocks(system, d, group)
+    return in_lattice(cap), in_lattice(2 * d), cliques, list(cliques), meta
+
+
+def multiplier_blocks(
+    system: DynamicalSystem, d: int, group: SignSymmetryGroup
+) -> list[tuple[tuple[Exponent, ...], ...]]:
+    """The sign-symmetry partition of each multiplier's monomial basis at
+    relaxation degree d, in ``system.multipliers()`` order; multipliers of
+    one basis degree share one partition, computed once."""
+    n = system.dim
+    basis_degrees = [multiplier_basis_degree(d, dj) for dj in (0,) + system.constraint_degrees]
     blocks_of = {
         deg: symmetry_blocks(group, SupportSet._valid(n, frozenset(monomial_basis(n, deg))))
-        for deg in {multiplier_basis_degree(d, dj) for dj in degrees}
+        for deg in set(basis_degrees)
     }
-    cliques = [blocks_of[multiplier_basis_degree(d, dj)] for dj in degrees]
-    return in_lattice(cap), in_lattice(2 * d), cliques, list(cliques), meta
+    return [blocks_of[deg] for deg in basis_degrees]
 
 
 def _gram_rows(
@@ -510,12 +531,6 @@ def outer_approx_grid(
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    values = np.zeros(len(points))
-    for alpha, coef in w.sorted_terms():
-        term = np.full(len(points), coef)
-        for i, a in enumerate(alpha):
-            if a:
-                term *= points[:, i] ** a
-        values += term
+    values = w(points)
     keep = values >= 1.0
     return points[keep], values[keep]

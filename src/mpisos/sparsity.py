@@ -135,7 +135,7 @@ def initial_support(system: DynamicalSystem, d: int) -> SupportSet:
     for p in system.constraints:
         base = base.union(support(p))
     lie = generic_lie_support(base, system)
-    even = (tuple(2 * a for a in alpha) for alpha in monomial_basis(n, d))
+    even = SupportSet._valid(n, frozenset(tuple(2 * a for a in alpha) for alpha in monomial_basis(n, d)))
     return base.union(lie, even)
 
 

@@ -1,8 +1,8 @@
 """Benchmark dynamical systems used throughout the tests and scripts.
 
-Every model couples a polynomial vector field with a box constraint set; the
-box enters twice, once as the list of constraint polynomials 1 - x_i^2 (after
-rescaling to the unit box) and once as integration bounds for the objective.
+Every model couples a polynomial vector field with the unit box; the box
+enters twice, once as the constraints 1 - x_i^2 of ``Box.constraints()`` and
+once as integration bounds for the objective.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .poly import DynamicalSystem, Polynomial, default_names, parse_polynomial
+from .relax import Box
 
 # random_network_model's bound on the draws of B
 _MAX_ATTEMPTS = 1000
@@ -31,10 +32,7 @@ def _unit_box_model(name: str, field_strings: tuple[str, ...]) -> Model:
     n = len(field_strings)
     names = default_names(n)
     field = tuple(parse_polynomial(s, names) for s in field_strings)
-    constraints = tuple(
-        parse_polynomial(f"1 - {names[i]}^2", names) for i in range(n)
-    )
-    system = DynamicalSystem(field=field, constraints=constraints)
+    system = DynamicalSystem(field=field, constraints=Box.symmetric(n).constraints())
     return Model(
         name=name,
         variables=names,
@@ -138,35 +136,19 @@ def random_network_model(n: int, seed: int) -> RandomNetworkModel:
             break
     else:
         raise RuntimeError(f"no positive definite draw within {_MAX_ATTEMPTS} attempts")
-    names = default_names(n)
-    quad: dict[tuple[int, ...], float] = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 2
-        quad[tuple(e)] = float(b[i, i])
-    for i, j in edges:
-        e = [0] * n
-        e[i] = 1
-        e[j] = 1
-        quad[tuple(e)] = 2.0 * float(b[i, j])
-    field = []
-    for i in range(n):
-        terms: dict[tuple[int, ...], float] = {}
-        for alpha, coef in quad.items():
-            shifted = list(alpha)
-            shifted[i] += 1
-            terms[tuple(shifted)] = coef
-        unit = [0] * n
-        unit[i] = 1
-        terms[tuple(unit)] = terms.get(tuple(unit), 0.0) - 1.0
-        field.append(Polynomial.from_terms(n, terms))
-    constraints = tuple(
-        parse_polynomial(f"1 - {names[i]}^2", names) for i in range(n)
-    )
-    system = DynamicalSystem(field=tuple(field), constraints=constraints)
+
+    def exponent(*axes: int) -> tuple[int, ...]:
+        return tuple(axes.count(k) for k in range(n))
+
+    # x^T B x - 1, each edge's two entries of B in one term
+    terms = {exponent(i, i): b[i, i] for i in range(n)}
+    terms.update({exponent(i, j): 2.0 * b[i, j] for i, j in edges})
+    q = Polynomial.from_terms(n, {**terms, exponent(): -1.0})
+    field = tuple(Polynomial(n, {exponent(i): 1.0}) * q for i in range(n))
+    system = DynamicalSystem(field=field, constraints=Box.symmetric(n).constraints())
     return RandomNetworkModel(
         name=f"random-n{n}-seed{seed}",
-        variables=names,
+        variables=default_names(n),
         system=system,
         bounds=((-1.0, 1.0),) * n,
         seed=seed,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from mpisos.cli import (
 )
 from mpisos.relax import assemble
 from mpisos.sdp import solve_block_problem
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LORENZ = {
     "name": "lorenz",
@@ -493,6 +496,12 @@ class TestSymmetries:
         assert main(["symmetries", lorenz_file, "--d", "3"]) == 0
         assert "multiplier 1 (degree 0): block sizes [10, 10]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_network_output_matches_golden(self, d, capsys):
+        path = GOLDEN / "random_model_n8_seed3.json"
+        assert main(["symmetries", str(path), "--d", str(d)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"symmetries_n8_seed3_d{d}.txt").read_text()
+
     @pytest.mark.parametrize(
         "flag", [["--s", "0"], ["--l", "2"], ["--mode", "ss"], ["--extension", "maximal"], ["--beta", "1"]]
     )
@@ -515,6 +524,11 @@ class TestRandomModel:
         assert payload["metadata"]["seed"] == 42
         assert len(payload["metadata"]["edges"]) == 2
         assert payload["box"] == [[-1.0, 1.0]] * 6
+
+    def test_file_matches_golden(self, tmp_path):
+        path = tmp_path / "n8.json"
+        assert main(["random-model", "8", "3", "--out", str(path)]) == 0
+        assert path.read_text() == (GOLDEN / "random_model_n8_seed3.json").read_text()
 
     def test_generated_file_assembles(self, tmp_path):
         path = tmp_path / "net.json"

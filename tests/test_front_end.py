@@ -39,6 +39,7 @@ from mpisos.poly import (
     GrlexRadix,
     Polynomial,
     SupportSet,
+    exponent_rows,
     lie_coefficients,
     monomial_basis,
     support,
@@ -226,6 +227,14 @@ def test_keys_and_lie_terms_reject_rows_of_another_width():
     with pytest.raises(ValueError, match="dimension"):
         lie_coefficients(np.array(wide), systems.lorenz().system)
     assert GrlexRadix(3, 4).keys([]).shape == (0,)
+    # a negative entry would key as -150, a fraction would truncate to 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        GrlexRadix(3, 4).keys([(-1, 0, 0)])
+    for rows in ([(1.5, 0, 0)], np.array([[1.5, 0, 0]])):
+        with pytest.raises(ValueError, match="integer"):
+            exponent_rows(rows, 3)
+    with pytest.raises(ValueError, match="integer"):
+        lie_coefficients(np.array([[0.5, 1, 0]]), systems.lorenz().system)
 
 
 def past_int64_case() -> tuple[DynamicalSystem, SupportSet]:

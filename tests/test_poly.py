@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +121,15 @@ def test_stored_zero_coefficient_rejected():
         Polynomial(1, {(0,): 0.0})
 
 
+@pytest.mark.parametrize("alpha", [(1.5, 0), (-1, 2), (1, "2")])
+def test_exponents_must_be_nonnegative_integers(alpha):
+    # a field holding x1^1.5 would otherwise assemble as if it held x1
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        Polynomial(2, {alpha: -1.0})
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        SupportSet(2, frozenset({alpha}))
+
+
 def test_monomial_basis_count_and_order():
     basis = monomial_basis(3, 2)
     assert len(basis) == 10
@@ -164,6 +174,19 @@ def test_eval_matches_horner_oracle(data):
     ours = p(point)
     ref = horner_eval(dict(p.terms), point)
     assert ours == pytest.approx(ref, rel=1e-9, abs=1e-4)
+
+
+def test_eval_of_rows_matches_each_point():
+    p = parse_polynomial("x1^3 + x1*x2 - 8/3*x3 + 1", XYZ)
+    points = np.random.default_rng(0).uniform(-2, 2, size=(7, 3))
+    values = p(points)
+    assert values.shape == (7,)
+    assert values.tolist() == [p(row) for row in points]
+    assert type(p(points[0])) is float and p(tuple(points[0])) == values[0]
+    assert p(np.zeros((0, 3))).shape == (0,)
+    for bad in ([1.0, 2.0], np.zeros((4, 2)), np.zeros((2, 4, 3)), 1.0):
+        with pytest.raises(ValueError, match="shape"):
+            p(bad)
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(poly_strategy(d), poly_strategy(d))))

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import box_moment_loop, recover_residuals_loop
 
-from mpisos.poly import Polynomial, lie_polynomial, monomial_basis
+from mpisos.poly import Polynomial, lie_polynomial, monomial_basis, parse_polynomial
 from mpisos.relax import (
     Box,
     CertificateSet,
@@ -107,6 +107,25 @@ class TestBox:
             box_moments([(1, 0)], asym)
         with pytest.raises(ValueError, match="dimension"):
             box_moments([(1, 0, 0, 0, 0, 0)], UNIT3)
+        # index -1 would read the highest power's moment
+        with pytest.raises(ValueError, match="nonnegative"):
+            box_moments([(-1, 0)], Box.symmetric(2))
+
+    def test_constraints(self):
+        # (hi - x_i)(x_i - lo), whose constant -0 * 2 on [0, 2] is dropped
+        box = Box.from_bounds([(0, 2), (-1.5, 0.5)])
+        x, y = box.constraints()
+        assert list(x.terms.items()) == [((1, 0), 2.0), ((2, 0), -1.0)]
+        assert list(y.terms.items()) == [((0, 0), 0.75), ((0, 1), -1.0), ((0, 2), -1.0)]
+        points = np.array([[0.0, -1.5], [1.0, 0.0], [2.0, 0.5], [3.0, 1.0]])
+        assert x(points).tolist() == [0.0, 1.0, 0.0, -3.0]
+        assert y(points).tolist() == [0.0, 0.75, 0.0, -1.25]
+        # on the unit box, 1 - x_i^2 as parsed, in the same term order
+        unit = parse_polynomial("1 - x2^2", ("x1", "x2"))
+        assert list(Box.symmetric(2).constraints()[1].terms.items()) == list(unit.terms.items())
+        # finite bounds whose product passes the float range
+        with pytest.raises(ValueError, match="not finite"):
+            Box((-1e200,), (1e200,)).constraints()
 
 
 class TestAssembly:

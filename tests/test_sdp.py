@@ -1048,6 +1048,17 @@ class TestOriginalSpaceStatus:
         assert best.relative_gap == sol.residuals["relative_gap"]
         assert best.primal_objective == sol.objective
 
+    def test_stalled_solve_returns_its_first_point(self, monkeypatch):
+        # with every step length 0 the iterate never moves, so the first
+        # point stays the best and the stall exit ends the solve 30
+        # iterations later; each zero predictor step takes the plain
+        # centering fallback too
+        monkeypatch.setattr(sdp, "_step_length", lambda *args: 0.0)
+        sol = solve(lorenz_problem(2))
+        assert sol.status == "max_iter"
+        assert sol.iterations == len(sol.trace) == 31
+        assert sol.objective == sol.trace[0].primal_objective
+
     @pytest.mark.parametrize("cap", [1, 16])
     def test_capped_solve_takes_no_last_step(self, cap, monkeypatch):
         # the point a step in the last allowed iteration reaches is never

@@ -14,6 +14,7 @@ from mpisos.poly import (
     monomial_basis,
     parse_polynomial,
 )
+from mpisos.relax import multiplier_blocks
 from mpisos.sparsity import initial_support, stabilized_chain
 from mpisos.symmetry import (
     SignSymmetryGroup,
@@ -192,6 +193,16 @@ class TestBlocks:
             ((0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1)),
         )
         assert tuple(len(b) for b in blocks) == (6, 4)
+
+    def test_multiplier_blocks_once_per_basis_degree(self):
+        # lorenz d=2: the constant multiplier on the degree-2 basis, each
+        # box quadratic on the degree-1 basis, whose partition is shared
+        system = lorenz().system
+        group = sign_symmetries(system, 2)
+        blocks = multiplier_blocks(system, 2, group)
+        assert blocks[0] == symmetry_blocks(group, SupportSet.of(3, monomial_basis(3, 2)))
+        assert blocks[1] == symmetry_blocks(group, SupportSet.of(3, monomial_basis(3, 1)))
+        assert len(blocks) == 4 and blocks[1] is blocks[2] is blocks[3]
 
     def test_blocks_partition_basis(self):
         group = sign_symmetries(extended_lorenz().system, 2)
